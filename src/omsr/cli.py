@@ -79,7 +79,7 @@ def _print_exception(verdict: ExceptionVerdict) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     group, spec = parse_group_spec(args.group)
     if args.family:
-        conn = FAMILIES[args.family].emit(group, spec, args.m)
+        conn = FAMILIES[args.family](group, spec, args.m)
         family = args.family
     else:
         family = applicable_family(group, spec, args.m)
@@ -116,7 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.family:
         if args.m is None:
             raise ValueError("--family needs --m")
-        conn = FAMILIES[args.family].emit(group, spec, args.m)
+        conn = FAMILIES[args.family](group, spec, args.m)
         family = args.family
     else:
         raise ValueError("verify needs --matrix or --family")
@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; same outcome as one job")
     p.add_argument("--checkpoint", help="JSON checkpoint file for resumable runs")
     p.add_argument("--connected", action="store_true", help="accept only connected witnesses")
     p.add_argument("--out")

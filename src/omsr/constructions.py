@@ -519,7 +519,7 @@ def construct_omsr(
     family = applicable_family(group, spec, m)
     if isinstance(family, ExceptionVerdict):
         return family
-    return FAMILIES[family].emit(group, spec, m)
+    return FAMILIES[family](group, spec, m)
 
 
 def _emit_z2_table(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
@@ -564,24 +564,13 @@ def _emit_two_generated(group: FiniteGroup, spec: GeneratorSpec, m: int) -> Conn
     return two_generated(group, normalized_pair(group, spec), m)
 
 
-@dataclass(frozen=True)
-class ConstructionFamily:
-    """A named emitter plus the domain check it performs on entry."""
-
-    name: str
-    emit: Callable[[FiniteGroup, GeneratorSpec, int], ConnectionMatrix]
-
-
-FAMILIES: dict[str, ConstructionFamily] = {
-    family.name: family
-    for family in (
-        ConstructionFamily("z2-table", _emit_z2_table),
-        ConstructionFamily("z2-general", _emit_z2_general),
-        ConstructionFamily("cyclic-m2", _emit_cyclic_m2),
-        ConstructionFamily("cyclic-general", _emit_cyclic_general),
-        ConstructionFamily("klein-m3", _emit_klein_m3),
-        ConstructionFamily("klein-m4", _emit_klein_m4),
-        ConstructionFamily("klein-general", _emit_klein_general),
-        ConstructionFamily("two-gen", _emit_two_generated),
-    )
+FAMILIES: dict[str, Callable[[FiniteGroup, GeneratorSpec, int], ConnectionMatrix]] = {
+    "z2-table": _emit_z2_table,
+    "z2-general": _emit_z2_general,
+    "cyclic-m2": _emit_cyclic_m2,
+    "cyclic-general": _emit_cyclic_general,
+    "klein-m3": _emit_klein_m3,
+    "klein-m4": _emit_klein_m4,
+    "klein-general": _emit_klein_general,
+    "two-gen": _emit_two_generated,
 }

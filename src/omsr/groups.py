@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .perms import _compose
+
 __all__ = [
     "IDENTITY",
     "FiniteGroup",
@@ -150,11 +152,6 @@ def klein_four() -> tuple[FiniteGroup, GeneratorSpec]:
     base = direct_product(z2, z2)
     group = FiniteGroup("Z2^2", base.mult, base.inv, ("1", "y", "x", "xy"))
     return group, GeneratorSpec(x=2, y=1)
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # product p*q acts as "apply p, then q"
-    return tuple(q[v] for v in p)
 
 
 def _check_permutation(images: Sequence[int], degree: int, label: str) -> tuple[int, ...]:

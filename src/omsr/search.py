@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -148,113 +149,118 @@ def _matrix_from_rows(m: int, chosen: list[tuple[int, ...]]) -> ConnectionMatrix
     return ConnectionMatrix.from_entries(m, cells)
 
 
-def _evaluate_candidate(
-    space: SearchSpace,
-    conn: ConnectionMatrix,
-    exact_histogram: bool,
-) -> tuple[bool, int | None]:
-    """Return (is_witness, histogram_order or None when filtered out)."""
-    gamma = build(space.group, conn)
-    if space.require_connected and not is_weakly_connected(gamma.graph):
-        return False, None
-    order_bound = automorphism_group(
-        gamma.graph, stop_order_above=space.group.n
-    ).order()
-    if order_bound <= space.group.n:
-        # The engine ran to completion, so the order is exact; it can never
-        # be below |G| because the right translations are automorphisms.
-        return True, order_bound
-    if exact_histogram:
-        return False, automorphism_group(gamma.graph).order()
-    return False, order_bound
-
-
-def _search_branches(
-    space: SearchSpace,
-    branches: list[int],
-    budget: int,
-    exact_histogram: bool,
-    checkpoint_path: str | None = None,
-    tested_start: int = 0,
-    histogram_start: dict[int, int] | None = None,
-) -> tuple[ConnectionMatrix | None, int, dict[int, int], int]:
-    m, k = space.m, space.k
-    rows = [
-        enumerate_rows(space.group, m, k, i, space.require_oriented)
-        for i in range(m)
+def _row_table(
+    space: SearchSpace, row: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # each row assignment paired with its per-cell popcounts
+    return [
+        (cells, tuple(bin(mask).count("1") for mask in cells))
+        for cells in enumerate_rows(
+            space.group, space.m, space.k, row, space.require_oriented
+        )
     ]
+
+
+def _search_branch(
+    space: SearchSpace,
+    tables: list[list[tuple[tuple[int, ...], tuple[int, ...]]]],
+    exact_histogram: bool,
+    branch: int,
+) -> tuple[ConnectionMatrix | None, int, dict[int, int]]:
+    """Search the subtree under first row ``branch``.
+
+    Returns the first witness in depth-first order (or None), the number of
+    completed candidates, and the histogram of their automorphism orders.
+    """
+    m, k, n = space.m, space.k, space.group.n
     inv_mask = _inverse_masks(space.group)
-    tested = tested_start
-    histogram: dict[int, int] = dict(histogram_start or {})
+    stop = None if exact_histogram else n
+    tested = 0
+    histogram: dict[int, int] = {}
     witness: ConnectionMatrix | None = None
     chosen: list[tuple[int, ...]] = [()] * m
     col_sums = [0] * m
-    last_branch = -1
 
-    def row_fits(i: int, candidate: tuple[int, ...]) -> bool:
-        left = m - 1 - i
+    def row_fits(i: int, cells: tuple[int, ...], sizes: tuple[int, ...]) -> bool:
+        left = (m - 1 - i) * k
         for j in range(m):
-            size = bin(candidate[j]).count("1")
-            total = col_sums[j] + size
-            if total > k or k - total > left * k:
+            total = col_sums[j] + sizes[j]
+            if total > k or k - total > left:
                 return False
         if space.require_oriented:
             for j in range(i):
-                if candidate[j] & inv_mask[chosen[j][i]]:
+                if cells[j] & inv_mask[chosen[j][i]]:
                     return False
         return True
 
     def descend(i: int) -> bool:
         nonlocal tested, witness
-        for candidate in rows[i]:
-            if not row_fits(i, candidate):
+        for cells, sizes in (tables[0][branch],) if i == 0 else tables[i]:
+            if not row_fits(i, cells, sizes):
                 continue
-            chosen[i] = candidate
-            for j in range(m):
-                col_sums[j] += bin(candidate[j]).count("1")
-            try:
-                if i == m - 1:
-                    conn = _matrix_from_rows(m, chosen)
-                    tested += 1
-                    hit, order = _evaluate_candidate(space, conn, exact_histogram)
-                    if order is not None:
-                        histogram[order] = histogram.get(order, 0) + 1
-                    if hit:
-                        witness = conn
-                        return True
-                elif descend(i + 1):
-                    return True
-            finally:
+            chosen[i] = cells
+            if i < m - 1:
                 for j in range(m):
-                    col_sums[j] -= bin(candidate[j]).count("1")
+                    col_sums[j] += sizes[j]
+                found = descend(i + 1)
+                for j in range(m):
+                    col_sums[j] -= sizes[j]
+                if found:
+                    return True
+                continue
+            conn = _matrix_from_rows(m, chosen)
+            tested += 1
+            gamma = build(space.group, conn)
+            if space.require_connected and not is_weakly_connected(gamma.graph):
+                continue
+            # the right translations make |Aut| >= |G|, so an order of |G| is
+            # exact even when the engine may stop early above it
+            order = automorphism_group(gamma.graph, stop_order_above=stop).order()
+            histogram[order] = histogram.get(order, 0) + 1
+            if order == n:
+                witness = conn
+                return True
         return False
 
-    for branch in branches:
-        candidate = rows[0][branch]
-        if row_fits(0, candidate):
-            chosen[0] = candidate
-            for j in range(m):
-                col_sums[j] += bin(candidate[j]).count("1")
-            found = descend(1) if m > 1 else False
-            if m == 1:
-                conn = _matrix_from_rows(m, chosen)
-                tested += 1
-                hit, order = _evaluate_candidate(space, conn, exact_histogram)
-                if order is not None:
-                    histogram[order] = histogram.get(order, 0) + 1
-                found = hit
-                if hit:
-                    witness = conn
-            for j in range(m):
-                col_sums[j] -= bin(candidate[j]).count("1")
-            if found:
-                return witness, tested, histogram, branch
-        last_branch = branch
-        if checkpoint_path is not None:
-            _write_checkpoint(
-                checkpoint_path, space, last_branch, tested, histogram
-            )
-    return None, tested, histogram, last_branch
+    descend(0)
+    return witness, tested, histogram
+
+
+def _search_branches(
+    space: SearchSpace,
+    branches: list[int],
+    exact_histogram: bool,
+    checkpoint_path: str | None = None,
+    tested_start: int = 0,
+    histogram_start: dict[int, int] | None = None,
+    jobs: int = 1,
+) -> tuple[ConnectionMatrix | None, int, dict[int, int]]:
+    """Search ``branches`` in order, on ``jobs`` processes, and merge.
+
+    Results merge in branch order whatever ``jobs`` is: the checkpoint is
+    written after each merged branch, and the search stops at the first
+    branch that holds a witness.
+    """
+    tables = [_row_table(space, i) for i in range(space.m)]
+    search = partial(_search_branch, space, tables, exact_histogram)
+    tested = tested_start
+    histogram: dict[int, int] = dict(histogram_start or {})
+    pool = ProcessPoolExecutor(jobs) if jobs > 1 and len(branches) > 1 else None
+    try:
+        results = pool.map(search, branches) if pool else map(search, branches)
+        for branch, (witness, count, found) in zip(branches, results):
+            tested += count
+            for order, c in found.items():
+                histogram[order] = histogram.get(order, 0) + c
+            if witness is not None:
+                return witness, tested, histogram
+            if checkpoint_path is not None:
+                _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
+    finally:
+        if pool:
+            # branches after a witness are dropped unrun
+            pool.shutdown(cancel_futures=True)
+    return None, tested, histogram
 
 
 def _write_checkpoint(
@@ -288,16 +294,6 @@ def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int,
     return payload["last_completed_branch"], payload["candidates_tested"], histogram
 
 
-def _branch_worker(
-    args: tuple[SearchSpace, int, bool]
-) -> tuple[ConnectionMatrix | None, int, dict[int, int]]:
-    space, branch, exact_histogram = args
-    witness, tested, histogram, _ = _search_branches(
-        space, [branch], DEFAULT_BUDGET, exact_histogram
-    )
-    return witness, tested, histogram
-
-
 def exhaustive_search(
     space: SearchSpace,
     budget: int = DEFAULT_BUDGET,
@@ -311,8 +307,8 @@ def exhaustive_search(
     with a histogram of the automorphism orders of every completed candidate.
     Raises :class:`BudgetExceeded` before starting when the row-combination
     count ``(#rows)^m`` exceeds ``budget``.  With ``jobs > 1`` the depth-1
-    subtrees run in parallel and ``checkpoint_path`` is ignored; resumable
-    runs need single-job mode.
+    subtrees run on that many processes; the outcome and the checkpoints are
+    the same as with one job.
     """
     row_count = len(enumerate_rows(space.group, space.m, space.k, 0, space.require_oriented))
     estimate = row_count**space.m
@@ -320,45 +316,19 @@ def exhaustive_search(
         raise BudgetExceeded(
             f"row-combination estimate {estimate} exceeds budget {budget}"
         )
-    branches = list(range(row_count))
-    if jobs > 1 and row_count > 1:
-        witness: ConnectionMatrix | None = None
-        tested = 0
-        histogram: dict[int, int] = {}
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        futures = [
-            pool.submit(_branch_worker, (space, b, exact_histogram))
-            for b in branches
-        ]
-        try:
-            for future in as_completed(futures):
-                w, t, h = future.result()
-                tested += t
-                for order, count in h.items():
-                    histogram[order] = histogram.get(order, 0) + count
-                if w is not None:
-                    witness = w
-                    break
-        finally:
-            # queued branches are dropped; running ones finish and are small
-            pool.shutdown(wait=True, cancel_futures=True)
-        if witness is not None:
-            return SearchOutcome("FOUND", witness, tested, histogram)
-        return SearchOutcome("EXHAUSTED", None, tested, histogram)
-
     start_branch, tested0, hist0 = (
         _read_checkpoint(checkpoint_path, space)
         if checkpoint_path is not None
         else (-1, 0, {})
     )
-    witness, tested, histogram, _ = _search_branches(
+    witness, tested, histogram = _search_branches(
         space,
-        branches[start_branch + 1 :],
-        budget,
+        list(range(start_branch + 1, row_count)),
         exact_histogram,
         checkpoint_path,
         tested0,
         hist0,
+        jobs,
     )
     if witness is not None:
         return SearchOutcome("FOUND", witness, tested, histogram)
@@ -499,54 +469,35 @@ def _exhaustive_rigid(
         return RigidSearchOutcome("BUDGET", None, tested)
 
 
-def _circulant(n: int, k: int) -> tuple[set[tuple[int, int]], list[set[int]], list[set[int]]]:
-    arcs = {(v, (v + d) % n) for v in range(n) for d in range(1, k + 1)}
-    outs: list[set[int]] = [set() for _ in range(n)]
-    ins: list[set[int]] = [set() for _ in range(n)]
-    for a, b in arcs:
-        outs[a].add(b)
-        ins[b].add(a)
-    return arcs, outs, ins
-
-
 def _randomized_rigid(
     n: int, k: int, oriented: bool, budget: int, seed: int, switches: int
 ) -> RigidSearchOutcome:
     rng = random.Random(seed)
-    arcs, outs, ins = _circulant(n, k)
-    arc_list = sorted(arcs)
+    # start from the circulant with jumps 1..k
+    outs = [{(v + d) % n for d in range(1, k + 1)} for v in range(n)]
+    arc_list = sorted((v, w) for v in range(n) for w in outs[v])
 
     def try_switch() -> None:
-        (a, b), (c, d) = rng.sample(arc_list, 2)
+        x, y = rng.sample(range(len(arc_list)), 2)
+        (a, b), (c, d) = arc_list[x], arc_list[y]
         if a == c or b == d or a == d or c == b:
             return
         if d in outs[a] or b in outs[c]:
             return
         if oriented and (a in outs[d] or c in outs[b]):
             return
-        for idx, arc in enumerate(arc_list):
-            if arc == (a, b):
-                arc_list[idx] = (a, d)
-            elif arc == (c, d):
-                arc_list[idx] = (c, b)
-        arcs.discard((a, b))
-        arcs.discard((c, d))
-        arcs.update({(a, d), (c, b)})
+        arc_list[x], arc_list[y] = (a, d), (c, b)
         outs[a].discard(b)
         outs[c].discard(d)
         outs[a].add(d)
         outs[c].add(b)
-        ins[b].discard(a)
-        ins[d].discard(c)
-        ins[d].add(a)
-        ins[b].add(c)
 
     tested = 0
     while tested < budget:
         for _ in range(switches):
             try_switch()
         tested += 1
-        graph = Digraph.from_arcs(n, sorted(arcs))
+        graph = Digraph(n, outs)
         if _is_rigid(graph):
             return RigidSearchOutcome("FOUND", graph, tested)
     return RigidSearchOutcome("BUDGET", None, tested)

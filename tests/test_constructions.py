@@ -490,8 +490,8 @@ def test_construct_omsr_returns_matrices_or_verdicts() -> None:
 def test_every_family_emitter_validates_preconditions() -> None:
     z7, z7spec = make_cyclic(7)
     with pytest.raises(FamilyError):
-        FAMILIES["z2-table"].emit(z7, z7spec, 5)
+        FAMILIES["z2-table"](z7, z7spec, 5)
     with pytest.raises(FamilyError):
-        FAMILIES["klein-m3"].emit(z7, z7spec, 3)
+        FAMILIES["klein-m3"](z7, z7spec, 3)
     with pytest.raises(FamilyError):
-        FAMILIES["two-gen"].emit(z7, z7spec, 3)
+        FAMILIES["two-gen"](z7, z7spec, 3)

@@ -207,16 +207,19 @@ def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
 
     space = SearchSpace(Z4, 2)
     clean = exhaustive_search(space)
-    path = str(tmp_path / "ckpt.json")
+    for jobs in (1, 2):
+        path = str(tmp_path / f"ckpt{jobs}.json")
 
-    # emulate an interrupted run that finished the first 8 depth-1 branches
-    _search_branches(space, list(range(8)), 10**8, True, checkpoint_path=path)
-    assert json.loads(open(path).read())["last_completed_branch"] == 7
+        # emulate an interrupted run that finished the first 8 depth-1 branches
+        _search_branches(space, list(range(8)), True, checkpoint_path=path)
+        assert json.loads(open(path).read())["last_completed_branch"] == 7
 
-    resumed = exhaustive_search(space, checkpoint_path=path)
-    assert resumed.status == clean.status
-    assert resumed.candidates_tested == clean.candidates_tested
-    assert resumed.aut_order_histogram == clean.aut_order_histogram
+        resumed = exhaustive_search(space, checkpoint_path=path, jobs=jobs)
+        assert resumed.status == clean.status
+        assert resumed.candidates_tested == clean.candidates_tested
+        assert resumed.aut_order_histogram == clean.aut_order_histogram
+        # the resumed run checkpoints every branch it merges, on any job count
+        assert json.loads(open(path).read())["last_completed_branch"] == 15
 
 
 def test_checkpoint_for_other_space_is_ignored(tmp_path) -> None:
@@ -242,6 +245,11 @@ def test_parallel_found_space_returns_a_valid_witness() -> None:
     assert outcome.status == "FOUND"
     gamma = build(Z5, outcome.witness)
     assert automorphism_group(gamma.graph).order() == 5
+    # the parallel run returns the depth-first-first witness and its counts
+    for group in (Z5, make_cyclic(6)[0]):
+        space = SearchSpace(group, 2)
+        single = exhaustive_search(space).to_json()
+        assert exhaustive_search(space, jobs=2).to_json() == single
 
 
 # ---------------------------------------------------------------------------
