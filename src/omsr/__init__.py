@@ -18,16 +18,9 @@ from .constructions import (
     FamilyError,
     applicable_family,
     construct_omsr,
-    cyclic_general,
-    cyclic_m2,
-    klein_general,
-    klein_m3,
-    klein_m4,
-    two_generated,
+    family_matrix,
     validate_claims,
     validate_table,
-    z2_general,
-    z2_tables,
 )
 from .digraphs import (
     Digraph,
@@ -92,10 +85,9 @@ __all__ = [
     "check_prop21_hypotheses",
     "connection_is_oriented",
     "construct_omsr",
-    "cyclic_general",
-    "cyclic_m2",
     "direct_product",
     "exhaustive_search",
+    "family_matrix",
     "group_from_json",
     "is_automorphism",
     "is_k_regular",
@@ -103,9 +95,6 @@ __all__ = [
     "is_strongly_connected",
     "is_weakly_connected",
     "klein_four",
-    "klein_general",
-    "klein_m3",
-    "klein_m4",
     "load_group_file",
     "make_cyclic",
     "regular_action_group",
@@ -113,14 +102,11 @@ __all__ = [
     "run_all",
     "search_trivial_aut_digraph",
     "standard_two_generated",
-    "two_generated",
     "validate_claims",
     "validate_table",
     "valency_profile",
     "verify_connection",
     "verify_nonexistence_suite",
-    "z2_general",
-    "z2_tables",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from .perms import PermGroup, Permutation, _Chain
 __all__ = [
     "OrderedPartition",
     "refine",
-    "is_equitable",
     "automorphism_group",
     "brute_force_automorphisms",
     "is_automorphism",
@@ -123,29 +122,6 @@ def refine(graph: Digraph, partition: OrderedPartition) -> OrderedPartition:
             pos = {k: i for i, k in enumerate(order)}
             queue.extend(new_keys)
     return OrderedPartition(tuple(cells[k]) for k in order)
-
-
-def is_equitable(graph: Digraph, partition: OrderedPartition) -> bool:
-    """Direct count check: within a cell, all vertices agree on per-cell arc counts."""
-    cell_of = {}
-    for idx, cell in enumerate(partition.cells):
-        for v in cell:
-            cell_of[v] = idx
-    k = len(partition.cells)
-    for cell in partition.cells:
-        ref: list[tuple[int, int]] | None = None
-        for v in cell:
-            score = [[0, 0] for _ in range(k)]
-            for w in graph.out_adj[v]:
-                score[cell_of[w]][0] += 1
-            for w in graph.in_adj[v]:
-                score[cell_of[w]][1] += 1
-            flat = [tuple(s) for s in score]
-            if ref is None:
-                ref = flat
-            elif flat != ref:
-                return False
-    return True
 
 
 def is_automorphism(graph: Digraph, perm: Permutation) -> bool:

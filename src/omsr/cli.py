@@ -18,6 +18,7 @@ from .constructions import (
     ExceptionVerdict,
     applicable_family,
     construct_omsr,
+    family_matrix,
 )
 from .groups import FiniteGroup, GeneratorSpec, group_from_json, load_group_file
 from .mcayley import ConnectionMatrix, build
@@ -79,7 +80,7 @@ def _print_exception(verdict: ExceptionVerdict) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     group, spec = parse_group_spec(args.group)
     if args.family:
-        conn = FAMILIES[args.family](group, spec, args.m)
+        conn = family_matrix(args.family, group, spec, args.m)
         family = args.family
     else:
         family = applicable_family(group, spec, args.m)
@@ -111,12 +112,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         # accept both a bare matrix and a construct/verify report wrapping one
-        conn = ConnectionMatrix.from_json(obj.get("matrix", obj))
+        matrix = obj.get("matrix", obj) if isinstance(obj, dict) else obj
+        if not isinstance(matrix, dict):
+            raise ValueError(f"{args.matrix}: the matrix is not a JSON object")
+        conn = ConnectionMatrix.from_json(matrix)
         family = None
     elif args.family:
         if args.m is None:
             raise ValueError("--family needs --m")
-        conn = FAMILIES[args.family](group, spec, args.m)
+        conn = family_matrix(args.family, group, spec, args.m)
         family = args.family
     else:
         raise ValueError("verify needs --matrix or --family")

@@ -1,10 +1,12 @@
 """Connection-matrix families whose digraphs have automorphism group R(G).
 
-Each family emits a :class:`~omsr.mcayley.ConnectionMatrix` that builds a
-3-regular oriented m-Cayley digraph over its group, and every emitted matrix
-satisfies |Aut| = |G| on the family's applicability domain.  Families are
-stored as claim lists (cell, element set) so that misprint diagnostics and
-repair enumeration can work on the raw assignments; see ``validate_claims``.
+Each family is one function ``(group, spec, m) -> claims`` that checks its
+own domain (raising :class:`FamilyError` outside it) and returns a claim list
+(cell, element set), so that misprint diagnostics and repair enumeration can
+work on the raw assignments; see ``validate_claims``.  ``FAMILIES`` maps each
+family name to its function, and ``family_matrix`` turns the claims into the
+:class:`~omsr.mcayley.ConnectionMatrix` of a 3-regular oriented m-Cayley
+digraph with |Aut| = |G| on the family's domain.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .groups import (
     GeneratorSpec,
     element_order,
     generated_subgroup,
-    klein_four,
 )
 from .mcayley import ConnectionMatrix, build
 
@@ -194,7 +195,12 @@ def apply_repairs(
     return tuple(fixed)
 
 
-def z2_table_claims(m: int, repaired: bool = True) -> tuple[Claim, ...]:
+def z2_table_claims(
+    group: FiniteGroup, spec: GeneratorSpec, m: int, repaired: bool = True
+) -> tuple[Claim, ...]:
+    """Stored table for the order-two group, 5 <= m <= 10, misprints fixed."""
+    if group.n != 2:
+        raise FamilyError("z2-table applies to the order-two group only")
     if m not in Z2_UNREPAIRED_CLAIMS:
         raise FamilyError(f"no stored order-two table for m={m}; tables cover 5..10")
     claims = Z2_UNREPAIRED_CLAIMS[m]
@@ -203,12 +209,10 @@ def z2_table_claims(m: int, repaired: bool = True) -> tuple[Claim, ...]:
     return claims
 
 
-def z2_tables(m: int) -> ConnectionMatrix:
-    """Stored table for the order-two group, 5 <= m <= 10, misprints fixed."""
-    return claims_to_matrix(m, z2_table_claims(m))
-
-
-def z2_general_claims(m: int) -> tuple[Claim, ...]:
+def z2_general_claims(group: FiniteGroup, spec: GeneratorSpec, m: int) -> tuple[Claim, ...]:
+    """Closed-form family for the order-two group, any m >= 11."""
+    if group.n != 2:
+        raise FamilyError("z2-general applies to the order-two group only")
     if m < 11:
         raise FamilyError(f"general order-two family needs m >= 11, got {m}")
     claims: list[Claim] = [(i, (i + 1) % m, (0,)) for i in range(m)]
@@ -218,11 +222,6 @@ def z2_general_claims(m: int) -> tuple[Claim, ...]:
     claims.append((2, 5, (0, 1)))
     claims.append((7, 0, (0, 1)))
     return tuple(claims)
-
-
-def z2_general(m: int) -> ConnectionMatrix:
-    """Closed-form family for the order-two group, any m >= 11."""
-    return claims_to_matrix(m, z2_general_claims(m))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +236,13 @@ def cyclic_generator(group: FiniteGroup) -> int | None:
     return None
 
 
-def cyclic_m2(group: FiniteGroup) -> ConnectionMatrix:
-    """Two-block matrix for a cyclic group generated by x with o(x) >= 5.
+def cyclic_m2_claims(group: FiniteGroup, spec: GeneratorSpec, m: int) -> tuple[Claim, ...]:
+    """Two-block table for a cyclic group generated by x with o(x) >= 5.
 
     T(0,0) = {x, x^2}, T(0,1) = {1}, T(1,1) = {x^-1, x^-2}, T(1,0) = {x}.
     """
+    if m != 2:
+        raise FamilyError("cyclic-m2 is a two-block family")
     x = cyclic_generator(group)
     if x is None:
         raise FamilyError("group is not cyclic")
@@ -250,18 +251,18 @@ def cyclic_m2(group: FiniteGroup) -> ConnectionMatrix:
     x2 = group.mult[x][x]
     xi = group.inv[x]
     xi2 = group.inv[x2]
-    claims = (
+    return (
         (0, 0, (x, x2)),
         (0, 1, (IDENTITY,)),
         (1, 1, tuple(sorted((xi, xi2)))),
         (1, 0, (x,)),
     )
-    return claims_to_matrix(2, claims)
 
 
 def cyclic_general_claims(
-    group: FiniteGroup, m: int, repaired: bool = True
+    group: FiniteGroup, spec: GeneratorSpec, m: int, repaired: bool = True
 ) -> tuple[Claim, ...]:
+    """m-block table for a cyclic group of order >= 3, any m >= 3."""
     x = cyclic_generator(group)
     if x is None:
         raise FamilyError("group is not cyclic")
@@ -279,11 +280,6 @@ def cyclic_general_claims(
     return tuple(claims)
 
 
-def cyclic_general(group: FiniteGroup, m: int) -> ConnectionMatrix:
-    """m-block matrix for a cyclic group of order >= 3, any m >= 3."""
-    return claims_to_matrix(m, cyclic_general_claims(group, m))
-
-
 # ---------------------------------------------------------------------------
 # Klein four-group.
 # ---------------------------------------------------------------------------
@@ -294,22 +290,20 @@ def is_klein(group: FiniteGroup) -> bool:
     )
 
 
-def _klein_pair(group: FiniteGroup, spec: GeneratorSpec | None) -> tuple[int, int]:
-    if spec is None:
-        return 2, 1
+def _klein_pair(spec: GeneratorSpec) -> tuple[int, int]:
     x, y = spec.x, spec.y
     if y is None or x == y or IDENTITY in (x, y):
         raise FamilyError("klein families need two distinct non-identity generators")
     return x, y
 
 
-def klein_m3_claims(
-    group: FiniteGroup | None = None, spec: GeneratorSpec | None = None
-) -> tuple[Claim, ...]:
-    group = group if group is not None else klein_four()[0]
+def klein_m3_claims(group: FiniteGroup, spec: GeneratorSpec, m: int) -> tuple[Claim, ...]:
+    """Three-block table for the Klein four-group generated by (x, y)."""
+    if m != 3:
+        raise FamilyError("klein-m3 is a three-block family")
     if not is_klein(group):
         raise FamilyError("group is not the Klein four-group")
-    x, y = _klein_pair(group, spec)
+    x, y = _klein_pair(spec)
     xy = group.mult[x][y]
     return (
         (0, 1, (IDENTITY,)),
@@ -321,13 +315,13 @@ def klein_m3_claims(
     )
 
 
-def klein_m4_claims(
-    group: FiniteGroup | None = None, spec: GeneratorSpec | None = None
-) -> tuple[Claim, ...]:
-    group = group if group is not None else klein_four()[0]
+def klein_m4_claims(group: FiniteGroup, spec: GeneratorSpec, m: int) -> tuple[Claim, ...]:
+    """Four-block table for the Klein four-group generated by (x, y)."""
+    if m != 4:
+        raise FamilyError("klein-m4 is a four-block family")
     if not is_klein(group):
         raise FamilyError("group is not the Klein four-group")
-    x, y = _klein_pair(group, spec)
+    x, y = _klein_pair(spec)
     xy = group.mult[x][y]
     return (
         (0, 1, tuple(sorted((IDENTITY, x)))),
@@ -341,36 +335,19 @@ def klein_m4_claims(
     )
 
 
-def klein_m3() -> ConnectionMatrix:
-    """Three-block matrix for the canonical Klein four-group."""
-    return claims_to_matrix(3, klein_m3_claims())
-
-
-def klein_m4() -> ConnectionMatrix:
-    """Four-block matrix for the canonical Klein four-group."""
-    return claims_to_matrix(4, klein_m4_claims())
-
-
 def klein_general_claims(
-    m: int,
-    group: FiniteGroup | None = None,
-    spec: GeneratorSpec | None = None,
+    group: FiniteGroup, spec: GeneratorSpec, m: int
 ) -> tuple[Claim, ...]:
-    group = group if group is not None else klein_four()[0]
+    """m-block table for the Klein four-group, any m >= 5."""
     if not is_klein(group):
         raise FamilyError("group is not the Klein four-group")
     if m < 5:
         raise FamilyError(f"general klein family needs m >= 5, got {m}")
-    x, y = _klein_pair(group, spec)
+    x, y = _klein_pair(spec)
     claims: list[Claim] = [(0, 1, (y,))]
     claims.extend((i, (i + 1) % m, (IDENTITY,)) for i in range(1, m))
     claims.extend((i, (i - 2) % m, tuple(sorted((IDENTITY, x)))) for i in range(m))
     return tuple(claims)
-
-
-def klein_general(m: int) -> ConnectionMatrix:
-    """m-block matrix for the canonical Klein four-group, any m >= 5."""
-    return claims_to_matrix(m, klein_general_claims(m))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +357,16 @@ def klein_general(m: int) -> ConnectionMatrix:
 def two_generated_claims(
     group: FiniteGroup, spec: GeneratorSpec, m: int, repaired: bool = True
 ) -> tuple[Claim, ...]:
-    x, y = spec.x, spec.y
+    """m-block table for G = <x, y> with <x> proper, m >= 2.
+
+    The pair goes through ``normalized_pair`` first, so o(x) >= 3.
+    """
+    pair = normalized_pair(group, spec)
+    x, y = pair.x, pair.y
     if y is None:
         raise FamilyError("generating pair (x, y) required")
     if m < 2:
         raise FamilyError(f"pair family needs m >= 2, got {m}")
-    if element_order(group, x) < 3:
-        raise FamilyError("pair family needs o(x) >= 3; swap the generators")
     if len(generated_subgroup(group, (x, y))) != group.n:
         raise FamilyError("generators do not generate the group")
     if len(generated_subgroup(group, (x,))) == group.n:
@@ -398,11 +378,6 @@ def two_generated_claims(
     last = (m - 1, 0) if repaired else (m - 1, 1)
     claims.append((last[0], last[1], tuple(sorted((x, y)))))
     return tuple(claims)
-
-
-def two_generated(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    """m-block matrix for G = <x, y> with o(x) >= 3 and <x> proper, m >= 2."""
-    return claims_to_matrix(m, two_generated_claims(group, spec, m))
 
 
 def normalized_pair(group: FiniteGroup, spec: GeneratorSpec) -> GeneratorSpec:
@@ -519,58 +494,23 @@ def construct_omsr(
     family = applicable_family(group, spec, m)
     if isinstance(family, ExceptionVerdict):
         return family
-    return FAMILIES[family](group, spec, m)
+    return family_matrix(family, group, spec, m)
 
 
-def _emit_z2_table(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    if group.n != 2:
-        raise FamilyError("z2-table applies to the order-two group only")
-    return z2_tables(m)
-
-
-def _emit_z2_general(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    if group.n != 2:
-        raise FamilyError("z2-general applies to the order-two group only")
-    return z2_general(m)
-
-
-def _emit_cyclic_m2(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    if m != 2:
-        raise FamilyError("cyclic-m2 is a two-block family")
-    return cyclic_m2(group)
-
-
-def _emit_cyclic_general(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    return cyclic_general(group, m)
-
-
-def _emit_klein_m3(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    if m != 3:
-        raise FamilyError("klein-m3 is a three-block family")
-    return claims_to_matrix(3, klein_m3_claims(group, spec))
-
-
-def _emit_klein_m4(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    if m != 4:
-        raise FamilyError("klein-m4 is a four-block family")
-    return claims_to_matrix(4, klein_m4_claims(group, spec))
-
-
-def _emit_klein_general(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    return claims_to_matrix(m, klein_general_claims(m, group, spec))
-
-
-def _emit_two_generated(group: FiniteGroup, spec: GeneratorSpec, m: int) -> ConnectionMatrix:
-    return two_generated(group, normalized_pair(group, spec), m)
-
-
-FAMILIES: dict[str, Callable[[FiniteGroup, GeneratorSpec, int], ConnectionMatrix]] = {
-    "z2-table": _emit_z2_table,
-    "z2-general": _emit_z2_general,
-    "cyclic-m2": _emit_cyclic_m2,
-    "cyclic-general": _emit_cyclic_general,
-    "klein-m3": _emit_klein_m3,
-    "klein-m4": _emit_klein_m4,
-    "klein-general": _emit_klein_general,
-    "two-gen": _emit_two_generated,
+FAMILIES: dict[str, Callable[[FiniteGroup, GeneratorSpec, int], tuple[Claim, ...]]] = {
+    "z2-table": z2_table_claims,
+    "z2-general": z2_general_claims,
+    "cyclic-m2": cyclic_m2_claims,
+    "cyclic-general": cyclic_general_claims,
+    "klein-m3": klein_m3_claims,
+    "klein-m4": klein_m4_claims,
+    "klein-general": klein_general_claims,
+    "two-gen": two_generated_claims,
 }
+
+
+def family_matrix(
+    name: str, group: FiniteGroup, spec: GeneratorSpec, m: int
+) -> ConnectionMatrix:
+    """Connection matrix of family ``name``; FamilyError outside its domain."""
+    return claims_to_matrix(m, FAMILIES[name](group, spec, m))

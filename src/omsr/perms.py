@@ -196,20 +196,6 @@ class PermGroup:
             out.append(sorted(orb))
         return out
 
-    def orbit_of(self, v: int) -> list[int]:
-        if not 0 <= v < self.degree:
-            raise ValueError(f"point {v} out of range")
-        orb = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for g in self.generators:
-                w = g.images[u]
-                if w not in orb:
-                    orb.add(w)
-                    queue.append(w)
-        return sorted(orb)
-
     def is_semiregular(self) -> bool:
         """True when every point stabilizer is trivial (all orbits full length)."""
         n = self.order()

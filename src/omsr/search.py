@@ -11,6 +11,7 @@ carry no ground-truth claim.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -277,21 +278,37 @@ def _write_checkpoint(
         "candidates_tested": tested,
         "aut_order_histogram": {str(o): c for o, c in sorted(histogram.items())},
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    # a crash mid-write must leave the previous checkpoint intact
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(json.dumps(payload, indent=2) + "\n")
+    os.replace(tmp, path)
 
 
 def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int, int]]:
+    """Resume point for ``space``; ValueError when the checkpoint is malformed."""
     file = Path(path)
     if not file.exists():
         return -1, 0, {}
     payload = json.loads(file.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     if payload.get("space") != space.descriptor():
         return -1, 0, {}
-    histogram = {
-        int(order): count
-        for order, count in payload.get("aut_order_histogram", {}).items()
-    }
-    return payload["last_completed_branch"], payload["candidates_tested"], histogram
+    branch = payload.get("last_completed_branch")
+    tested = payload.get("candidates_tested")
+    histogram = payload.get("aut_order_histogram", {})
+    if not (
+        _is_count(branch)
+        and _is_count(tested)
+        and isinstance(histogram, dict)
+        and all(k.isdigit() and _is_count(c) for k, c in histogram.items())
+    ):
+        raise ValueError(f"checkpoint {path} for this search space is malformed")
+    return branch, tested, {int(order): count for order, count in histogram.items()}
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
 
 
 def exhaustive_search(

@@ -11,11 +11,14 @@ from omsr.autgroup import (
     brute_force_automorphisms,
     check_prop21_hypotheses,
     is_automorphism,
+    refine,
 )
+from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph
 from omsr.groups import make_cyclic
 from omsr.mcayley import ConnectionMatrix, build
 from omsr.perms import Permutation
+from omsr.suite import family_grid
 
 
 def _directed_cycle(n: int) -> Digraph:
@@ -135,3 +138,56 @@ def test_hypothesis_check_input_validation() -> None:
             automorphism_group(disconnected.graph),
             [disconnected.vertex_of(0, 0), disconnected.vertex_of(0, 1)],
         )
+
+
+def _is_equitable(graph: Digraph, partition: OrderedPartition) -> bool:
+    """Direct count check: within a cell, all vertices agree on per-cell arc counts."""
+    cell_of = {v: idx for idx, cell in enumerate(partition.cells) for v in cell}
+    for cell in partition.cells:
+        scores = set()
+        for v in cell:
+            score = [0] * (2 * len(partition.cells))
+            for w in graph.out_adj[v]:
+                score[2 * cell_of[w]] += 1
+            for w in graph.in_adj[v]:
+                score[2 * cell_of[w] + 1] += 1
+            scores.add(tuple(score))
+        if len(scores) > 1:
+            return False
+    return True
+
+
+def _refines_in_order(fine: OrderedPartition, coarse: OrderedPartition) -> bool:
+    """Each cell of ``fine`` lies in one cell of ``coarse``, in the same cell order."""
+    cell_of = {v: idx for idx, cell in enumerate(coarse.cells) for v in cell}
+    owners = []
+    for cell in fine.cells:
+        if len({cell_of[v] for v in cell}) != 1:
+            return False
+        owners.append(cell_of[cell[0]])
+    return owners == sorted(owners)
+
+
+def test_refine_output_is_equitable_and_refines_input() -> None:
+    path = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+    assert not _is_equitable(path, OrderedPartition.unit(3))  # the check can fail
+
+    cases = []
+    rng = random.Random(23)
+    for _ in range(40):
+        nv = rng.randrange(2, 12)
+        graph = _random_digraph(rng, nv, rng.uniform(0.1, 0.6))
+        colors = [rng.randrange(3) for _ in range(nv)]
+        cells = [[v for v in range(nv) if colors[v] == c] for c in range(3)]
+        cases.append((graph, OrderedPartition.unit(nv)))
+        cases.append((graph, OrderedPartition([c for c in cells if c])))
+    for group, spec, m in list(family_grid())[::22]:
+        gamma = build(group, construct_omsr(group, spec, m))
+        blocks = [range(i * group.n, (i + 1) * group.n) for i in range(m)]
+        cases.append((gamma.graph, OrderedPartition.unit(gamma.graph.nv)))
+        cases.append((gamma.graph, OrderedPartition(blocks)))
+    for graph, start in cases:
+        fine = refine(graph, start)
+        assert sorted(v for cell in fine.cells for v in cell) == list(range(graph.nv))
+        assert _is_equitable(graph, fine)
+        assert _refines_in_order(fine, start)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from omsr.cli import main, parse_group_spec
-from omsr.constructions import cyclic_m2
+from omsr.constructions import family_matrix
 from omsr.groups import make_cyclic
 
 
@@ -107,9 +107,9 @@ def test_verify_family_prints_table_and_json(tmp_path, capsys) -> None:
 
 
 def test_verify_accepts_bare_matrix_file(tmp_path, capsys) -> None:
-    z7, _ = make_cyclic(7)
+    z7, spec = make_cyclic(7)
     path = tmp_path / "matrix.json"
-    cyclic_m2(z7).save(path)
+    family_matrix("cyclic-m2", z7, spec, 2).save(path)
     assert main(["verify", "--group", "cyclic:7", "--matrix", str(path)]) == 0
     payload = _stdout_json(capsys)
     assert payload["checks"]["verdict"] == "OMSR"
@@ -141,6 +141,14 @@ def test_verify_usage_errors(capsys) -> None:
     capsys.readouterr()
 
 
+def test_verify_matrix_file_not_an_object_exits_1(tmp_path, capsys) -> None:
+    for payload in ([1, 2], 7, {"matrix": [1, 2]}):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--group", "cyclic:5", "--matrix", str(path)]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
@@ -161,6 +169,17 @@ def test_search_found(capsys) -> None:
     payload = _stdout_json(capsys)
     assert payload["status"] == "FOUND"
     assert payload["witness"]["m"] == 2
+
+
+def test_search_malformed_checkpoint_exits_1(tmp_path, capsys) -> None:
+    path = tmp_path / "ckpt.json"
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    del payload["last_completed_branch"]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 1
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_search_budget_exits_3(capsys) -> None:
@@ -206,6 +225,14 @@ def test_suite_only_first_criterion(capsys) -> None:
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "1/1 criteria passed" in out
+
+
+def test_suite_only_out_of_range_exits_1(capsys) -> None:
+    for only in ("0", "12", "1,12"):
+        assert main(["suite", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert "criteria are numbered 1..11" in captured.err
+        assert "PASS" not in captured.out
 
 
 def test_usage_errors_exit_1(capsys) -> None:

@@ -15,20 +15,13 @@ from omsr.constructions import (
     apply_repairs,
     claims_to_matrix,
     construct_omsr,
-    cyclic_general,
     cyclic_general_claims,
-    cyclic_m2,
-    klein_general,
-    klein_m3,
-    klein_m4,
+    family_matrix,
     normalized_pair,
-    two_generated,
     two_generated_claims,
     validate_claims,
     validate_table,
-    z2_general,
     z2_table_claims,
-    z2_tables,
 )
 from omsr.digraphs import (
     is_k_regular,
@@ -44,8 +37,9 @@ from omsr.groups import (
     standard_two_generated,
 )
 from omsr.mcayley import build
+from omsr.suite import family_grid
 
-Z2, _ = make_cyclic(2)
+Z2, Z2_SPEC = make_cyclic(2)
 
 
 def _aut_order(group, conn) -> int:
@@ -99,7 +93,7 @@ def test_validate_claims_reports_oriented_and_connectivity() -> None:
 
 
 def test_validate_table_wraps_matrices() -> None:
-    conn = z2_tables(7)
+    conn = family_matrix("z2-table", Z2, Z2_SPEC, 7)
     assert validate_table(Z2, conn) == []
 
 
@@ -184,20 +178,20 @@ def test_m5_needs_two_moves() -> None:
 
 def test_z2_tables_all_reach_aut_two() -> None:
     for m in range(5, 11):
-        conn = z2_tables(m)
+        conn = family_matrix("z2-table", Z2, Z2_SPEC, m)
         assert validate_table(Z2, conn) == []
         assert _aut_order(Z2, conn) == 2
 
 
 def test_z2_table_claims_range() -> None:
     with pytest.raises(FamilyError):
-        z2_table_claims(11)
+        z2_table_claims(Z2, Z2_SPEC, 11)
     with pytest.raises(FamilyError):
-        z2_table_claims(4)
+        z2_table_claims(Z2, Z2_SPEC, 4)
 
 
 def test_z2_general_structure_and_aut() -> None:
-    conn = z2_general(11)
+    conn = family_matrix("z2-general", Z2, Z2_SPEC, 11)
     gamma = build(Z2, conn)
     graph = gamma.graph
     assert is_oriented(graph) and is_k_regular(graph, 3) and is_weakly_connected(graph)
@@ -209,7 +203,7 @@ def test_z2_general_structure_and_aut() -> None:
     }
     assert _aut_order(Z2, conn) == 2
     with pytest.raises(FamilyError):
-        z2_general(10)
+        family_matrix("z2-general", Z2, Z2_SPEC, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +211,8 @@ def test_z2_general_structure_and_aut() -> None:
 # ---------------------------------------------------------------------------
 
 def test_cyclic_m2_neighborhoods() -> None:
-    group, _ = make_cyclic(7)
-    conn = cyclic_m2(group)
+    group, spec = make_cyclic(7)
+    conn = family_matrix("cyclic-m2", group, spec, 2)
     gamma = build(group, conn)
     x, n = 1, 7
 
@@ -239,15 +233,15 @@ def test_cyclic_m2_neighborhoods() -> None:
 def test_cyclic_m2_preconditions() -> None:
     for n in (3, 4):
         with pytest.raises(FamilyError):
-            cyclic_m2(make_cyclic(n)[0])
+            family_matrix("cyclic-m2", *make_cyclic(n), 2)
     with pytest.raises(FamilyError):
-        cyclic_m2(klein_four()[0])
+        family_matrix("cyclic-m2", *klein_four(), 2)
 
 
 def test_cyclic_general_neighborhoods() -> None:
-    group, _ = make_cyclic(5)
+    group, spec = make_cyclic(5)
     m = 4
-    conn = cyclic_general(group, m)
+    conn = family_matrix("cyclic-general", group, spec, m)
     gamma = build(group, conn)
 
     def v(power: int, block: int) -> int:
@@ -261,21 +255,21 @@ def test_cyclic_general_neighborhoods() -> None:
 
 
 def test_cyclic_general_unrepaired_column_fails() -> None:
-    group, _ = make_cyclic(5)
-    literal = cyclic_general_claims(group, 3, repaired=False)
+    group, spec = make_cyclic(5)
+    literal = cyclic_general_claims(group, spec, 3, repaired=False)
     msgs = validate_claims(group, 3, literal)
     assert any("column" in msg for msg in msgs)
     assert _clearing_single_moves(group, 3, literal) == [(5, (2, 0))]
 
 
 def test_cyclic_general_preconditions() -> None:
-    group, _ = make_cyclic(6)
+    group, spec = make_cyclic(6)
     with pytest.raises(FamilyError):
-        cyclic_general(group, 2)
+        family_matrix("cyclic-general", group, spec, 2)
     with pytest.raises(FamilyError):
-        cyclic_general(make_cyclic(2)[0], 4)
+        family_matrix("cyclic-general", *make_cyclic(2), 4)
     with pytest.raises(FamilyError):
-        cyclic_general(klein_four()[0], 4)
+        family_matrix("cyclic-general", *klein_four(), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +277,9 @@ def test_cyclic_general_preconditions() -> None:
 # ---------------------------------------------------------------------------
 
 def test_klein_m3_neighborhoods() -> None:
-    group, _ = klein_four()
+    group, spec = klein_four()
     one, y, x, xy = 0, 1, 2, 3
-    conn = klein_m3()
+    conn = family_matrix("klein-m3", group, spec, 3)
     gamma = build(group, conn)
     assert _out_neighbors(gamma, one, 0) == {
         gamma.vertex_of(one, 1),
@@ -321,18 +315,18 @@ def test_klein_m3_neighborhoods() -> None:
 
 
 def test_klein_m4_is_omsr() -> None:
-    group, _ = klein_four()
-    conn = klein_m4()
+    group, spec = klein_four()
+    conn = family_matrix("klein-m4", group, spec, 4)
     graph = build(group, conn).graph
     assert is_oriented(graph) and is_k_regular(graph, 3) and is_weakly_connected(graph)
     assert _aut_order(group, conn) == 4
 
 
 def test_klein_general_neighborhoods() -> None:
-    group, _ = klein_four()
+    group, spec = klein_four()
     one, y, x = 0, 1, 2
     m = 6
-    conn = klein_general(m)
+    conn = family_matrix("klein-general", group, spec, m)
     gamma = build(group, conn)
     assert _out_neighbors(gamma, one, 0) == {
         gamma.vertex_of(y, 1),
@@ -341,7 +335,7 @@ def test_klein_general_neighborhoods() -> None:
     }
     assert _aut_order(group, conn) == 4
     with pytest.raises(FamilyError):
-        klein_general(4)
+        family_matrix("klein-general", group, spec, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def test_klein_general_neighborhoods() -> None:
 def test_two_generated_neighborhoods() -> None:
     group, spec = standard_two_generated("S3")
     m = 3
-    conn = two_generated(group, spec, m)
+    conn = family_matrix("two-gen", group, spec, m)
     gamma = build(group, conn)
     x, y = spec.x, spec.y
     for i in range(m - 1):
@@ -382,12 +376,12 @@ def test_two_generated_unrepaired_column_fails() -> None:
 def test_two_generated_preconditions() -> None:
     s3, spec = standard_two_generated("S3")
     with pytest.raises(FamilyError):
-        two_generated(s3, GeneratorSpec(x=spec.x, y=None), 3)
+        family_matrix("two-gen", s3, GeneratorSpec(x=spec.x, y=None), 3)
     z6, _ = make_cyclic(6)
     with pytest.raises(FamilyError):
-        two_generated(z6, GeneratorSpec(x=1, y=2), 3)  # x alone generates
+        family_matrix("two-gen", z6, GeneratorSpec(x=1, y=2), 3)  # x alone generates
     with pytest.raises(FamilyError):
-        two_generated(s3, spec, 1)
+        family_matrix("two-gen", s3, spec, 1)
 
 
 def test_normalized_pair() -> None:
@@ -415,7 +409,7 @@ def test_two_generated_from_involution_pair() -> None:
     refl1 = spec.y
     refl2 = s3.mul(spec.x, spec.y)
     fixed = normalized_pair(s3, GeneratorSpec(x=refl1, y=refl2))
-    conn = two_generated(s3, fixed, 4)
+    conn = family_matrix("two-gen", s3, fixed, 4)
     assert _aut_order(s3, conn) == 6
 
 
@@ -495,3 +489,14 @@ def test_every_family_emitter_validates_preconditions() -> None:
         FAMILIES["klein-m3"](z7, z7spec, 3)
     with pytest.raises(FamilyError):
         FAMILIES["two-gen"](z7, z7spec, 3)
+
+
+def test_every_grid_instance_has_clean_claims() -> None:
+    used = set()
+    for group, spec, m in family_grid():
+        name = applicable_family(group, spec, m)
+        used.add(name)
+        assert validate_claims(group, m, FAMILIES[name](group, spec, m)) == [], (
+            f"{name} {group.name} m={m}"
+        )
+    assert used == set(FAMILIES)

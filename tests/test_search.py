@@ -231,6 +231,61 @@ def test_checkpoint_for_other_space_is_ignored(tmp_path) -> None:
     assert cross.candidates_tested == clean.candidates_tested
 
 
+def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
+    from omsr.search import _read_checkpoint
+
+    space = SearchSpace(Z4, 2)
+    path = tmp_path / "ckpt.json"
+    good = {
+        "schema": 1,
+        "space": space.descriptor(),
+        "last_completed_branch": 3,
+        "candidates_tested": 10,
+        "aut_order_histogram": {"8": 2},
+    }
+    path.write_text(json.dumps(good))
+    assert _read_checkpoint(str(path), space) == (3, 10, {8: 2})
+    missing = dict(good)
+    del missing["last_completed_branch"]
+    bad = [
+        missing,
+        {**good, "last_completed_branch": "3"},
+        {**good, "candidates_tested": -1},
+        {**good, "aut_order_histogram": [8, 2]},
+        {**good, "aut_order_histogram": {"eight": 2}},
+        {**good, "aut_order_histogram": {"8": 1.5}},
+        [good],
+    ]
+    for payload in bad:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            exhaustive_search(space, checkpoint_path=str(path))
+
+
+def test_checkpoint_write_replaces_the_file_atomically(tmp_path, monkeypatch) -> None:
+    import omsr.search as search
+    from omsr.search import _write_checkpoint
+
+    space = SearchSpace(Z4, 2)
+    path = tmp_path / "ckpt.json"
+    _write_checkpoint(str(path), space, 3, 10, {8: 2})
+    before = path.read_text()
+
+    def crash(src, dst) -> None:
+        raise OSError("interrupted")
+
+    # a write that dies before the rename leaves the old checkpoint whole
+    monkeypatch.setattr(search.os, "replace", crash)
+    with pytest.raises(OSError):
+        _write_checkpoint(str(path), space, 4, 12, {8: 3})
+    assert path.read_text() == before
+    monkeypatch.undo()
+
+    _write_checkpoint(str(path), space, 5, 14, {8: 4})
+    assert json.loads(path.read_text())["last_completed_branch"] == 5
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 def test_parallel_jobs_match_single_job() -> None:
     space = SearchSpace(Z4, 2)
     single = exhaustive_search(space)

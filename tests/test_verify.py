@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 from omsr.autgroup import is_automorphism
-from omsr.constructions import klein_m3, z2_general
+from omsr.constructions import family_matrix
 from omsr.groups import klein_four, make_cyclic
 from omsr.mcayley import ConnectionMatrix, build
 from omsr.perms import Permutation
@@ -22,8 +22,9 @@ def test_z4_example_fails_only_on_aut_order() -> None:
 
 
 def test_klein_m3_report_is_omsr() -> None:
-    group, _ = klein_four()
-    report = verify_connection(group, klein_m3(), family="klein-m3")
+    group, spec = klein_four()
+    conn = family_matrix("klein-m3", group, spec, 3)
+    report = verify_connection(group, conn, family="klein-m3")
     assert report.verdict == "OMSR"
     assert report.aut_order == 4
     assert report.family == "klein-m3"
@@ -49,8 +50,8 @@ def test_arcless_matrix_fails_regularity() -> None:
 
 
 def test_generators_are_automorphisms_of_the_built_digraph() -> None:
-    group, _ = klein_four()
-    conn = klein_m3()
+    group, spec = klein_four()
+    conn = family_matrix("klein-m3", group, spec, 3)
     report = verify_connection(group, conn)
     graph = build(group, conn).graph
     assert len(report.aut_generators) == len(report.aut_generator_images)
@@ -78,8 +79,9 @@ def test_report_json_roundtrip_reverifies_identically(tmp_path) -> None:
 
 
 def test_human_table_lines() -> None:
-    group, _ = make_cyclic(2)
-    report = verify_connection(group, z2_general(11), family="z2-general")
+    group, spec = make_cyclic(2)
+    conn = family_matrix("z2-general", group, spec, 11)
+    report = verify_connection(group, conn, family="z2-general")
     table = report.human_table()
     lines = dict(
         (line.split(None, 1)[0], line) for line in table.splitlines()
