@@ -10,7 +10,6 @@ from .digraphs import Digraph, is_weakly_connected
 from .perms import PermGroup, Permutation, _Chain
 
 __all__ = [
-    "OrderedPartition",
     "refine",
     "automorphism_group",
     "brute_force_automorphisms",
@@ -21,75 +20,40 @@ __all__ = [
 BRUTE_FORCE_MAX = 10
 
 
-class OrderedPartition:
-    """Ordered list of disjoint cells covering 0..nv-1; cell order is significant."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: Iterable[Iterable[int]]):
-        self.cells: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in cells)
-
-    @classmethod
-    def unit(cls, nv: int) -> "OrderedPartition":
-        return cls((tuple(range(nv)),))
-
-    @classmethod
-    def checked(cls, cells: Iterable[Iterable[int]], nv: int) -> "OrderedPartition":
-        part = cls(cells)
-        seen: list[int] = []
-        for c in part.cells:
-            if not c:
-                raise ValueError("empty cell")
-            seen.extend(c)
-        if sorted(seen) != list(range(nv)):
-            raise ValueError(f"cells do not partition 0..{nv - 1}")
-        return part
-
-    @property
-    def size(self) -> int:
-        return sum(len(c) for c in self.cells)
-
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OrderedPartition) and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
-
-    def __repr__(self) -> str:
-        inner = " | ".join(" ".join(str(v) for v in c) for c in self.cells)
-        return f"[{inner}]"
+Cells = tuple[tuple[int, ...], ...]
 
 
-def refine(graph: Digraph, partition: OrderedPartition) -> OrderedPartition:
-    """Coarsest equitable refinement of the partition.
+def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
+    """Coarsest equitable refinement of an ordered partition into non-empty cells.
 
     Every cell is scored against a worklist of splitter cells by the pair
     (out-arcs into splitter, in-arcs from splitter); cells splitting are
     replaced in position by their fragments in ascending score order, and
     all fragments join the worklist. The result does not depend on anything
     except the graph and the input cell order, so repeated calls are stable.
+
+    A cell is keyed by its offset in the concatenated cell order, which a
+    split of any other cell never moves; a worklist entry whose member list
+    is no longer the one at its offset belongs to a cell split since. An
+    empty cell would share its offset with the next one, so it raises
+    ValueError.
     """
-    nv = graph.nv
-    cells: dict[int, list[int]] = {}
-    order: list[int] = []
-    cell_of = [0] * nv
-    for key, cell in enumerate(partition.cells):
+    cell_at: dict[int, list[int]] = {}
+    cell_of = [0] * graph.nv
+    offset = 0
+    for cell in cells:
         members = sorted(cell)
-        cells[key] = members
-        order.append(key)
+        if not members:
+            raise ValueError("empty cell")
+        cell_at[offset] = members
         for v in members:
-            cell_of[v] = key
-    next_key = len(order)
-    pos = {k: i for i, k in enumerate(order)}
-    queue: deque[int] = deque(order)
+            cell_of[v] = offset
+        offset += len(members)
+    queue: deque[tuple[int, list[int]]] = deque(cell_at.items())
 
     while queue:
-        wkey = queue.popleft()
-        members_w = cells.get(wkey)
-        if members_w is None:
+        woff, members_w = queue.popleft()
+        if cell_at[woff] is not members_w:
             continue
         cnt_out: dict[int, int] = {}
         cnt_in: dict[int, int] = {}
@@ -100,8 +64,8 @@ def refine(graph: Digraph, partition: OrderedPartition) -> OrderedPartition:
                 cnt_in[u] = cnt_in.get(u, 0) + 1
         touched = {cell_of[u] for u in cnt_out}
         touched.update(cell_of[u] for u in cnt_in)
-        for ckey in sorted(touched, key=pos.__getitem__):
-            members = cells[ckey]
+        for coff in sorted(touched):
+            members = cell_at[coff]
             if len(members) == 1:
                 continue
             buckets: dict[tuple[int, int], list[int]] = {}
@@ -109,19 +73,13 @@ def refine(graph: Digraph, partition: OrderedPartition) -> OrderedPartition:
                 buckets.setdefault((cnt_out.get(v, 0), cnt_in.get(v, 0)), []).append(v)
             if len(buckets) == 1:
                 continue
-            new_keys = []
             for _, frag in sorted(buckets.items()):
-                cells[next_key] = frag
+                cell_at[coff] = frag
                 for v in frag:
-                    cell_of[v] = next_key
-                new_keys.append(next_key)
-                next_key += 1
-            del cells[ckey]
-            p = pos[ckey]
-            order[p : p + 1] = new_keys
-            pos = {k: i for i, k in enumerate(order)}
-            queue.extend(new_keys)
-    return OrderedPartition(tuple(cells[k]) for k in order)
+                    cell_of[v] = coff
+                queue.append((coff, frag))
+                coff += len(frag)
+    return tuple(tuple(cell_at[k]) for k in sorted(cell_at))
 
 
 def is_automorphism(graph: Digraph, perm: Permutation) -> bool:
@@ -141,19 +99,21 @@ def _preserves_arcs(graph: Digraph, img: tuple[int, ...]) -> bool:
     return True
 
 
-def _individualize(part: OrderedPartition, idx: int, v: int) -> OrderedPartition:
-    cell = part.cells[idx]
-    rest = tuple(u for u in cell if u != v)
-    return OrderedPartition(part.cells[:idx] + ((v,), rest) + part.cells[idx + 1 :])
+def _individualize(cells: Cells, idx: int, v: int) -> Cells:
+    rest = tuple(u for u in cells[idx] if u != v)
+    return cells[:idx] + ((v,), rest) + cells[idx + 1 :]
 
 
 def automorphism_group(
     graph: Digraph,
-    colors: OrderedPartition | None = None,
+    colors: Iterable[Iterable[int]] | None = None,
     *,
     stop_order_above: int | None = None,
 ) -> PermGroup:
     """Automorphism group of the digraph, optionally respecting an initial coloring.
+
+    The coloring, when given, is an ordered sequence of non-empty cells that
+    partition 0..nv-1; automorphisms must map every cell onto itself.
 
     Individualization-refinement search: the first (leftmost) leaf of the tree
     fixes a reference labeling, every other discrete leaf proposes the bijection
@@ -166,9 +126,11 @@ def automorphism_group(
     """
     nv = graph.nv
     if colors is None:
-        start = OrderedPartition.unit(nv)
+        start: Cells = (tuple(range(nv)),)
     else:
-        start = OrderedPartition.checked(colors.cells, nv)
+        start = tuple(tuple(c) for c in colors)
+        if sorted(v for c in start for v in c) != list(range(nv)):
+            raise ValueError(f"cells do not partition 0..{nv - 1}")
     identity = tuple(range(nv))
     chain = _Chain(nv)
     gens: list[tuple[int, ...]] = []
@@ -190,11 +152,10 @@ def automorphism_group(
                     queue.append(w)
         return False
 
-    def descend(part: OrderedPartition, depth: int) -> None:
+    def descend(cells: Cells, depth: int) -> None:
         nonlocal first_leaf
         if state["aborted"]:
             return
-        cells = part.cells
         shape = tuple(len(c) for c in cells)
         if first_leaf is None:
             path_shapes.append(shape)
@@ -230,7 +191,7 @@ def automorphism_group(
                 return
             if depth == 0 and processed and orbit_hits(v, processed):
                 continue
-            descend(refine(graph, _individualize(part, target, v)), depth + 1)
+            descend(refine(graph, _individualize(cells, target, v)), depth + 1)
             processed.add(v)
 
     descend(refine(graph, start), 0)

@@ -13,7 +13,6 @@ __all__ = [
     "is_oriented",
     "is_weakly_connected",
     "is_strongly_connected",
-    "induced_subdigraph",
     "iterated_out_neighborhood",
 ]
 
@@ -128,15 +127,13 @@ def is_oriented(graph: Digraph) -> bool:
     return True
 
 
-def _component_of(graph: Digraph, start: int, undirected: bool) -> set[int]:
+def _reachable(start: int, adjacency: Sequence[Sequence[int]]) -> set[int]:
+    """Vertices reached from start by breadth-first search over the given lists."""
     seen = {start}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        nbrs: Iterable[int] = graph.out_adj[u]
-        if undirected:
-            nbrs = list(graph.out_adj[u]) + list(graph.in_adj[u])
-        for v in nbrs:
+        for v in adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -144,34 +141,12 @@ def _component_of(graph: Digraph, start: int, undirected: bool) -> set[int]:
 
 
 def is_weakly_connected(graph: Digraph) -> bool:
-    return len(_component_of(graph, 0, undirected=True)) == graph.nv
+    both = [out + back for out, back in zip(graph.out_adj, graph.in_adj)]
+    return len(_reachable(0, both)) == graph.nv
 
 
 def is_strongly_connected(graph: Digraph) -> bool:
-    if len(_component_of(graph, 0, undirected=False)) != graph.nv:
-        return False
-    # reverse reachability via the in-lists
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in graph.in_adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == graph.nv
-
-
-def induced_subdigraph(graph: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
-    """Subdigraph on the given vertex set plus the sorted old-index map."""
-    keep = sorted(set(vertices))
-    if not keep:
-        raise ValueError("induced subdigraph needs at least one vertex")
-    if keep[0] < 0 or keep[-1] >= graph.nv:
-        raise ValueError(f"vertex out of range for nv={graph.nv}")
-    new_index = {v: i for i, v in enumerate(keep)}
-    rows = [[new_index[v] for v in graph.out_adj[u] if v in new_index] for u in keep]
-    return Digraph(len(keep), rows), tuple(keep)
+    return all(len(_reachable(0, adj)) == graph.nv for adj in (graph.out_adj, graph.in_adj))
 
 
 def iterated_out_neighborhood(graph: Digraph, v: int, k: int) -> frozenset[int]:

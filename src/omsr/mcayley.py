@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """m x m matrix of subsets of group element indices."""
@@ -76,11 +80,21 @@ class ConnectionMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConnectionMatrix":
-        m = int(obj["m"])
+        """Inverse of to_json; ValueError when ``m``, a key or an entry is malformed."""
+        m = obj.get("m")
+        if not _is_int(m):
+            raise ValueError(f"matrix needs an integer 'm', got {m!r}")
+        sets = obj.get("sets", {})
+        if not isinstance(sets, dict):
+            raise ValueError("matrix 'sets' must be an object of \"i,j\" keys")
         entries: dict[tuple[int, int], list[int]] = {}
-        for key, elems in obj.get("sets", {}).items():
-            i_s, j_s = key.split(",")
-            entries[(int(i_s), int(j_s))] = [int(e) for e in elems]
+        for key, elems in sets.items():
+            i_s, sep, j_s = key.partition(",")
+            if not (sep and i_s.isdigit() and j_s.isdigit()):
+                raise ValueError(f"matrix key {key!r} is not of the form \"i,j\"")
+            if not (isinstance(elems, list) and all(_is_int(e) for e in elems)):
+                raise ValueError(f"matrix entry {key!r} is not a list of integers")
+            entries[(int(i_s), int(j_s))] = elems
         return cls.from_entries(m, entries)
 
     def save(self, path: str | Path) -> None:

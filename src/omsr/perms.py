@@ -128,10 +128,7 @@ class _Chain:
         if lev == self.degree:
             return
         self.tables[lev][residue[self.base[lev]]] = residue
-        snapshot = [
-            table[p] for table in self.tables for p in sorted(table)
-        ]
-        for h in snapshot:
+        for h in self.strong_generators():
             for f in (_compose(h, residue), _compose(residue, h)):
                 if f != self.identity:
                     self.extend(f)

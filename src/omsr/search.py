@@ -71,11 +71,13 @@ class SearchOutcome:
             "status": self.status,
             "witness": None if self.witness is None else self.witness.to_json(),
             "candidates_tested": self.candidates_tested,
-            "aut_order_histogram": {
-                str(order): count
-                for order, count in sorted(self.aut_order_histogram.items())
-            },
+            "aut_order_histogram": _histogram_json(self.aut_order_histogram),
         }
+
+
+def _histogram_json(histogram: dict[int, int]) -> dict[str, int]:
+    """Automorphism-order histogram with string keys in ascending order."""
+    return {str(order): count for order, count in sorted(histogram.items())}
 
 
 def _inverse_masks(group: FiniteGroup) -> list[int]:
@@ -276,7 +278,7 @@ def _write_checkpoint(
         "space": space.descriptor(),
         "last_completed_branch": branch,
         "candidates_tested": tested,
-        "aut_order_histogram": {str(o): c for o, c in sorted(histogram.items())},
+        "aut_order_histogram": _histogram_json(histogram),
     }
     # a crash mid-write must leave the previous checkpoint intact
     tmp = Path(f"{path}.tmp")
@@ -388,10 +390,7 @@ def verify_nonexistence_suite(budget: int = DEFAULT_BUDGET) -> list[dict]:
                 "m": m,
                 "status": outcome.status,
                 "candidates_tested": outcome.candidates_tested,
-                "aut_order_histogram": {
-                    str(o): c
-                    for o, c in sorted(outcome.aut_order_histogram.items())
-                },
+                "aut_order_histogram": _histogram_json(outcome.aut_order_histogram),
             }
         )
     return reports

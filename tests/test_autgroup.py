@@ -6,7 +6,6 @@ import random
 import pytest
 
 from omsr.autgroup import (
-    OrderedPartition,
     automorphism_group,
     brute_force_automorphisms,
     check_prop21_hypotheses,
@@ -97,8 +96,17 @@ def test_initial_coloring_restricts_automorphisms() -> None:
     graph = Digraph.from_arcs(6, arcs)
     free = automorphism_group(graph)
     assert free.order() == 18
-    pinned = automorphism_group(graph, colors=OrderedPartition([(0, 1, 2), (3, 4, 5)]))
+    pinned = automorphism_group(graph, colors=[(0, 1, 2), (3, 4, 5)])
     assert pinned.order() == 9
+
+
+def test_colors_must_partition_the_vertices() -> None:
+    graph = _directed_cycle(4)
+    for colors in ([(0, 1), (), (2, 3)], [(0, 1), (1, 2, 3)], [(0, 1), (3,)]):
+        with pytest.raises(ValueError):
+            automorphism_group(graph, colors=colors)
+    with pytest.raises(ValueError):
+        refine(graph, [(0, 1), (), (2, 3)])
 
 
 def test_hypothesis_check_true_on_translation_only_instance() -> None:
@@ -140,13 +148,13 @@ def test_hypothesis_check_input_validation() -> None:
         )
 
 
-def _is_equitable(graph: Digraph, partition: OrderedPartition) -> bool:
+def _is_equitable(graph: Digraph, cells: tuple[tuple[int, ...], ...]) -> bool:
     """Direct count check: within a cell, all vertices agree on per-cell arc counts."""
-    cell_of = {v: idx for idx, cell in enumerate(partition.cells) for v in cell}
-    for cell in partition.cells:
+    cell_of = {v: idx for idx, cell in enumerate(cells) for v in cell}
+    for cell in cells:
         scores = set()
         for v in cell:
-            score = [0] * (2 * len(partition.cells))
+            score = [0] * (2 * len(cells))
             for w in graph.out_adj[v]:
                 score[2 * cell_of[w]] += 1
             for w in graph.in_adj[v]:
@@ -157,21 +165,20 @@ def _is_equitable(graph: Digraph, partition: OrderedPartition) -> bool:
     return True
 
 
-def _refines_in_order(fine: OrderedPartition, coarse: OrderedPartition) -> bool:
+def _refines_in_order(fine: tuple[tuple[int, ...], ...], coarse: tuple[tuple[int, ...], ...]) -> bool:
     """Each cell of ``fine`` lies in one cell of ``coarse``, in the same cell order."""
-    cell_of = {v: idx for idx, cell in enumerate(coarse.cells) for v in cell}
+    cell_of = {v: idx for idx, cell in enumerate(coarse) for v in cell}
     owners = []
-    for cell in fine.cells:
+    for cell in fine:
         if len({cell_of[v] for v in cell}) != 1:
             return False
         owners.append(cell_of[cell[0]])
     return owners == sorted(owners)
 
 
-def test_refine_output_is_equitable_and_refines_input() -> None:
-    path = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-    assert not _is_equitable(path, OrderedPartition.unit(3))  # the check can fail
-
+def _refine_cases() -> list[tuple[Digraph, tuple[tuple[int, ...], ...]]]:
+    """Seeded random and family-grid digraphs, each from the unit partition
+    and from a coloured or block partition."""
     cases = []
     rng = random.Random(23)
     for _ in range(40):
@@ -179,15 +186,36 @@ def test_refine_output_is_equitable_and_refines_input() -> None:
         graph = _random_digraph(rng, nv, rng.uniform(0.1, 0.6))
         colors = [rng.randrange(3) for _ in range(nv)]
         cells = [[v for v in range(nv) if colors[v] == c] for c in range(3)]
-        cases.append((graph, OrderedPartition.unit(nv)))
-        cases.append((graph, OrderedPartition([c for c in cells if c])))
+        cases.append((graph, (tuple(range(nv)),)))
+        cases.append((graph, tuple(tuple(c) for c in cells if c)))
     for group, spec, m in list(family_grid())[::22]:
         gamma = build(group, construct_omsr(group, spec, m))
-        blocks = [range(i * group.n, (i + 1) * group.n) for i in range(m)]
-        cases.append((gamma.graph, OrderedPartition.unit(gamma.graph.nv)))
-        cases.append((gamma.graph, OrderedPartition(blocks)))
-    for graph, start in cases:
+        blocks = tuple(tuple(range(i * group.n, (i + 1) * group.n)) for i in range(m))
+        cases.append((gamma.graph, (tuple(range(gamma.graph.nv)),)))
+        cases.append((gamma.graph, blocks))
+    return cases
+
+
+def test_refine_output_is_equitable_and_refines_input() -> None:
+    path = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+    assert not _is_equitable(path, ((0, 1, 2),))  # the check can fail
+
+    for graph, start in _refine_cases():
         fine = refine(graph, start)
-        assert sorted(v for cell in fine.cells for v in cell) == list(range(graph.nv))
+        assert sorted(v for cell in fine for v in cell) == list(range(graph.nv))
         assert _is_equitable(graph, fine)
         assert _refines_in_order(fine, start)
+
+
+def _relabel(graph: Digraph, sigma: list[int]) -> Digraph:
+    return Digraph.from_arcs(graph.nv, [(sigma[u], sigma[v]) for u, v in graph.arcs()])
+
+
+def test_refine_commutes_with_relabelling() -> None:
+    rng = random.Random(24)
+    for graph, start in _refine_cases():
+        sigma = list(range(graph.nv))
+        rng.shuffle(sigma)
+        moved_start = tuple(tuple(sigma[v] for v in cell) for cell in start)
+        expected = [{sigma[v] for v in cell} for cell in refine(graph, start)]
+        assert [set(cell) for cell in refine(_relabel(graph, sigma), moved_start)] == expected

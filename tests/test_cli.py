@@ -149,6 +149,23 @@ def test_verify_matrix_file_not_an_object_exits_1(tmp_path, capsys) -> None:
         assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_verify_malformed_matrix_exits_1(tmp_path, capsys) -> None:
+    payloads = (
+        {},
+        {"m": "2", "sets": {}},
+        {"m": 2, "sets": [1]},
+        {"m": 2, "sets": {"0-1": [1]}},
+        {"m": 2, "sets": {"0,1,2": [1]}},
+        {"m": 2, "sets": {"0,1": 3}},
+        {"m": 2, "sets": {"0,1": [1.5]}},
+    )
+    for payload in payloads:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--group", "cyclic:5", "--matrix", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from omsr.digraphs import (
     Digraph,
-    induced_subdigraph,
     is_k_regular,
     is_oriented,
     is_strongly_connected,
@@ -91,14 +90,6 @@ def test_connectivity() -> None:
     single = Digraph.from_arcs(1, [])
     assert is_weakly_connected(single)
     assert is_strongly_connected(single)
-
-
-def test_induced_subdigraph() -> None:
-    graph = Digraph.from_arcs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    sub, kept = induced_subdigraph(graph, [1, 2, 3])
-    assert kept == (1, 2, 3)
-    assert sub.nv == 3
-    assert sub.arcs() == [(0, 1), (1, 2)]
 
 
 def test_iterated_out_neighborhood() -> None:
