@@ -20,13 +20,11 @@ from .constructions import (
     construct_omsr,
     family_matrix,
     validate_claims,
-    validate_table,
 )
 from .digraphs import (
     Digraph,
     is_k_regular,
     is_oriented,
-    is_strongly_connected,
     is_weakly_connected,
 )
 from .groups import (
@@ -92,7 +90,6 @@ __all__ = [
     "is_automorphism",
     "is_k_regular",
     "is_oriented",
-    "is_strongly_connected",
     "is_weakly_connected",
     "klein_four",
     "load_group_file",
@@ -103,7 +100,6 @@ __all__ = [
     "search_trivial_aut_digraph",
     "standard_two_generated",
     "validate_claims",
-    "validate_table",
     "valency_profile",
     "verify_connection",
     "verify_nonexistence_suite",

@@ -7,7 +7,8 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .digraphs import Digraph, is_weakly_connected
-from .perms import PermGroup, Permutation, _Chain
+# _Chain is unused here; perfbench/spans.py patches it in this module too
+from .perms import PermGroup, Permutation, _Chain  # noqa: F401
 
 __all__ = [
     "refine",
@@ -132,8 +133,7 @@ def automorphism_group(
         if sorted(v for c in start for v in c) != list(range(nv)):
             raise ValueError(f"cells do not partition 0..{nv - 1}")
     identity = tuple(range(nv))
-    chain = _Chain(nv)
-    gens: list[tuple[int, ...]] = []
+    aut = PermGroup(nv)
     first_leaf: list[int] | None = None
     path_shapes: list[tuple[int, ...]] = []
     state = {"aborted": False}
@@ -145,8 +145,8 @@ def automorphism_group(
             u = queue.pop()
             if u in targets:
                 return True
-            for g in gens:
-                w = g[u]
+            for g in aut.generators:
+                w = g.images[u]
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -178,11 +178,8 @@ def automorphism_group(
             cand = tuple(img)
             if cand == identity or not _preserves_arcs(graph, cand):
                 return
-            if not chain.contains(cand):
-                chain.extend(cand)
-                gens.append(cand)
-                if stop_order_above is not None and chain.order() > stop_order_above:
-                    state["aborted"] = True
+            if aut.add(cand) and stop_order_above is not None and aut.order() > stop_order_above:
+                state["aborted"] = True
             return
         cell = cells[target]
         processed: set[int] = set()
@@ -195,7 +192,7 @@ def automorphism_group(
             processed.add(v)
 
     descend(refine(graph, start), 0)
-    return PermGroup(nv, [Permutation(g) for g in gens])
+    return aut
 
 
 def brute_force_automorphisms(graph: Digraph) -> PermGroup:

@@ -109,17 +109,6 @@ def validate_claims(
     return violations
 
 
-def validate_table(group: FiniteGroup, conn: ConnectionMatrix, k: int = 3) -> list[str]:
-    """Run ``validate_claims`` on a finished matrix (one claim per cell)."""
-    claims = tuple(
-        (i, j, tuple(sorted(conn.entry(i, j))))
-        for i in range(conn.m)
-        for j in range(conn.m)
-        if conn.entry(i, j)
-    )
-    return validate_claims(group, conn.m, claims, k)
-
-
 # ---------------------------------------------------------------------------
 # Order-two group: block counts 5..10 are data, 11 and up are a closed form.
 # ---------------------------------------------------------------------------

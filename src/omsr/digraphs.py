@@ -12,7 +12,6 @@ __all__ = [
     "is_k_regular",
     "is_oriented",
     "is_weakly_connected",
-    "is_strongly_connected",
     "iterated_out_neighborhood",
 ]
 
@@ -127,26 +126,21 @@ def is_oriented(graph: Digraph) -> bool:
     return True
 
 
-def _reachable(start: int, adjacency: Sequence[Sequence[int]]) -> set[int]:
-    """Vertices reached from start by breadth-first search over the given lists."""
-    seen = {start}
-    queue = deque([start])
+def is_weakly_connected(graph: Digraph) -> bool:
+    """Every vertex is reached from vertex 0 along arcs taken either way.
+
+    On a regular digraph this is the same as strong connectivity.
+    """
+    both = [out + back for out, back in zip(graph.out_adj, graph.in_adj)]
+    seen = {0}
+    queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in adjacency[u]:
+        for v in both[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    return seen
-
-
-def is_weakly_connected(graph: Digraph) -> bool:
-    both = [out + back for out, back in zip(graph.out_adj, graph.in_adj)]
-    return len(_reachable(0, both)) == graph.nv
-
-
-def is_strongly_connected(graph: Digraph) -> bool:
-    return all(len(_reachable(0, adj)) == graph.nv for adj in (graph.out_adj, graph.in_adj))
+    return len(seen) == graph.nv
 
 
 def iterated_out_neighborhood(graph: Digraph, v: int, k: int) -> frozenset[int]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .perms import _compose
+from .perms import _compose, _invert
 
 __all__ = [
     "IDENTITY",
@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 IDENTITY = 0
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,6 @@ class FiniteGroup:
     def n(self) -> int:
         return len(self.mult)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def invert(self, a: int) -> int:
-        return self.inv[a]
-
-    def elements(self) -> range:
-        return range(self.n)
-
-    def element_name(self, g: int) -> str:
-        return self.names[g]
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.n})"
 
@@ -93,7 +85,7 @@ def element_order(group: FiniteGroup, g: int) -> int:
     order = 1
     acc = g
     while acc != IDENTITY:
-        acc = group.mul(acc, g)
+        acc = group.mult[acc][g]
         order += 1
     return order
 
@@ -156,7 +148,7 @@ def klein_four() -> tuple[FiniteGroup, GeneratorSpec]:
 
 def _check_permutation(images: Sequence[int], degree: int, label: str) -> tuple[int, ...]:
     t = tuple(images)
-    if len(t) != degree or sorted(t) != list(range(degree)):
+    if len(t) != degree or not all(_is_int(v) for v in t) or sorted(t) != list(range(degree)):
         raise ValueError(f"{label} is not a permutation of 0..{degree - 1}: {images}")
     return t
 
@@ -193,14 +185,9 @@ def from_permutation_generators(
                     raise ValueError(f"closure exceeded cap of {cap} elements")
     n = len(elems)
     mult = tuple(tuple(index[_compose(elems[a], elems[b])] for b in range(n)) for a in range(n))
-    inv_list = [0] * n
-    for a, e in enumerate(elems):
-        back = [0] * degree
-        for v, img in enumerate(e):
-            back[img] = v
-        inv_list[a] = index[tuple(back)]
+    inv = tuple(index[_invert(e)] for e in elems)
     names = tuple("1" if a == 0 else f"g{a}" for a in range(n))
-    group = FiniteGroup(f"perm<{degree}>", mult, tuple(inv_list), names)
+    group = FiniteGroup(f"perm<{degree}>", mult, inv, names)
     x = index[gens[0]]
     y = index[gens[1]] if len(gens) >= 2 else None
     return group, GeneratorSpec(x=x, y=y)
@@ -233,25 +220,36 @@ def standard_two_generated(name: str) -> tuple[FiniteGroup, GeneratorSpec]:
     return group, spec
 
 
-def group_from_json(obj: dict) -> tuple[FiniteGroup, GeneratorSpec]:
-    """Build a group from its JSON description.
+def _int_field(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if not _is_int(value):
+        raise ValueError(f"group {obj.get('kind')!r} needs an integer {key!r}, got {value!r}")
+    return value
+
+
+def group_from_json(obj: object) -> tuple[FiniteGroup, GeneratorSpec]:
+    """Build a group from its JSON description; ValueError when it is malformed.
 
     Kinds: {"kind": "cyclic", "n": N}, {"kind": "product", "factors": [...]},
     {"kind": "perm", "degree": D, "generators": [[...], ...]}.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"group description is not a JSON object: {obj!r}")
     kind = obj.get("kind")
     if kind == "cyclic":
-        return make_cyclic(int(obj["n"]))
+        return make_cyclic(_int_field(obj, "n"))
     if kind == "product":
-        factors = obj["factors"]
-        if len(factors) < 2:
-            raise ValueError("product needs at least two factors")
+        factors = obj.get("factors")
+        if not isinstance(factors, list) or len(factors) < 2:
+            raise ValueError("product needs a list of at least two factors")
         parts = []
         for f in factors:
             if isinstance(f, dict):
                 parts.append(group_from_json(f)[0])
+            elif _is_int(f):
+                parts.append(make_cyclic(f)[0])
             else:
-                parts.append(make_cyclic(int(f))[0])
+                raise ValueError(f"product factor {f!r} is neither an order nor a group")
         group = parts[0]
         for p in parts[1:]:
             group = direct_product(group, p)
@@ -265,7 +263,10 @@ def group_from_json(obj: dict) -> tuple[FiniteGroup, GeneratorSpec]:
         y = stride_y if parts[1].n > 1 else None
         return group, GeneratorSpec(x=x, y=y)
     if kind == "perm":
-        return from_permutation_generators(int(obj["degree"]), obj["generators"])
+        generators = obj.get("generators")
+        if not (isinstance(generators, list) and all(isinstance(g, list) for g in generators)):
+            raise ValueError(f"group 'perm' needs a list of image lists, got {generators!r}")
+        return from_permutation_generators(_int_field(obj, "degree"), generators)
     raise ValueError(f"unknown group kind {kind!r}")
 
 

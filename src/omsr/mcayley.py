@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .digraphs import Digraph
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _is_int
 from .perms import PermGroup, Permutation
 
 __all__ = [
@@ -25,10 +25,6 @@ __all__ = [
     "right_translation",
     "regular_action_group",
 ]
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -115,13 +111,6 @@ class MCayleyDigraph:
 
     def vertex_of(self, g: int, i: int) -> int:
         return i * self.group.n + g
-
-    def label_of(self, v: int) -> tuple[int, int]:
-        """Vertex index -> (group element, block)."""
-        return v % self.group.n, v // self.group.n
-
-    def block_of(self, v: int) -> int:
-        return v // self.group.n
 
     def dot_labels(self) -> tuple[str, ...]:
         n = self.group.n

@@ -31,27 +31,9 @@ class Permutation:
             raise ValueError(f"not a permutation: {images}")
         self.images = t
 
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
-
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Permutation(_compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its smallest point."""
@@ -141,25 +123,38 @@ class _Chain:
 
 
 class PermGroup:
-    """Permutation group given by generators; order and membership via the chain."""
+    """Permutation group closed once in a chain that grows with ``add``.
+
+    ``generators`` holds, in order, the given permutations that enlarged the
+    group: the identity and members of the group so far are skipped, so a
+    redundant generating list keeps fewer of them. Reports list only the
+    automorphism engine's generators, each of which enlarged its group.
+    """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
         self.degree = degree
-        gens: list[Permutation] = []
-        seen: set[tuple[int, ...]] = set()
-        for p in generators:
-            if p.degree != degree:
-                raise ValueError(f"generator degree {p.degree} != group degree {degree}")
-            if p.is_identity() or p.images in seen:
-                continue
-            seen.add(p.images)
-            gens.append(p)
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self.generators: tuple[Permutation, ...] = ()
         self._chain = _Chain(degree)
-        for p in self.generators:
-            self._chain.extend(p.images)
+        for p in generators:
+            self.add(p.images)
+
+    def add(self, images: tuple[int, ...]) -> bool:
+        """Adjoin a permutation given by its image tuple; False when already a member.
+
+        ``images`` must be a permutation of 0..degree-1: the engine sifts tens
+        of thousands of leaves, so only a tuple that enlarges the group is
+        checked (and rejected with ValueError before the chain takes it).
+        """
+        if len(images) != self.degree:
+            raise ValueError(f"generator degree {len(images)} != group degree {self.degree}")
+        if self._chain.contains(images):
+            return False
+        p = Permutation(images)
+        self._chain.extend(images)
+        self.generators += (p,)
+        return True
 
     def order(self) -> int:
         return self._chain.order()
@@ -168,9 +163,6 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         return self._chain.contains(p.images)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return self.is_member(p)
 
     def orbits(self) -> list[list[int]]:
         """Orbits sorted internally and ordered by smallest member."""

@@ -248,7 +248,8 @@ def _search_branches(
     search = partial(_search_branch, space, tables, exact_histogram)
     tested = tested_start
     histogram: dict[int, int] = dict(histogram_start or {})
-    pool = ProcessPoolExecutor(jobs) if jobs > 1 and len(branches) > 1 else None
+    workers = min(jobs, len(branches))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         results = pool.map(search, branches) if pool else map(search, branches)
         for branch, (witness, count, found) in zip(branches, results):
@@ -326,9 +327,12 @@ def exhaustive_search(
     with a histogram of the automorphism orders of every completed candidate.
     Raises :class:`BudgetExceeded` before starting when the row-combination
     count ``(#rows)^m`` exceeds ``budget``.  With ``jobs > 1`` the depth-1
-    subtrees run on that many processes; the outcome and the checkpoints are
-    the same as with one job.
+    subtrees run on that many processes, or one per subtree when there are
+    fewer; the outcome and the checkpoints are the same as with one job.
+    Raises ValueError when ``jobs < 1``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     row_count = len(enumerate_rows(space.group, space.m, space.k, 0, space.require_oriented))
     estimate = row_count**space.m
     if estimate > budget:

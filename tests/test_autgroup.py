@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from omsr import autgroup, perms, search, verify
 from omsr.autgroup import (
     automorphism_group,
     brute_force_automorphisms,
@@ -54,6 +55,43 @@ def test_is_automorphism() -> None:
     assert is_automorphism(cycle, rotate)
     # reflecting a directed cycle reverses the arcs
     assert not is_automorphism(cycle, reflect)
+
+
+def test_engine_closes_one_chain_per_call(monkeypatch) -> None:
+    built = []
+
+    class CountedChain(perms._Chain):
+        def __init__(self, *args, **kwargs) -> None:
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(perms, "_Chain", CountedChain)
+    monkeypatch.setattr(autgroup, "_Chain", CountedChain)
+    for graph in (_directed_cycle(6), Digraph.from_arcs(5, []), _directed_cycle(1)):
+        built.clear()
+        aut = automorphism_group(graph)
+        assert len(built) == 1
+        assert aut._chain is built[0]
+
+
+def test_traced_module_attributes_exist() -> None:
+    # the layer tracer in perfbench/spans.py swaps these names for wrappers
+    traced = {
+        autgroup: ("automorphism_group", "refine", "_preserves_arcs", "_Chain", "PermGroup"),
+        perms: ("_Chain",),
+        search: ("automorphism_group", "build", "enumerate_rows", "exhaustive_search"),
+        verify: (
+            "automorphism_group",
+            "build",
+            "verify_connection",
+            "is_oriented",
+            "is_k_regular",
+            "is_weakly_connected",
+        ),
+    }
+    for module, names in traced.items():
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
 def test_generators_returned_are_automorphisms() -> None:

@@ -256,9 +256,35 @@ def test_usage_errors_exit_1(capsys) -> None:
     assert main(["no-such-command"]) == 1
     assert main(["construct", "--group", "cyclic:5"]) == 1  # missing --m
     assert main([]) == 1
+    for jobs in ("0", "-2"):
+        assert main(["search", "--group", "cyclic:4", "--m", "2", "--jobs", jobs]) == 1
     capsys.readouterr()
 
 
 def test_bad_group_spec_exits_1(capsys) -> None:
     assert main(["construct", "--group", "weird:5", "--m", "2"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_malformed_group_file_exits_1(tmp_path, capsys) -> None:
+    payloads = (
+        [1, 2],
+        {"kind": "cyclic"},
+        {"kind": "cyclic", "n": "5"},
+        {"kind": "product", "factors": [2, {"kind": "cyclic"}]},
+        {"kind": "product", "factors": 5},
+        {"kind": "product", "factors": [2, "3"]},
+        {"kind": "perm", "degree": 3},
+        {"kind": "perm", "degree": 3, "generators": [5]},
+        {"kind": "perm", "degree": 3, "generators": [[1, 2, "0"]]},
+    )
+    path = tmp_path / "g.json"
+    for payload in payloads:
+        path.write_text(json.dumps(payload))
+        for command in (
+            ["construct", "--m", "2"],
+            ["verify", "--family", "cyclic-general", "--m", "2"],
+            ["search", "--m", "2"],
+        ):
+            assert main([*command, "--group", f"perm:{path}"]) == 1, (payload, command)
+            assert capsys.readouterr().err.startswith("error: ")

@@ -20,7 +20,6 @@ from omsr.constructions import (
     normalized_pair,
     two_generated_claims,
     validate_claims,
-    validate_table,
     z2_table_claims,
 )
 from omsr.digraphs import (
@@ -90,11 +89,6 @@ def test_validate_claims_reports_oriented_and_connectivity() -> None:
     two_loops = ((0, 0, (1, 2, 3)), (1, 1, (1, 2, 3)))
     msgs = validate_claims(group7, 2, two_loops)
     assert any("connected" in msg for msg in msgs)
-
-
-def test_validate_table_wraps_matrices() -> None:
-    conn = family_matrix("z2-table", Z2, Z2_SPEC, 7)
-    assert validate_table(Z2, conn) == []
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +172,8 @@ def test_m5_needs_two_moves() -> None:
 
 def test_z2_tables_all_reach_aut_two() -> None:
     for m in range(5, 11):
+        assert validate_claims(Z2, m, z2_table_claims(Z2, Z2_SPEC, m)) == []
         conn = family_matrix("z2-table", Z2, Z2_SPEC, m)
-        assert validate_table(Z2, conn) == []
         assert _aut_order(Z2, conn) == 2
 
 
@@ -394,7 +388,7 @@ def test_normalized_pair() -> None:
 
     # two involutions in S3: x*y has order 3
     refl1 = spec.y
-    refl2 = s3.mul(spec.x, spec.y)
+    refl2 = s3.mult[spec.x][spec.y]
     assert element_order(s3, refl1) == 2 and element_order(s3, refl2) == 2
     fixed = normalized_pair(s3, GeneratorSpec(x=refl1, y=refl2))
     assert element_order(s3, fixed.x) >= 3
@@ -407,7 +401,7 @@ def test_normalized_pair() -> None:
 def test_two_generated_from_involution_pair() -> None:
     s3, spec = standard_two_generated("S3")
     refl1 = spec.y
-    refl2 = s3.mul(spec.x, spec.y)
+    refl2 = s3.mult[spec.x][spec.y]
     fixed = normalized_pair(s3, GeneratorSpec(x=refl1, y=refl2))
     conn = family_matrix("two-gen", s3, fixed, 4)
     assert _aut_order(s3, conn) == 6

@@ -61,9 +61,8 @@ def test_vertex_label_maps_invert_each_other() -> None:
     conn = ConnectionMatrix.from_entries(3, {})
     gamma = build(group, conn)
     for v in range(gamma.graph.nv):
-        g, i = gamma.label_of(v)
+        g, i = v % group.n, v // group.n
         assert gamma.vertex_of(g, i) == v
-        assert gamma.block_of(v) == i
 
 
 def test_connection_is_oriented_all_pairs() -> None:
@@ -124,7 +123,7 @@ def test_right_translation_is_automorphism_and_regular_on_blocks() -> None:
         # translation by g sends h_i to (h * g)_i
         for h in range(n):
             for i in range(2):
-                assert perm(gamma.vertex_of(h, i)) == gamma.vertex_of(group.mul(h, g), i)
+                assert perm.images[gamma.vertex_of(h, i)] == gamma.vertex_of(group.mult[h][g], i)
     action = regular_action_group(gamma)
     assert action.order() == n
     assert action.is_semiregular()

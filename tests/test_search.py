@@ -9,6 +9,7 @@ from omsr.autgroup import automorphism_group
 from omsr.digraphs import is_k_regular, is_oriented, is_weakly_connected
 from omsr.groups import klein_four, make_cyclic
 from omsr.mcayley import ConnectionMatrix, build
+from omsr import search
 from omsr.search import (
     BudgetExceeded,
     SearchSpace,
@@ -293,6 +294,33 @@ def test_parallel_jobs_match_single_job() -> None:
     assert parallel.status == single.status
     assert parallel.candidates_tested == single.candidates_tested
     assert parallel.aut_order_histogram == single.aut_order_histogram
+
+
+def test_pool_never_outnumbers_the_branches(monkeypatch) -> None:
+    sizes = []
+
+    class RecordingPool:
+        # runs the branches in this process; only the requested size is kept
+        def __init__(self, max_workers: int) -> None:
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures: bool = False) -> None:
+            pass
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    space = SearchSpace(Z4, 2)
+    branches = len(enumerate_rows(Z4, 2, 3, 0, True))
+    single = exhaustive_search(space).to_json()
+    assert sizes == []
+    assert exhaustive_search(space, jobs=5000).to_json() == single
+    assert exhaustive_search(space, jobs=3).to_json() == single
+    assert sizes == [branches, 3]
+    for jobs in (0, -2):
+        with pytest.raises(ValueError):
+            exhaustive_search(space, jobs=jobs)
 
 
 def test_parallel_found_space_returns_a_valid_witness() -> None:
