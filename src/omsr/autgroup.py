@@ -33,54 +33,78 @@ def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
     all fragments join the worklist. The result does not depend on anything
     except the graph and the input cell order, so repeated calls are stable.
 
+    Only the vertices a splitter's arcs reach are scored, so a splitter costs
+    the arcs it touches, not the size of the cells it touches. The untouched
+    rest of a cell scores (0, 0), which sorts first, so it stays at the cell's
+    offset with its members unmoved. Once every cell is a singleton nothing
+    can split, and the worklist is dropped.
+
     A cell is keyed by its offset in the concatenated cell order, which a
-    split of any other cell never moves; a worklist entry whose member list
-    is no longer the one at its offset belongs to a cell split since. An
-    empty cell would share its offset with the next one, so it raises
-    ValueError.
+    split of any other cell never moves. The cell at an offset only ever
+    shrinks, so a worklist entry (offset, size) whose size is no longer the
+    cell's belongs to a cell split since. An empty cell would share its
+    offset with the next one, so it raises ValueError, and so do cells that
+    do not partition 0..nv-1.
     """
-    cell_at: dict[int, list[int]] = {}
-    cell_of = [0] * graph.nv
+    nv = graph.nv
+    cell_at: dict[int, set[int]] = {}
+    cell_of = [-1] * nv
     offset = 0
     for cell in cells:
-        members = sorted(cell)
+        members: set[int] = set()
+        for v in cell:
+            if not 0 <= v < nv or cell_of[v] >= 0:
+                raise ValueError(f"cells do not partition 0..{nv - 1}")
+            cell_of[v] = offset
+            members.add(v)
         if not members:
             raise ValueError("empty cell")
         cell_at[offset] = members
-        for v in members:
-            cell_of[v] = offset
         offset += len(members)
-    queue: deque[tuple[int, list[int]]] = deque(cell_at.items())
+    if offset != nv:
+        raise ValueError(f"cells do not partition 0..{nv - 1}")
+    queue: deque[tuple[int, int]] = deque((off, len(c)) for off, c in cell_at.items())
+    # one int per score: the in-count is at most |splitter| <= nv, so
+    # out * (nv + 1) + in sorts like the pair (out, in)
+    step = nv + 1
 
-    while queue:
-        woff, members_w = queue.popleft()
-        if cell_at[woff] is not members_w:
+    while queue and len(cell_at) < nv:
+        woff, size = queue.popleft()
+        members_w = cell_at[woff]
+        if len(members_w) != size:
             continue
-        cnt_out: dict[int, int] = {}
-        cnt_in: dict[int, int] = {}
+        score: dict[int, int] = {}
         for w in members_w:
             for u in graph.in_adj[w]:
-                cnt_out[u] = cnt_out.get(u, 0) + 1
+                score[u] = score.get(u, 0) + step
             for u in graph.out_adj[w]:
-                cnt_in[u] = cnt_in.get(u, 0) + 1
-        touched = {cell_of[u] for u in cnt_out}
-        touched.update(cell_of[u] for u in cnt_in)
-        for coff in sorted(touched):
+                score[u] = score.get(u, 0) + 1
+        hit: dict[int, list[int]] = {}
+        for u in score:
+            hit.setdefault(cell_of[u], []).append(u)
+        for coff in sorted(hit):
             members = cell_at[coff]
             if len(members) == 1:
                 continue
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for v in members:
-                buckets.setdefault((cnt_out.get(v, 0), cnt_in.get(v, 0)), []).append(v)
-            if len(buckets) == 1:
+            touched = hit[coff]
+            buckets: dict[int, list[int]] = {}
+            for v in touched:
+                buckets.setdefault(score[v], []).append(v)
+            if len(touched) < len(members):
+                members.difference_update(touched)
+            elif len(buckets) == 1:
                 continue
+            else:
+                members = cell_at[coff] = set(buckets.pop(min(buckets)))
+            queue.append((coff, len(members)))
+            coff += len(members)
             for _, frag in sorted(buckets.items()):
-                cell_at[coff] = frag
+                cell_at[coff] = set(frag)
                 for v in frag:
                     cell_of[v] = coff
-                queue.append((coff, frag))
+                queue.append((coff, len(frag)))
                 coff += len(frag)
-    return tuple(tuple(cell_at[k]) for k in sorted(cell_at))
+    return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
 
 
 def is_automorphism(graph: Digraph, perm: Permutation) -> bool:
@@ -129,9 +153,8 @@ def automorphism_group(
     if colors is None:
         start: Cells = (tuple(range(nv)),)
     else:
+        # refine raises ValueError unless the cells partition 0..nv-1
         start = tuple(tuple(c) for c in colors)
-        if sorted(v for c in start for v in c) != list(range(nv)):
-            raise ValueError(f"cells do not partition 0..{nv - 1}")
     identity = tuple(range(nv))
     aut = PermGroup(nv)
     first_leaf: list[int] | None = None

@@ -143,12 +143,16 @@ class PermGroup:
     def add(self, images: tuple[int, ...]) -> bool:
         """Adjoin a permutation given by its image tuple; False when already a member.
 
-        ``images`` must be a permutation of 0..degree-1: the engine sifts tens
-        of thousands of leaves, so only a tuple that enlarges the group is
-        checked (and rejected with ValueError before the chain takes it).
+        ``images`` must be a permutation of 0..degree-1. The engine sifts tens
+        of thousands of leaves, so every tuple gets only a length and range
+        check, which a repeated value passes: such a tuple never sifts to a
+        member, and the full check on a tuple that enlarges the group rejects
+        it with ValueError before the chain takes it.
         """
         if len(images) != self.degree:
             raise ValueError(f"generator degree {len(images)} != group degree {self.degree}")
+        if min(images) < 0 or max(images) >= self.degree:
+            raise ValueError(f"image out of range 0..{self.degree - 1}: {images}")
         if self._chain.contains(images):
             return False
         p = Permutation(images)

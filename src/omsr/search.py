@@ -543,6 +543,10 @@ def search_trivial_aut_digraph(
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if k < 0:
+        raise ValueError(f"valency must be non-negative, got k={k}")
+    if switches is not None and switches < 1:
+        raise ValueError(f"need at least one switch between samples, got {switches}")
     if k >= n:
         return RigidSearchOutcome("EXHAUSTED", None, 0)
     if oriented and n < 2 * k + 1:
@@ -553,6 +557,6 @@ def search_trivial_aut_digraph(
         return _exhaustive_rigid(n, k, oriented, budget)
     if mode == "randomized":
         return _randomized_rigid(
-            n, k, oriented, budget, seed, switches or 3 * n * k
+            n, k, oriented, budget, seed, 3 * n * k if switches is None else switches
         )
     raise ValueError(f"unknown mode {mode!r}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -15,7 +16,7 @@ from omsr.autgroup import (
 )
 from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph
-from omsr.groups import make_cyclic
+from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
 from omsr.perms import Permutation
 from omsr.suite import family_grid
@@ -140,11 +141,18 @@ def test_initial_coloring_restricts_automorphisms() -> None:
 
 def test_colors_must_partition_the_vertices() -> None:
     graph = _directed_cycle(4)
-    for colors in ([(0, 1), (), (2, 3)], [(0, 1), (1, 2, 3)], [(0, 1), (3,)]):
+    for colors in (
+        [(0, 1), (), (2, 3)],
+        [(0, 1), (1, 2, 3)],
+        [(0, 1), (3,)],
+        [(0, 1, 2, -1)],
+        [(0, 1, 2, 3, 4)],
+        [(0, 0, 1), (2, 3)],
+    ):
         with pytest.raises(ValueError):
             automorphism_group(graph, colors=colors)
-    with pytest.raises(ValueError):
-        refine(graph, [(0, 1), (), (2, 3)])
+        with pytest.raises(ValueError):
+            refine(graph, colors)
 
 
 def test_hypothesis_check_true_on_translation_only_instance() -> None:
@@ -257,3 +265,78 @@ def test_refine_commutes_with_relabelling() -> None:
         moved_start = tuple(tuple(sigma[v] for v in cell) for cell in start)
         expected = [{sigma[v] for v in cell} for cell in refine(graph, start)]
         assert [set(cell) for cell in refine(_relabel(graph, sigma), moved_start)] == expected
+
+
+def _refine_full_scan(graph: Digraph, cells) -> tuple[tuple[int, ...], ...]:
+    """Reference refinement that scores every member of each touched cell.
+
+    The same splitter order and fragment order as ``refine``, so the two must
+    return the same ordered cells.
+    """
+    cell_at: dict[int, list[int]] = {}
+    cell_of = [0] * graph.nv
+    offset = 0
+    for cell in cells:
+        members = sorted(cell)
+        if not members:
+            raise ValueError("empty cell")
+        cell_at[offset] = members
+        for v in members:
+            cell_of[v] = offset
+        offset += len(members)
+    queue: deque[tuple[int, list[int]]] = deque(cell_at.items())
+
+    while queue:
+        woff, members_w = queue.popleft()
+        if cell_at[woff] is not members_w:
+            continue
+        cnt_out: dict[int, int] = {}
+        cnt_in: dict[int, int] = {}
+        for w in members_w:
+            for u in graph.in_adj[w]:
+                cnt_out[u] = cnt_out.get(u, 0) + 1
+            for u in graph.out_adj[w]:
+                cnt_in[u] = cnt_in.get(u, 0) + 1
+        touched = {cell_of[u] for u in cnt_out}
+        touched.update(cell_of[u] for u in cnt_in)
+        for coff in sorted(touched):
+            members = cell_at[coff]
+            if len(members) == 1:
+                continue
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for v in members:
+                buckets.setdefault((cnt_out.get(v, 0), cnt_in.get(v, 0)), []).append(v)
+            if len(buckets) == 1:
+                continue
+            for _, frag in sorted(buckets.items()):
+                cell_at[coff] = frag
+                for v in frag:
+                    cell_of[v] = coff
+                queue.append((coff, frag))
+                coff += len(frag)
+    return tuple(tuple(cell_at[k]) for k in sorted(cell_at))
+
+
+def test_refine_matches_full_scan_cell_for_cell() -> None:
+    for graph, start in _refine_cases():
+        assert refine(graph, start) == _refine_full_scan(graph, start)
+
+    # family digraphs past the grid's 80 vertices, refined after one and
+    # after two individualized vertices, the starts the engine refines below
+    # the root (the unit partition stays one cell on these digraphs)
+    for (group, spec), m in (
+        (make_cyclic(2), 60),
+        (klein_four(), 30),
+        (standard_two_generated("A4"), 9),
+    ):
+        graph = build(group, construct_omsr(group, spec, m)).graph
+        assert graph.nv >= 100
+        unit = (tuple(range(graph.nv)),)
+        root = refine(graph, unit)
+        assert root == _refine_full_scan(graph, unit) == unit
+        for v in (0, graph.nv // 2, graph.nv - 1):
+            one = autgroup._individualize(root, 0, v)
+            assert refine(graph, one) == _refine_full_scan(graph, one)
+            for w in (one[1][0], one[1][-1]):
+                two = autgroup._individualize(one, 1, w)
+                assert refine(graph, two) == _refine_full_scan(graph, two)

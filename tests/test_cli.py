@@ -223,6 +223,12 @@ def test_explore_budget_exits_3(capsys) -> None:
     assert _stdout_json(capsys)["status"] == "BUDGET"
 
 
+def test_explore_bad_valency_or_switches_exits_1(capsys) -> None:
+    for extra in (["--k", "-1"], ["--switches", "-1"], ["--switches", "0"]):
+        assert main(["explore", "--n", "7", "--budget", "5", *extra]) == 1, extra
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_explore_randomized_ten_vertices(capsys) -> None:
     assert main([
         "explore", "--n", "10", "--k", "3", "--mode", "randomized",

@@ -138,3 +138,9 @@ def test_add_rejects_bad_images() -> None:
     with pytest.raises(ValueError):
         PermGroup(3, [Permutation((1, 0))])
     assert group.generators == () and group.order() == 1
+    # a negative image would wrap in the chain's sift and read as a member
+    s3 = PermGroup(3, [Permutation((1, 2, 0)), Permutation((1, 0, 2))])
+    for images in ((1, -1, 0), (1, 7, 0), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            s3.add(images)
+    assert len(s3.generators) == 2 and s3.order() == 6
