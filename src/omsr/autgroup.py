@@ -144,7 +144,14 @@ def automorphism_group(
     fixes a reference labeling, every other discrete leaf proposes the bijection
     onto the reference and is kept when it preserves arcs. Branches are pruned
     when their refined cell-size profile disagrees with the reference path at
-    the same depth, and at the root by orbits of the generators found so far.
+    the same depth. At every node of the first path, a child is skipped when it
+    lies in the orbit of an explored child under the generators found so far;
+    depth-first order found each of them below that node, so they fix the path
+    above it. A leaf off the first path that preserves arcs fixes the path down
+    to the node where it leaves the first path and maps the first path's next
+    vertex onto its own, so the search backjumps to that node whether or not
+    the leaf enlarged the group: the rest of the subtree holds only products
+    with the stabilizer already found below the node's first child.
     With stop_order_above set, the search aborts once the found subgroup's
     order exceeds the bound and returns that subgroup (a certified lower bound,
     sound for threshold tests because it only ever finds true automorphisms).
@@ -155,7 +162,6 @@ def automorphism_group(
     else:
         # refine raises ValueError unless the cells partition 0..nv-1
         start = tuple(tuple(c) for c in colors)
-    identity = tuple(range(nv))
     aut = PermGroup(nv)
     first_leaf: list[int] | None = None
     path_shapes: list[tuple[int, ...]] = []
@@ -175,15 +181,16 @@ def automorphism_group(
                     queue.append(w)
         return False
 
-    def descend(cells: Cells, depth: int) -> None:
+    def descend(cells: Cells, depth: int) -> bool:
+        """Search below a node. True makes every ancestor off the first path
+        return at once: a leaf below preserved arcs, or the search aborted."""
         nonlocal first_leaf
-        if state["aborted"]:
-            return
+        on_path = first_leaf is None
         shape = tuple(len(c) for c in cells)
-        if first_leaf is None:
+        if on_path:
             path_shapes.append(shape)
         elif depth >= len(path_shapes) or shape != path_shapes[depth]:
-            return
+            return False
         target = -1
         best = 1
         for idx, c in enumerate(cells):
@@ -192,27 +199,29 @@ def automorphism_group(
                 target = idx
         if target < 0:
             seq = [c[0] for c in cells]
-            if first_leaf is None:
+            if on_path:
                 first_leaf = seq
-                return
+                return False
             img = [0] * nv
             for a, b in zip(first_leaf, seq):
                 img[a] = b
             cand = tuple(img)
-            if cand == identity or not _preserves_arcs(graph, cand):
-                return
+            if not _preserves_arcs(graph, cand):
+                return False
             if aut.add(cand) and stop_order_above is not None and aut.order() > stop_order_above:
                 state["aborted"] = True
-            return
+            return True
         cell = cells[target]
         processed: set[int] = set()
         for v in cell:
             if state["aborted"]:
-                return
-            if depth == 0 and processed and orbit_hits(v, processed):
+                return True
+            if on_path and processed and orbit_hits(v, processed):
                 continue
-            descend(refine(graph, _individualize(cells, target, v)), depth + 1)
+            if descend(refine(graph, _individualize(cells, target, v)), depth + 1) and not on_path:
+                return True
             processed.add(v)
+        return False
 
     descend(refine(graph, start), 0)
     return aut

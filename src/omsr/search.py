@@ -288,7 +288,8 @@ def _write_checkpoint(
 
 
 def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int, int]]:
-    """Resume point for ``space``; ValueError when the checkpoint is malformed."""
+    """Resume point for ``space``; ValueError when the checkpoint is malformed
+    or belongs to another search space, so that no run overwrites it."""
     file = Path(path)
     if not file.exists():
         return -1, 0, {}
@@ -296,7 +297,10 @@ def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int,
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path} is not a JSON object")
     if payload.get("space") != space.descriptor():
-        return -1, 0, {}
+        raise ValueError(
+            f"checkpoint {path} is for search space {json.dumps(payload.get('space'))},"
+            f" not {json.dumps(space.descriptor())}"
+        )
     branch = payload.get("last_completed_branch")
     tested = payload.get("candidates_tested")
     histogram = payload.get("aut_order_histogram", {})

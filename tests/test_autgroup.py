@@ -110,6 +110,113 @@ def test_engine_matches_brute_force_random() -> None:
         assert automorphism_group(graph).order() == brute_force_automorphisms(graph).order()
 
 
+def _disjoint_cycles(lengths: list[int]) -> Digraph:
+    """Disjoint directed cycles; a length of 1 is an isolated vertex."""
+    arcs, base = [], 0
+    for n in lengths:
+        if n > 1:
+            arcs += [(base + v, base + (v + 1) % n) for v in range(n)]
+        base += n
+    return Digraph.from_arcs(base, arcs)
+
+
+def _lex_cycle(length: int, k: int) -> Digraph:
+    """C_length[k]: every vertex of a directed cycle replaced by k twins."""
+    return Digraph.from_arcs(
+        length * k,
+        [
+            (i * k + a, (i + 1) % length * k + b)
+            for i in range(length)
+            for a in range(k)
+            for b in range(k)
+        ],
+    )
+
+
+def _closed_form_digraphs() -> list[tuple[Digraph, int]]:
+    """Digraphs with large automorphism groups of known order."""
+    f = math.factorial
+    return [
+        (Digraph.from_arcs(12, []), f(12)),
+        (_disjoint_cycles([3] * 5), 3**5 * f(5)),
+        (_disjoint_cycles([4] * 4), 4**4 * f(4)),
+        (_lex_cycle(5, 3), f(3) ** 5 * 5),
+        (_lex_cycle(3, 4), f(4) ** 3 * 3),
+    ]
+
+
+def test_first_path_pruning_checks_at_most_nv_leaves(monkeypatch) -> None:
+    # pruning only at the root, without the backjump, these take 1,151 to
+    # 10,367 leaf checks, and the arcless digraph more than 200,000
+    checks = []
+    preserves_arcs = autgroup._preserves_arcs
+
+    def counted(graph, img):
+        checks.append(img)
+        # fail at once rather than run through thousands of leaves
+        assert len(checks) <= graph.nv, "more leaf checks than vertices"
+        return preserves_arcs(graph, img)
+
+    monkeypatch.setattr(autgroup, "_preserves_arcs", counted)
+    for graph, order in _closed_form_digraphs():
+        checks.clear()
+        assert automorphism_group(graph).order() == order
+        assert checks
+
+
+def _symmetric_digraphs() -> list[Digraph]:
+    """Digraphs on at most 8 vertices whose automorphisms are found below the root."""
+    rng = random.Random(25)
+    # arcless on 8 vertices is left out: brute force adds all 8! permutations
+    graphs = [Digraph.from_arcs(n, []) for n in range(1, 8)]
+    for lengths in ([2, 2], [3, 3], [2, 2, 2], [4, 4], [2, 2, 2, 2], [3, 3, 1, 1], [2, 3, 3],
+                    [4, 2, 2], [1, 2, 2, 3], [5, 1, 1, 1], [6, 2], [2, 2, 2, 1, 1]):
+        graphs.append(_disjoint_cycles(lengths))
+    for length, k in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 1)):
+        graphs.append(_lex_cycle(length, k))
+    for n in range(4, 9):
+        for _ in range(4):
+            jumps = [s for s in range(1, n) if rng.random() < 0.35] or [n // 2]
+            graphs.append(Digraph.from_arcs(n, [(v, (v + s) % n) for v in range(n) for s in jumps]))
+    for _ in range(12):
+        half = _random_digraph(rng, rng.randrange(2, 5), rng.uniform(0.2, 0.6))
+        shift = [(u + half.nv, v + half.nv) for u, v in half.arcs()]
+        graphs.append(Digraph.from_arcs(2 * half.nv, list(half.arcs()) + shift))
+    return graphs
+
+
+def test_engine_matches_brute_force_on_symmetric_digraphs() -> None:
+    for graph in _symmetric_digraphs():
+        order = brute_force_automorphisms(graph).order()
+        assert automorphism_group(graph).order() == order
+        for s in {1, 2, order // 2, order - 1, order, order + 1}:
+            bounded = automorphism_group(graph, stop_order_above=s).order()
+            assert (bounded > s) == (order > s), (graph.nv, order, s)
+
+
+def _conjugated(gens, there: list[int], back: list[int]) -> list[Permutation]:
+    """Each generator p as the map v -> back[p(there[v])]."""
+    return [Permutation([back[p.images[there[v]]] for v in range(len(there))]) for p in gens]
+
+
+def test_relabelling_keeps_order_and_conjugates_generators() -> None:
+    rng = random.Random(26)
+    graphs = [graph for graph, _ in _closed_form_digraphs()]
+    for _ in range(40):
+        graphs.append(_random_digraph(rng, rng.randrange(2, 26), rng.uniform(0.02, 0.5)))
+    for graph in graphs:
+        sigma = list(range(graph.nv))
+        rng.shuffle(sigma)
+        inverse = [0] * graph.nv
+        for v, w in enumerate(sigma):
+            inverse[w] = v
+        aut = automorphism_group(graph)
+        moved = automorphism_group(_relabel(graph, sigma))
+        assert moved.order() == aut.order()
+        assert all(aut.is_member(p) for p in _conjugated(moved.generators, sigma, inverse))
+        assert all(moved.is_member(p) for p in _conjugated(aut.generators, inverse, sigma))
+
+
 def test_stop_order_above_abort_is_sound() -> None:
     # symmetric group of order 120 on the arcless digraph: aborting at 10
     # must overshoot 10, while a completed run returns the exact order

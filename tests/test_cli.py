@@ -199,6 +199,18 @@ def test_search_malformed_checkpoint_exits_1(tmp_path, capsys) -> None:
     assert "malformed" in capsys.readouterr().err
 
 
+def test_search_checkpoint_for_other_space_exits_1(tmp_path, capsys) -> None:
+    path = tmp_path / "c.json"
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 0
+    written = path.read_bytes()
+    capsys.readouterr()
+    assert main(["search", "--group", "cyclic:3", "--m", "2", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and '"group": "Z4"' in err and '"group": "Z3"' in err
+    assert path.read_bytes() == written
+    assert json.loads(written)["space"]["group"] == "Z4"
+
+
 def test_search_budget_exits_3(capsys) -> None:
     assert main(["search", "--group", "cyclic:2", "--m", "3", "--budget", "10"]) == 3
     assert "budget exceeded" in capsys.readouterr().err

@@ -223,13 +223,13 @@ def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
         assert json.loads(open(path).read())["last_completed_branch"] == 15
 
 
-def test_checkpoint_for_other_space_is_ignored(tmp_path) -> None:
-    path = str(tmp_path / "ckpt.json")
-    exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=path)
-    clean = exhaustive_search(SearchSpace(Z3, 2))
-    cross = exhaustive_search(SearchSpace(Z3, 2), checkpoint_path=path)
-    assert cross.status == clean.status
-    assert cross.candidates_tested == clean.candidates_tested
+def test_checkpoint_for_other_space_raises(tmp_path) -> None:
+    path = tmp_path / "ckpt.json"
+    exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path))
+    written = path.read_bytes()
+    with pytest.raises(ValueError, match='space {"group": "Z4".* not {"group": "Z3"'):
+        exhaustive_search(SearchSpace(Z3, 2), checkpoint_path=str(path))
+    assert path.read_bytes() == written
 
 
 def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
