@@ -46,7 +46,7 @@ from .mcayley import (
     right_translation,
     valency_profile,
 )
-from .perms import PermGroup, Permutation
+from .perms import PermGroup
 from .search import (
     BudgetExceeded,
     RigidSearchOutcome,
@@ -71,7 +71,6 @@ __all__ = [
     "GeneratorSpec",
     "MCayleyDigraph",
     "PermGroup",
-    "Permutation",
     "RigidSearchOutcome",
     "SearchOutcome",
     "SearchSpace",

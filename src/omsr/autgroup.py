@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 from .digraphs import Digraph, is_weakly_connected
 # _Chain is unused here; perfbench/spans.py patches it in this module too
-from .perms import PermGroup, Permutation, _Chain  # noqa: F401
+from .perms import PermGroup, _Chain, check_permutation  # noqa: F401
 
 __all__ = [
     "refine",
@@ -107,10 +107,8 @@ def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
     return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
 
 
-def is_automorphism(graph: Digraph, perm: Permutation) -> bool:
-    if perm.degree != graph.nv:
-        raise ValueError(f"degree {perm.degree} vs nv {graph.nv}")
-    return _preserves_arcs(graph, perm.images)
+def is_automorphism(graph: Digraph, images: Sequence[int]) -> bool:
+    return _preserves_arcs(graph, check_permutation(images, graph.nv))
 
 
 def _preserves_arcs(graph: Digraph, img: tuple[int, ...]) -> bool:
@@ -175,7 +173,7 @@ def automorphism_group(
             if u in targets:
                 return True
             for g in aut.generators:
-                w = g.images[u]
+                w = g[u]
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -228,14 +226,25 @@ def automorphism_group(
 
 
 def brute_force_automorphisms(graph: Digraph) -> PermGroup:
-    """Exact automorphism group by checking all nv! permutations (nv <= 10)."""
+    """Exact automorphism group by checking all nv! permutations (nv <= 10).
+
+    The arc-preserving permutations form the group, so they are adjoined only
+    until its order reaches their count; every later one is then a member.
+    RuntimeError when the final order differs from the count.
+    """
     nv = graph.nv
     if nv > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX} vertices, got {nv}")
-    found = [
-        Permutation(p) for p in permutations(range(nv)) if _preserves_arcs(graph, p)
-    ]
-    return PermGroup(nv, found)
+    found = [p for p in permutations(range(nv)) if _preserves_arcs(graph, p)]
+    aut = PermGroup(nv)
+    for p in found:
+        if aut.add(p) and aut.order() == len(found):
+            break
+    if aut.order() != len(found):
+        raise RuntimeError(
+            f"{len(found)} arc-preserving permutations generate a group of order {aut.order()}"
+        )
+    return aut
 
 
 def check_prop21_hypotheses(gamma, aut: PermGroup, reps: Sequence[int]) -> bool:
@@ -261,12 +270,12 @@ def check_prop21_hypotheses(gamma, aut: PermGroup, reps: Sequence[int]) -> bool:
         raise ValueError("supplied group must contain every right translation")
     for p in aut.generators:
         for v in range(graph.nv):
-            if p.images[v] // n != v // n:
+            if p[v] // n != v // n:
                 return False
     for u in reps:
         stab = aut.stabilizer(u)
         for p in stab.generators:
-            if any(p.images[w] != w for w in graph.out_adj[u]):
+            if any(p[w] != w for w in graph.out_adj[u]):
                 return False
     if aut.order() != n:
         raise RuntimeError(

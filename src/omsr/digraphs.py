@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from pathlib import Path
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -89,15 +87,6 @@ class Digraph:
 
     def to_json(self) -> dict:
         return {"nv": self.nv, "arcs": [[u, v] for u, v in self.arcs()]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Digraph":
-        return cls.from_arcs(int(obj["nv"]), [(int(a), int(b)) for a, b in obj["arcs"]])
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
 
     def to_dot(self, labels: Sequence[str] | None = None, name: str = "G") -> str:
         if labels is not None and len(labels) != self.nv:

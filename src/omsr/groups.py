@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .perms import _compose, _invert
+from .perms import _compose, _invert, check_permutation
 
 __all__ = [
     "IDENTITY",
@@ -146,13 +146,6 @@ def klein_four() -> tuple[FiniteGroup, GeneratorSpec]:
     return group, GeneratorSpec(x=2, y=1)
 
 
-def _check_permutation(images: Sequence[int], degree: int, label: str) -> tuple[int, ...]:
-    t = tuple(images)
-    if len(t) != degree or not all(_is_int(v) for v in t) or sorted(t) != list(range(degree)):
-        raise ValueError(f"{label} is not a permutation of 0..{degree - 1}: {images}")
-    return t
-
-
 def from_permutation_generators(
     degree: int,
     generators: Sequence[Sequence[int]],
@@ -168,7 +161,7 @@ def from_permutation_generators(
         raise ValueError(f"degree must be positive, got {degree}")
     if not generators:
         raise ValueError("need at least one generator")
-    gens = [_check_permutation(g, degree, f"generator {k}") for k, g in enumerate(generators)]
+    gens = [check_permutation(g, degree) for g in generators]
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index: dict[tuple[int, ...], int] = {ident: 0}

@@ -7,14 +7,12 @@ index i*|G| + g, and each connection set T[i][j] contributes the arcs
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from .digraphs import Digraph
 from .groups import FiniteGroup, _is_int
-from .perms import PermGroup, Permutation
+from .perms import PermGroup
 
 __all__ = [
     "ConnectionMatrix",
@@ -93,11 +91,6 @@ class ConnectionMatrix:
             entries[(int(i_s), int(j_s))] = elems
         return cls.from_entries(m, entries)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class MCayleyDigraph:
@@ -162,7 +155,7 @@ def valency_profile(group: FiniteGroup, conn: ConnectionMatrix) -> tuple[tuple[i
     return rows, cols
 
 
-def right_translation(gamma: MCayleyDigraph, g: int) -> Permutation:
+def right_translation(gamma: MCayleyDigraph, g: int) -> tuple[int, ...]:
     """The automorphism x_i -> (x*g)_i induced by right-multiplying by g."""
     n = gamma.group.n
     if not 0 <= g < n:
@@ -173,7 +166,7 @@ def right_translation(gamma: MCayleyDigraph, g: int) -> Permutation:
         base = i * n
         for x in range(n):
             images[base + x] = base + mult[x][g]
-    return Permutation(images)
+    return tuple(images)
 
 
 def regular_action_group(gamma: MCayleyDigraph) -> PermGroup:

@@ -1,11 +1,15 @@
-"""Permutations and permutation groups backed by a Schreier-Sims chain."""
+"""Permutations and permutation groups backed by a Schreier-Sims chain.
+
+A permutation of 0..degree-1 is the tuple of its images: ``p[v]`` is the
+image of ``v``.
+"""
 
 from __future__ import annotations
 
 from math import prod
 from typing import Iterable, Sequence
 
-__all__ = ["Permutation", "PermGroup"]
+__all__ = ["PermGroup", "check_permutation", "cycle_string"]
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -20,53 +24,31 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Permutation:
-    """Permutation of 0..degree-1 stored as an image tuple."""
+def check_permutation(images: Sequence[int], degree: int) -> tuple[int, ...]:
+    """The images as a tuple; ValueError unless they are integers (not bools
+    or floats) that permute 0..degree-1."""
+    t = tuple(images)
+    if len(t) != degree or not all(type(v) is int for v in t) or sorted(t) != list(range(degree)):
+        raise ValueError(f"not a permutation of 0..{degree - 1}: {images}")
+    return t
 
-    __slots__ = ("images",)
 
-    def __init__(self, images: Sequence[int]):
-        t = tuple(images)
-        if sorted(t) != list(range(len(t))):
-            raise ValueError(f"not a permutation: {images}")
-        self.images = t
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Non-trivial cycles, each starting at its smallest point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = self.images[v]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cyc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()})"
+def cycle_string(images: Sequence[int]) -> str:
+    """Non-trivial cycles, each from its smallest point, as "(0 1 2)(3 4)";
+    the identity is "()"."""
+    seen = [False] * len(images)
+    out = []
+    for start, v in enumerate(images):
+        if seen[start] or v == start:
+            continue
+        cyc = [start]
+        seen[start] = True
+        while v != start:
+            cyc.append(v)
+            seen[v] = True
+            v = images[v]
+        out.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(out) or "()"
 
 
 class _Chain:
@@ -131,23 +113,23 @@ class PermGroup:
     automorphism engine's generators, each of which enlarged its group.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]] = ()):
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
         self.degree = degree
-        self.generators: tuple[Permutation, ...] = ()
+        self.generators: tuple[tuple[int, ...], ...] = ()
         self._chain = _Chain(degree)
         for p in generators:
-            self.add(p.images)
+            self.add(p)
 
-    def add(self, images: tuple[int, ...]) -> bool:
-        """Adjoin a permutation given by its image tuple; False when already a member.
+    def add(self, images: Sequence[int]) -> bool:
+        """Adjoin a permutation given by its images; False when already a member.
 
         ``images`` must be a permutation of 0..degree-1. The engine sifts tens
         of thousands of leaves, so every tuple gets only a length and range
         check, which a repeated value passes: such a tuple never sifts to a
         member, and the full check on a tuple that enlarges the group rejects
-        it with ValueError before the chain takes it.
+        it with :func:`check_permutation` before the chain takes it.
         """
         if len(images) != self.degree:
             raise ValueError(f"generator degree {len(images)} != group degree {self.degree}")
@@ -155,18 +137,16 @@ class PermGroup:
             raise ValueError(f"image out of range 0..{self.degree - 1}: {images}")
         if self._chain.contains(images):
             return False
-        p = Permutation(images)
+        images = check_permutation(images, self.degree)
         self._chain.extend(images)
-        self.generators += (p,)
+        self.generators += (images,)
         return True
 
     def order(self) -> int:
         return self._chain.order()
 
-    def is_member(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        return self._chain.contains(p.images)
+    def is_member(self, images: Sequence[int]) -> bool:
+        return self._chain.contains(check_permutation(images, self.degree))
 
     def orbits(self) -> list[list[int]]:
         """Orbits sorted internally and ordered by smallest member."""
@@ -181,7 +161,7 @@ class PermGroup:
             while queue:
                 v = queue.pop()
                 for g in self.generators:
-                    w = g.images[v]
+                    w = g[v]
                     if not seen[w]:
                         seen[w] = True
                         orb.append(w)
@@ -200,8 +180,8 @@ class PermGroup:
             raise ValueError(f"point {v} out of range")
         chain = _Chain(self.degree, base_prefix=(v,))
         for p in self.generators:
-            chain.extend(p.images)
-        fixed = [Permutation(g) for g in chain.strong_generators() if g[v] == v]
+            chain.extend(p)
+        fixed = [g for g in chain.strong_generators() if g[v] == v]
         return PermGroup(self.degree, fixed)
 
     def __repr__(self) -> str:

@@ -288,8 +288,9 @@ def _write_checkpoint(
 
 
 def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int, int]]:
-    """Resume point for ``space``; ValueError when the checkpoint is malformed
-    or belongs to another search space, so that no run overwrites it."""
+    """Resume point for ``space``; ValueError when the checkpoint is malformed,
+    counts more histogram entries than candidates, or belongs to another
+    search space, so that no run overwrites it."""
     file = Path(path)
     if not file.exists():
         return -1, 0, {}
@@ -311,6 +312,11 @@ def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int,
         and all(k.isdigit() and _is_count(c) for k, c in histogram.items())
     ):
         raise ValueError(f"checkpoint {path} for this search space is malformed")
+    counted = sum(histogram.values())
+    if counted > tested:
+        raise ValueError(
+            f"checkpoint {path} counts {counted} automorphism orders for {tested} candidates"
+        )
     return branch, tested, {int(order): count for order, count in histogram.items()}
 
 
@@ -333,7 +339,8 @@ def exhaustive_search(
     count ``(#rows)^m`` exceeds ``budget``.  With ``jobs > 1`` the depth-1
     subtrees run on that many processes, or one per subtree when there are
     fewer; the outcome and the checkpoints are the same as with one job.
-    Raises ValueError when ``jobs < 1``.
+    Raises ValueError when ``jobs < 1``, and when the checkpoint is malformed,
+    belongs to another space or completed a branch the space does not have.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -348,6 +355,12 @@ def exhaustive_search(
         if checkpoint_path is not None
         else (-1, 0, {})
     )
+    if start_branch >= row_count:
+        # resuming past the end would report EXHAUSTED without a search
+        raise ValueError(
+            f"checkpoint {checkpoint_path} completed branch {start_branch},"
+            f" but the search space has {row_count} branches"
+        )
     witness, tested, histogram = _search_branches(
         space,
         list(range(start_branch + 1, row_count)),

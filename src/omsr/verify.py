@@ -17,6 +17,7 @@ from .autgroup import automorphism_group
 from .digraphs import is_k_regular, is_oriented, is_weakly_connected
 from .groups import FiniteGroup
 from .mcayley import ConnectionMatrix, build
+from .perms import cycle_string
 
 SCHEMA = 1
 
@@ -107,8 +108,8 @@ def verify_connection(
         connected=connected,
         aut_order=aut_order,
         verdict=verdict,
-        aut_generators=tuple(p.cycle_string() for p in aut.generators),
-        aut_generator_images=tuple(p.images for p in aut.generators),
+        aut_generators=tuple(cycle_string(p) for p in aut.generators),
+        aut_generator_images=aut.generators,
         elapsed_seconds=time.perf_counter() - start,
         matrix=conn,
     )

@@ -18,7 +18,6 @@ from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
-from omsr.perms import Permutation
 from omsr.suite import family_grid
 
 
@@ -51,11 +50,12 @@ def test_directed_path_is_rigid() -> None:
 
 def test_is_automorphism() -> None:
     cycle = _directed_cycle(4)
-    rotate = Permutation((1, 2, 3, 0))
-    reflect = Permutation((3, 2, 1, 0))
-    assert is_automorphism(cycle, rotate)
+    assert is_automorphism(cycle, (1, 2, 3, 0))
     # reflecting a directed cycle reverses the arcs
-    assert not is_automorphism(cycle, reflect)
+    assert not is_automorphism(cycle, (3, 2, 1, 0))
+    for malformed in ((1, 2, 3), (1, 1, 2, 3), (1, 2, 3, -4), (True, 2, 3, 0)):
+        with pytest.raises(ValueError):
+            is_automorphism(cycle, malformed)
 
 
 def test_engine_closes_one_chain_per_call(monkeypatch) -> None:
@@ -167,8 +167,7 @@ def test_first_path_pruning_checks_at_most_nv_leaves(monkeypatch) -> None:
 def _symmetric_digraphs() -> list[Digraph]:
     """Digraphs on at most 8 vertices whose automorphisms are found below the root."""
     rng = random.Random(25)
-    # arcless on 8 vertices is left out: brute force adds all 8! permutations
-    graphs = [Digraph.from_arcs(n, []) for n in range(1, 8)]
+    graphs = [Digraph.from_arcs(n, []) for n in range(1, 9)]
     for lengths in ([2, 2], [3, 3], [2, 2, 2], [4, 4], [2, 2, 2, 2], [3, 3, 1, 1], [2, 3, 3],
                     [4, 2, 2], [1, 2, 2, 3], [5, 1, 1, 1], [6, 2], [2, 2, 2, 1, 1]):
         graphs.append(_disjoint_cycles(lengths))
@@ -194,9 +193,9 @@ def test_engine_matches_brute_force_on_symmetric_digraphs() -> None:
             assert (bounded > s) == (order > s), (graph.nv, order, s)
 
 
-def _conjugated(gens, there: list[int], back: list[int]) -> list[Permutation]:
+def _conjugated(gens, there: list[int], back: list[int]) -> list[tuple[int, ...]]:
     """Each generator p as the map v -> back[p(there[v])]."""
-    return [Permutation([back[p.images[there[v]]] for v in range(len(there))]) for p in gens]
+    return [tuple(back[p[there[v]]] for v in range(len(there))) for p in gens]
 
 
 def test_relabelling_keeps_order_and_conjugates_generators() -> None:
@@ -233,6 +232,14 @@ def test_stop_order_above_abort_is_sound() -> None:
 def test_brute_force_cap() -> None:
     with pytest.raises(ValueError):
         brute_force_automorphisms(Digraph.from_arcs(11, []))
+
+
+def test_brute_force_raises_when_the_arc_check_is_not_closed(monkeypatch) -> None:
+    # two transpositions pass but generate all six permutations of 0..2
+    passing = {(0, 1, 2), (1, 0, 2), (0, 2, 1)}
+    monkeypatch.setattr(autgroup, "_preserves_arcs", lambda graph, p: p in passing)
+    with pytest.raises(RuntimeError):
+        brute_force_automorphisms(Digraph.from_arcs(3, []))
 
 
 def test_initial_coloring_restricts_automorphisms() -> None:

@@ -109,7 +109,7 @@ def test_verify_family_prints_table_and_json(tmp_path, capsys) -> None:
 def test_verify_accepts_bare_matrix_file(tmp_path, capsys) -> None:
     z7, spec = make_cyclic(7)
     path = tmp_path / "matrix.json"
-    family_matrix("cyclic-m2", z7, spec, 2).save(path)
+    path.write_text(json.dumps(family_matrix("cyclic-m2", z7, spec, 2).to_json()))
     assert main(["verify", "--group", "cyclic:7", "--matrix", str(path)]) == 0
     payload = _stdout_json(capsys)
     assert payload["checks"]["verdict"] == "OMSR"
@@ -197,6 +197,22 @@ def test_search_malformed_checkpoint_exits_1(tmp_path, capsys) -> None:
     capsys.readouterr()
     assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 1
     assert "malformed" in capsys.readouterr().err
+
+
+def test_search_checkpoint_past_the_end_or_overcounted_exits_1(tmp_path, capsys) -> None:
+    path = tmp_path / "ckpt.json"
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    for changed in (
+        {**payload, "last_completed_branch": 999},
+        {**payload, "aut_order_histogram": {"8": payload["candidates_tested"] + 1}},
+    ):
+        path.write_text(json.dumps(changed))
+        written = path.read_bytes()
+        capsys.readouterr()
+        assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert path.read_bytes() == written
 
 
 def test_search_checkpoint_for_other_space_exits_1(tmp_path, capsys) -> None:

@@ -236,6 +236,7 @@ def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
     from omsr.search import _read_checkpoint
 
     space = SearchSpace(Z4, 2)
+    rows = len(enumerate_rows(Z4, 2, 3, 0))
     path = tmp_path / "ckpt.json"
     good = {
         "schema": 1,
@@ -256,11 +257,24 @@ def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
         {**good, "aut_order_histogram": {"eight": 2}},
         {**good, "aut_order_histogram": {"8": 1.5}},
         [good],
+        # past the last branch, which would read as a finished search
+        {**good, "last_completed_branch": 999},
+        {**good, "last_completed_branch": rows},
+        # more automorphism orders than candidates
+        {**good, "aut_order_histogram": {"8": 11}},
+        {**good, "aut_order_histogram": {"8": 6, "16": 5}},
     ]
     for payload in bad:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             exhaustive_search(space, checkpoint_path=str(path))
+    # the checkpoint of a finished search is valid and resumes to its outcome
+    finished = {**good, "last_completed_branch": rows - 1, "candidates_tested": 24,
+                "aut_order_histogram": {"8": 8, "16": 8, "24": 8}}
+    path.write_text(json.dumps(finished))
+    outcome = exhaustive_search(space, checkpoint_path=str(path))
+    assert (outcome.status, outcome.candidates_tested) == ("EXHAUSTED", 24)
+    assert outcome.aut_order_histogram == {8: 8, 16: 8, 24: 8}
 
 
 def test_checkpoint_write_replaces_the_file_atomically(tmp_path, monkeypatch) -> None:
