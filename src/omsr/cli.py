@@ -17,7 +17,6 @@ from .constructions import (
     FAMILIES,
     ExceptionVerdict,
     applicable_family,
-    construct_omsr,
     family_matrix,
 )
 from .groups import FiniteGroup, GeneratorSpec, group_from_json, load_group_file
@@ -79,14 +78,10 @@ def _print_exception(verdict: ExceptionVerdict) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     group, spec = parse_group_spec(args.group)
-    if args.family:
-        conn = family_matrix(args.family, group, spec, args.m)
-        family = args.family
-    else:
-        family = applicable_family(group, spec, args.m)
-        if isinstance(family, ExceptionVerdict):
-            return _print_exception(family)
-        conn = construct_omsr(group, spec, args.m)
+    family = args.family or applicable_family(group, spec, args.m)
+    if isinstance(family, ExceptionVerdict):
+        return _print_exception(family)
+    conn = family_matrix(family, group, spec, args.m)
     gamma = build(group, conn)
     if args.dot:
         Path(args.dot).write_text(

@@ -8,6 +8,7 @@ index i*|G| + g, and each connection set T[i][j] contributes the arcs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .digraphs import Digraph
@@ -39,7 +40,7 @@ class ConnectionMatrix:
             raise ValueError(f"sets must form an {self.m}x{self.m} matrix")
         for row in self.sets:
             for cell in row:
-                if any(e < 0 for e in cell):
+                if cell and min(cell) < 0:
                     raise ValueError("negative element index in connection set")
 
     @classmethod
@@ -57,12 +58,7 @@ class ConnectionMatrix:
         return self.sets[i][j]
 
     def max_element(self) -> int:
-        best = -1
-        for row in self.sets:
-            for cell in row:
-                if cell:
-                    best = max(best, max(cell))
-        return best
+        return max(map(max, filter(None, chain.from_iterable(self.sets))), default=-1)
 
     def to_json(self) -> dict:
         cells = {}
@@ -123,15 +119,12 @@ def build(group: FiniteGroup, conn: ConnectionMatrix) -> MCayleyDigraph:
     _check_conn(group, conn)
     n = group.n
     mult = group.mult
-    rows: list[list[int]] = [[] for _ in range(conn.m * n)]
-    for i, row in enumerate(conn.sets):
-        for j, cell in enumerate(row):
-            if not cell:
-                continue
-            ts = sorted(cell)
-            for g in range(n):
-                base = i * n + g
-                rows[base].extend(j * n + mult[t][g] for t in ts)
+    rows: list[list[int]] = []
+    for row in conn.sets:
+        # (first vertex of block j, the products t*g) for each t in T[i][j]
+        arcs = [(j * n, mult[t]) for j, cell in enumerate(row) if cell for t in sorted(cell)]
+        for g in range(n):
+            rows.append([offset + col[g] for offset, col in arcs])
     return MCayleyDigraph(group, conn, Digraph(conn.m * n, rows))
 
 

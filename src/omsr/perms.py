@@ -125,19 +125,11 @@ class PermGroup:
     def add(self, images: Sequence[int]) -> bool:
         """Adjoin a permutation given by its images; False when already a member.
 
-        ``images`` must be a permutation of 0..degree-1. The engine sifts tens
-        of thousands of leaves, so every tuple gets only a length and range
-        check, which a repeated value passes: such a tuple never sifts to a
-        member, and the full check on a tuple that enlarges the group rejects
-        it with :func:`check_permutation` before the chain takes it.
+        ValueError unless ``images`` is a permutation of 0..degree-1.
         """
-        if len(images) != self.degree:
-            raise ValueError(f"generator degree {len(images)} != group degree {self.degree}")
-        if min(images) < 0 or max(images) >= self.degree:
-            raise ValueError(f"image out of range 0..{self.degree - 1}: {images}")
+        images = check_permutation(images, self.degree)
         if self._chain.contains(images):
             return False
-        images = check_permutation(images, self.degree)
         self._chain.extend(images)
         self.generators += (images,)
         return True

@@ -3,9 +3,11 @@
 The matrix search certifies non-existence results: it enumerates every
 connection matrix of a :class:`SearchSpace` depth-first by rows, prunes on
 column sums and the oriented condition, and evaluates the automorphism order
-of each completed candidate.  The rigid-digraph search hunts for k-regular
-digraphs with trivial automorphism group; its results are exploratory and
-carry no ground-truth claim.
+of each completed candidate.  Its budget counts the work as it is done: one
+unit per row tried and one per completed candidate.  The rigid-digraph search
+hunts for k-regular digraphs with trivial automorphism group, exhaustively by
+running the same branch loop over the trivial group; its results are
+exploratory and carry no ground-truth claim.
 """
 
 from __future__ import annotations
@@ -15,20 +17,21 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import combinations, compress
+from operator import add
 from pathlib import Path
 
 from .autgroup import automorphism_group
 from .digraphs import Digraph, is_weakly_connected
-from .groups import FiniteGroup
+from .groups import FiniteGroup, make_cyclic
 from .mcayley import ConnectionMatrix, build
 
 DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceeded(Exception):
-    """The estimated or actual work exceeds the configured budget."""
+    """The work done, rows tried plus candidates completed, passed the budget."""
 
 
 @dataclass(frozen=True)
@@ -133,85 +136,86 @@ def enumerate_rows(
     return rows
 
 
-def _mask_elements(mask: int) -> tuple[int, ...]:
-    elems = []
-    while mask:
-        low = (mask & -mask).bit_length() - 1
-        elems.append(low)
-        mask &= mask - 1
-    return tuple(elems)
+# each row assignment with its per-cell popcounts and its non-empty cells
+_RowTable = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 
 
-def _matrix_from_rows(m: int, chosen: list[tuple[int, ...]]) -> ConnectionMatrix:
-    cells = {
-        (i, j): _mask_elements(chosen[i][j])
-        for i in range(m)
-        for j in range(m)
-        if chosen[i][j]
-    }
-    return ConnectionMatrix.from_entries(m, cells)
-
-
-def _row_table(
-    space: SearchSpace, row: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # each row assignment paired with its per-cell popcounts
-    return [
-        (cells, tuple(bin(mask).count("1") for mask in cells))
-        for cells in enumerate_rows(
-            space.group, space.m, space.k, row, space.require_oriented
-        )
-    ]
+def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
+    tables = []
+    for i in range(space.m):
+        table = []
+        for cells in enumerate_rows(space.group, space.m, space.k, i, space.require_oriented):
+            sizes = tuple(map(int.bit_count, cells))
+            table.append((cells, sizes, tuple(compress(range(space.m), sizes))))
+        tables.append(table)
+    return tables
 
 
 def _search_branch(
     space: SearchSpace,
-    tables: list[list[tuple[tuple[int, ...], tuple[int, ...]]]],
+    tables: list[_RowTable],
     exact_histogram: bool,
+    budget: int,
     branch: int,
-) -> tuple[ConnectionMatrix | None, int, dict[int, int]]:
+) -> tuple[str, ConnectionMatrix | None, int, dict[int, int], int]:
     """Search the subtree under first row ``branch``.
 
-    Returns the first witness in depth-first order (or None), the number of
-    completed candidates, and the histogram of their automorphism orders.
+    Every row tried is one step of work and every completed candidate one
+    more; the search stops as soon as the work passes ``budget``.  Returns
+    the status (FOUND, EXHAUSTED or BUDGET), the first witness in depth-first
+    order (or None), the number of completed candidates, the histogram of
+    their automorphism orders, and the work done.
     """
     m, k, n = space.m, space.k, space.group.n
+    oriented = space.require_oriented
     inv_mask = _inverse_masks(space.group)
     stop = None if exact_histogram else n
-    tested = 0
+    # a later row adds at most min(k, |G|) elements to one column
+    per_row = min(k, n)
+    steps = tested = 0
+    status = "EXHAUSTED"
     histogram: dict[int, int] = {}
     witness: ConnectionMatrix | None = None
     chosen: list[tuple[int, ...]] = [()] * m
     col_sums = [0] * m
 
-    def row_fits(i: int, cells: tuple[int, ...], sizes: tuple[int, ...]) -> bool:
-        left = (m - 1 - i) * k
-        for j in range(m):
-            total = col_sums[j] + sizes[j]
-            if total > k or k - total > left:
+    @lru_cache(maxsize=None)
+    def row_sets(cells: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+        # a row's connection sets, built once per row however often it is chosen
+        return tuple(frozenset(e for e in range(n) if mask >> e & 1) for mask in cells)
+
+    def row_fits(
+        i: int, cells: tuple[int, ...], sizes: tuple[int, ...], support: tuple[int, ...]
+    ) -> bool:
+        for j in support:
+            if col_sums[j] + sizes[j] > k:
                 return False
-        if space.require_oriented:
-            for j in range(i):
-                if cells[j] & inv_mask[chosen[j][i]]:
-                    return False
-        return True
+            if oriented and j < i and cells[j] & inv_mask[chosen[j][i]]:
+                return False
+        # the rows below must still fill every column up to k
+        left = (m - 1 - i) * per_row
+        return left >= k or min(map(add, col_sums, sizes)) >= k - left
 
     def descend(i: int) -> bool:
-        nonlocal tested, witness
-        for cells, sizes in (tables[0][branch],) if i == 0 else tables[i]:
-            if not row_fits(i, cells, sizes):
+        nonlocal steps, tested, status, witness
+        for cells, sizes, support in (tables[0][branch],) if i == 0 else tables[i]:
+            steps += 1
+            if steps + tested > budget:
+                status = "BUDGET"
+                return True
+            if not row_fits(i, cells, sizes, support):
                 continue
             chosen[i] = cells
             if i < m - 1:
-                for j in range(m):
+                for j in support:
                     col_sums[j] += sizes[j]
-                found = descend(i + 1)
-                for j in range(m):
+                done = descend(i + 1)
+                for j in support:
                     col_sums[j] -= sizes[j]
-                if found:
+                if done:
                     return True
                 continue
-            conn = _matrix_from_rows(m, chosen)
+            conn = ConnectionMatrix(m, tuple(map(row_sets, chosen)))
             tested += 1
             gamma = build(space.group, conn)
             if space.require_connected and not is_weakly_connected(gamma.graph):
@@ -221,18 +225,20 @@ def _search_branch(
             order = automorphism_group(gamma.graph, stop_order_above=stop).order()
             histogram[order] = histogram.get(order, 0) + 1
             if order == n:
-                witness = conn
+                status, witness = "FOUND", conn
                 return True
         return False
 
     descend(0)
-    return witness, tested, histogram
+    return status, witness, tested, histogram, steps + tested
 
 
 def _search_branches(
     space: SearchSpace,
+    tables: list[_RowTable],
     branches: list[int],
     exact_histogram: bool,
+    budget: int,
     checkpoint_path: str | None = None,
     tested_start: int = 0,
     histogram_start: dict[int, int] | None = None,
@@ -242,17 +248,25 @@ def _search_branches(
 
     Results merge in branch order whatever ``jobs`` is: the checkpoint is
     written after each merged branch, and the search stops at the first
-    branch that holds a witness.
+    branch that holds a witness.  Each branch runs under the whole budget;
+    :class:`BudgetExceeded` is raised, before merging, at the first branch
+    that hit it or after which the work summed over the branches passes it.
     """
-    tables = [_row_table(space, i) for i in range(space.m)]
-    search = partial(_search_branch, space, tables, exact_histogram)
+    search = partial(_search_branch, space, tables, exact_histogram, budget)
     tested = tested_start
     histogram: dict[int, int] = dict(histogram_start or {})
+    work = 0
     workers = min(jobs, len(branches))
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         results = pool.map(search, branches) if pool else map(search, branches)
-        for branch, (witness, count, found) in zip(branches, results):
+        for branch, (status, witness, count, found, done) in zip(branches, results):
+            work += done
+            if status == "BUDGET" or work > budget:
+                raise BudgetExceeded(
+                    f"work of {work} row steps and candidates passed the budget"
+                    f" of {budget} in branch {branch}"
+                )
             tested += count
             for order, c in found.items():
                 histogram[order] = histogram.get(order, 0) + c
@@ -262,7 +276,7 @@ def _search_branches(
                 _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
     finally:
         if pool:
-            # branches after a witness are dropped unrun
+            # branches after a witness or a budget stop are dropped unrun
             pool.shutdown(cancel_futures=True)
     return None, tested, histogram
 
@@ -335,36 +349,37 @@ def exhaustive_search(
 
     Returns FOUND with the first witness in depth-first order, or EXHAUSTED
     with a histogram of the automorphism orders of every completed candidate.
-    Raises :class:`BudgetExceeded` before starting when the row-combination
-    count ``(#rows)^m`` exceeds ``budget``.  With ``jobs > 1`` the depth-1
-    subtrees run on that many processes, or one per subtree when there are
-    fewer; the outcome and the checkpoints are the same as with one job.
-    Raises ValueError when ``jobs < 1``, and when the checkpoint is malformed,
+    The work is counted as it is done, one unit per row tried and one per
+    completed candidate, and :class:`BudgetExceeded` is raised once it passes
+    ``budget``; with ``checkpoint_path`` the checkpoint then holds the last
+    branch merged before the stop, so a run with a larger budget resumes
+    there.  With ``jobs > 1`` the depth-1 subtrees run on that many
+    processes, or one per subtree when there are fewer; the outcome, the
+    budget stop and the checkpoints are the same as with one job.  Raises
+    ValueError when ``jobs < 1``, and when the checkpoint is malformed,
     belongs to another space or completed a branch the space does not have.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    row_count = len(enumerate_rows(space.group, space.m, space.k, 0, space.require_oriented))
-    estimate = row_count**space.m
-    if estimate > budget:
-        raise BudgetExceeded(
-            f"row-combination estimate {estimate} exceeds budget {budget}"
-        )
+    tables = _matrix_tables(space)
+    branches = len(tables[0])
     start_branch, tested0, hist0 = (
         _read_checkpoint(checkpoint_path, space)
         if checkpoint_path is not None
         else (-1, 0, {})
     )
-    if start_branch >= row_count:
+    if start_branch >= branches:
         # resuming past the end would report EXHAUSTED without a search
         raise ValueError(
             f"checkpoint {checkpoint_path} completed branch {start_branch},"
-            f" but the search space has {row_count} branches"
+            f" but the search space has {branches} branches"
         )
     witness, tested, histogram = _search_branches(
         space,
-        list(range(start_branch + 1, row_count)),
+        tables,
+        list(range(start_branch + 1, branches)),
         exact_histogram,
+        budget,
         checkpoint_path,
         tested0,
         hist0,
@@ -376,7 +391,7 @@ def exhaustive_search(
 
 
 def nonexistence_instances() -> list[tuple[str, FiniteGroup, int]]:
-    from .groups import klein_four, make_cyclic
+    from .groups import klein_four
 
     z2, _ = make_cyclic(2)
     z3, _ = make_cyclic(3)
@@ -444,66 +459,22 @@ def _is_rigid(graph: Digraph) -> bool:
 def _exhaustive_rigid(
     n: int, k: int, oriented: bool, budget: int
 ) -> RigidSearchOutcome:
-    tested = 0
-    steps = 0
-    out_rows: list[tuple[int, ...]] = []
-    indeg = [0] * n
-    witness: Digraph | None = None
+    # over the trivial group a matrix row is one vertex's out-neighbours:
+    # loop-free rows, and the leader row 0 -> 1..k, sound because some
+    # labelling of any digraph achieves it
+    @lru_cache(maxsize=None)
+    def row(targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        # 0/1 cells are their own popcounts; vertices share the rows they allow
+        cells = tuple(1 if w in targets else 0 for w in range(n))
+        return cells, cells, targets
 
-    def allowed(v: int, row: tuple[int, ...]) -> bool:
-        for w in row:
-            if indeg[w] >= k:
-                return False
-            if oriented and w < v and v in out_rows[w]:
-                return False
-        # every later row adds at most one arc into each vertex
-        left = n - 1 - v
-        for w in range(n):
-            extra = 1 if w in row else 0
-            if k - indeg[w] - extra > left:
-                return False
-        return True
-
-    def rows_for(v: int):
-        if v == 0:
-            # leader normalization: relabel any digraph so vertex 0 points
-            # at 1..k, sound because some labeling always achieves it
-            yield tuple(range(1, k + 1))
-            return
-        others = [w for w in range(n) if w != v]
-        yield from combinations(others, k)
-
-    def descend(v: int) -> bool:
-        nonlocal tested, steps, witness
-        if v == n:
-            tested += 1
-            graph = Digraph(n, tuple(out_rows))
-            if _is_rigid(graph):
-                witness = graph
-                return True
-            return False
-        for row in rows_for(v):
-            steps += 1
-            if steps + tested > budget:
-                raise BudgetExceeded(f"exceeded {budget} search steps")
-            if not allowed(v, row):
-                continue
-            out_rows.append(row)
-            for w in row:
-                indeg[w] += 1
-            if descend(v + 1):
-                return True
-            out_rows.pop()
-            for w in row:
-                indeg[w] -= 1
-        return False
-
-    try:
-        if descend(0):
-            return RigidSearchOutcome("FOUND", witness, tested)
-        return RigidSearchOutcome("EXHAUSTED", None, tested)
-    except BudgetExceeded:
-        return RigidSearchOutcome("BUDGET", None, tested)
+    tables = [[row(tuple(range(1, k + 1)))]]
+    for v in range(1, n):
+        tables.append([row(t) for t in combinations([w for w in range(n) if w != v], k)])
+    space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
+    status, witness, tested, _, _ = _search_branch(space, tables, False, budget, 0)
+    graph = None if witness is None else build(space.group, witness).graph
+    return RigidSearchOutcome(status, graph, tested)
 
 
 def _randomized_rigid(
@@ -553,10 +524,12 @@ def search_trivial_aut_digraph(
 
     Exploratory: a FOUND witness is verified rigid, but EXHAUSTED/BUDGET for
     one parameter choice settles nothing about the general question.
-    Exhaustive mode enumerates out-neighbor rows depth-first with in-degree
-    pruning and first-row leader normalization; randomized mode runs a
+    Exhaustive mode is the matrix search over the trivial group, one block per
+    vertex: out-neighbor rows depth-first with in-degree pruning and
+    first-row leader normalization, BUDGET once the rows tried plus the
+    candidates completed pass ``budget``.  Randomized mode runs a
     degree-preserving arc-switch chain from a circulant seed and tests every
-    ``switches`` swaps (default 3nk).
+    ``switches`` swaps (default 3nk), at most ``budget`` samples.
     """
     if n < 1:
         raise ValueError("need at least one vertex")

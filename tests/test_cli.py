@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -230,6 +231,22 @@ def test_search_checkpoint_for_other_space_exits_1(tmp_path, capsys) -> None:
 def test_search_budget_exits_3(capsys) -> None:
     assert main(["search", "--group", "cyclic:2", "--m", "3", "--budget", "10"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_search_budget_stop_resumes_from_its_checkpoint(tmp_path, capsys) -> None:
+    args = ["search", "--group", "cyclic:2", "--m", "4"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    path = str(tmp_path / "ckpt.json")
+    # branches 0..6 do 3,017 units of work, and branch 7 passes that budget
+    assert main([*args, "--budget", "3017", "--checkpoint", path]) == 3
+    assert json.loads(open(path).read())["last_completed_branch"] == 6
+    capsys.readouterr()
+    for jobs in ("1", "2"):
+        resumed = str(tmp_path / f"resumed{jobs}.json")
+        shutil.copy(path, resumed)
+        assert main([*args, "--budget", "5000", "--jobs", jobs, "--checkpoint", resumed]) == 0
+        assert capsys.readouterr().out == clean
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from omsr.search import (
     verify_nonexistence_suite,
 )
 
+Z1 = make_cyclic(1)[0]
 Z2 = make_cyclic(2)[0]
 Z3 = make_cyclic(3)[0]
 Z4 = make_cyclic(4)[0]
@@ -115,12 +116,14 @@ def test_search_space_validation() -> None:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "group,m",
-    [(Z2, 3), (Z3, 2), (Z4, 2)],
-    ids=["z2-m3", "z3-m2", "z4-m2"],
+    "group,m,k",
+    # Z1 m=5 k=2 has 6^5 = 7,776 row combinations, and over the trivial group
+    # a later row adds at most min(k, |G|) = 1 element to a column
+    [(Z2, 3, 3), (Z3, 2, 3), (Z4, 2, 3), (Z1, 5, 2)],
+    ids=["z2-m3", "z3-m2", "z4-m2", "z1-m5-k2"],
 )
-def test_pruning_is_lossless_on_exhausted_spaces(group, m) -> None:
-    space = SearchSpace(group, m)
+def test_pruning_is_lossless_on_exhausted_spaces(group, m, k) -> None:
+    space = SearchSpace(group, m, k)
     outcome = exhaustive_search(space)
     status, witness, tested, histogram = _product_reference(space)
     assert outcome.status == status == "EXHAUSTED"
@@ -189,6 +192,40 @@ def test_budget_precheck_raises_before_searching() -> None:
         exhaustive_search(SearchSpace(Z2, 3), budget=10)
 
 
+@pytest.mark.parametrize(
+    "group,m,candidates",
+    [(Z2, 5, 1), (Z3, 4, 58), (Z1, 8, 98)],
+    ids=["z2-m5", "z3-m4", "z1-m8"],
+)
+def test_default_budget_decides_small_spaces(group, m, candidates) -> None:
+    # the budget counts work done, so a space with (#rows)^m far above the
+    # budget is still decided when its search is short
+    outcome = exhaustive_search(SearchSpace(group, m))
+    assert (outcome.status, outcome.candidates_tested) == ("FOUND", candidates)
+
+
+@pytest.mark.parametrize(
+    "group,m,budgets",
+    [
+        # branch 0 of Z2 m=4 does 467 units of work, the whole space 7,372
+        (Z2, 4, (0, 466, 467, 468, 2000, 4000, 7371, 7372)),
+        # branch 0 of Z1 m=7 does 52,693 units, branches 0 and 1 88,846
+        (Z1, 7, (1, 52692, 52693, 88846)),
+    ],
+    ids=["z2-m4", "z1-m7"],
+)
+def test_budget_stop_is_the_same_for_any_job_count(group, m, budgets) -> None:
+    space = SearchSpace(group, m)
+    for budget in budgets:
+        results = []
+        for jobs in (1, 2):
+            try:
+                results.append(exhaustive_search(space, budget, jobs=jobs).to_json())
+            except BudgetExceeded as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], budget
+
+
 def test_outcome_json_shape() -> None:
     outcome = exhaustive_search(SearchSpace(Z4, 2))
     payload = outcome.to_json()
@@ -204,7 +241,7 @@ def test_outcome_json_shape() -> None:
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
-    from omsr.search import _search_branches
+    from omsr.search import DEFAULT_BUDGET, _matrix_tables, _search_branches
 
     space = SearchSpace(Z4, 2)
     clean = exhaustive_search(space)
@@ -212,7 +249,10 @@ def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
         path = str(tmp_path / f"ckpt{jobs}.json")
 
         # emulate an interrupted run that finished the first 8 depth-1 branches
-        _search_branches(space, list(range(8)), True, checkpoint_path=path)
+        _search_branches(
+            space, _matrix_tables(space), list(range(8)), True, DEFAULT_BUDGET,
+            checkpoint_path=path,
+        )
         assert json.loads(open(path).read())["last_completed_branch"] == 7
 
         resumed = exhaustive_search(space, checkpoint_path=path, jobs=jobs)
@@ -376,6 +416,43 @@ def test_exhaustive_rigid_small_cases() -> None:
     # k >= n leaves no loop-free candidates
     out = search_trivial_aut_digraph(3, 3)
     assert (out.status, out.candidates_tested) == ("EXHAUSTED", 0)
+
+
+# (n, k, oriented, budget) -> status, candidates and witness arcs "uv ...",
+# as the explorer's own depth-first loop gave them before it ran on the
+# matrix search's branch loop over the trivial group
+EXPLORER_ANSWERS = [
+    ((7, 3, True, None), "EXHAUSTED", 132, None),
+    ((6, 2, True, None), "EXHAUSTED", 57, None),
+    ((5, 2, True, None), "EXHAUSTED", 4, None),
+    ((8, 3, True, None), "FOUND", 3,
+     "01 02 03 12 13 14 23 24 25 34 36 37 45 46 47 50 51 56 60 61 67 70 72 75"),
+    ((9, 3, True, None), "FOUND", 3,
+     "01 02 03 12 13 14 23 24 25 34 35 36 45 47 48 56 57 58 60 61 67 70 71 78 80 82 86"),
+    ((7, 2, True, None), "FOUND", 3, "01 02 12 13 23 24 35 36 40 45 50 56 61 64"),
+    ((7, 2, False, None), "FOUND", 16, "01 02 10 12 20 23 34 35 41 46 53 56 64 65"),
+    ((6, 3, False, None), "FOUND", 9,
+     "01 02 03 10 12 13 20 24 25 32 34 35 40 41 45 51 53 54"),
+    ((8, 2, True, None), "FOUND", 2, "01 02 12 13 23 24 30 35 45 46 56 57 61 67 70 74"),
+    ((9, 3, False, 10**4), "BUDGET", 45, None),
+    ((10, 3, True, 10**6), "BUDGET", 0, None),
+]
+
+
+@pytest.mark.parametrize(
+    "args,status,candidates,arcs",
+    EXPLORER_ANSWERS,
+    ids=[f"n{n}-k{k}-{'oriented' if o else 'digons'}" for (n, k, o, _), *_ in EXPLORER_ANSWERS],
+)
+def test_exhaustive_explorer_keeps_its_answers(args, status, candidates, arcs) -> None:
+    n, k, oriented, budget = args
+    kwargs = {} if budget is None else {"budget": budget}
+    out = search_trivial_aut_digraph(n, k, oriented, "exhaustive", **kwargs)
+    assert (out.status, out.candidates_tested) == (status, candidates)
+    witness = None if out.witness is None else " ".join(f"{u}{v}" for u, v in out.witness.arcs())
+    assert witness == arcs
+    if out.witness is not None:
+        assert automorphism_group(out.witness).order() == 1
 
 
 def test_exhaustive_rigid_respects_budget() -> None:
