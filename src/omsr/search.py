@@ -83,14 +83,13 @@ def _histogram_json(histogram: dict[int, int]) -> dict[str, int]:
     return {str(order): count for order, count in sorted(histogram.items())}
 
 
-def _inverse_masks(group: FiniteGroup) -> list[int]:
-    # inv_mask[M] = bitmask of inverses of the elements selected by M
-    n = group.n
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        table[mask] = table[mask & (mask - 1)] | (1 << group.inv[low])
-    return table
+def _inverse_mask(group: FiniteGroup, mask: int) -> int:
+    """The bitmask of the inverses of the elements selected by ``mask``."""
+    inverses = 0
+    while mask:
+        inverses |= 1 << group.inv[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return inverses
 
 
 def enumerate_rows(
@@ -98,55 +97,39 @@ def enumerate_rows(
 ) -> list[tuple[int, ...]]:
     """All assignments of one matrix row, as per-cell element bitmasks.
 
-    Each result places exactly ``k`` elements across the ``m`` cells of the
+    Each result picks ``k`` of the ``m * |G|`` (cell, element) slots of the
     row, and the diagonal cell never meets its own inverse set when
     ``oriented`` is set.  Rows come out in lexicographic order with cells
     compared as numeric bitmasks, so the enumeration is reproducible.
     """
     if not 0 <= row < m:
         raise ValueError(f"row {row} outside 0..{m - 1}")
-    n = group.n
-    inv_mask = _inverse_masks(group) if oriented else None
-    by_size: dict[int, list[int]] = {}
-    for mask in range(1 << n):
-        by_size.setdefault(bin(mask).count("1"), []).append(mask)
-
+    slots = [(cell, 1 << e) for cell in range(m) for e in range(group.n)]
     rows: list[tuple[int, ...]] = []
-    cells: list[int] = []
-
-    def place(cell: int, remaining: int) -> None:
-        if cell == m:
-            if remaining == 0:
-                rows.append(tuple(cells))
-            return
-        sizes = range(remaining + 1) if cell < m - 1 else (remaining,)
-        for size in sizes:
-            for mask in by_size.get(size, ()):
-                if cell == row and inv_mask is not None and mask & inv_mask[mask]:
-                    continue
-                cells.append(mask)
-                place(cell + 1, remaining - size)
-                cells.pop()
-        return
-
-    # Rebuild in strict numeric order per cell: small sizes do not sort
-    # before large masks, so sort the final list lexicographically.
-    place(0, k)
+    for picks in combinations(slots, k):
+        cells = [0] * m
+        for cell, bit in picks:
+            cells[cell] |= bit
+        if oriented and cells[row] & _inverse_mask(group, cells[row]):
+            continue
+        rows.append(tuple(cells))
     rows.sort()
     return rows
 
 
-# each row assignment with its per-cell popcounts and its non-empty cells
-_RowTable = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
+# each row assignment with its per-cell popcounts, non-empty cells and inverses
+_RowTable = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 
 
 def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
+    group, m = space.group, space.m
     tables = []
-    for i in range(space.m):
+    for i in range(m):
         table = []
-        for cells in enumerate_rows(space.group, space.m, space.k, i, space.require_oriented):
+        for cells in enumerate_rows(group, m, space.k, i, space.require_oriented):
             sizes = tuple(map(int.bit_count, cells))
-            table.append((cells, sizes, tuple(compress(range(space.m), sizes))))
+            inverses = tuple(_inverse_mask(group, cell) for cell in cells)
+            table.append((cells, sizes, tuple(compress(range(m), sizes)), inverses))
         tables.append(table)
     return tables
 
@@ -168,7 +151,6 @@ def _search_branch(
     """
     m, k, n = space.m, space.k, space.group.n
     oriented = space.require_oriented
-    inv_mask = _inverse_masks(space.group)
     stop = None if exact_histogram else n
     # a later row adds at most min(k, |G|) elements to one column
     per_row = min(k, n)
@@ -185,12 +167,12 @@ def _search_branch(
         return tuple(frozenset(e for e in range(n) if mask >> e & 1) for mask in cells)
 
     def row_fits(
-        i: int, cells: tuple[int, ...], sizes: tuple[int, ...], support: tuple[int, ...]
+        i: int, sizes: tuple[int, ...], support: tuple[int, ...], inverses: tuple[int, ...]
     ) -> bool:
         for j in support:
             if col_sums[j] + sizes[j] > k:
                 return False
-            if oriented and j < i and cells[j] & inv_mask[chosen[j][i]]:
+            if oriented and j < i and inverses[j] & chosen[j][i]:
                 return False
         # the rows below must still fill every column up to k
         left = (m - 1 - i) * per_row
@@ -198,12 +180,12 @@ def _search_branch(
 
     def descend(i: int) -> bool:
         nonlocal steps, tested, status, witness
-        for cells, sizes, support in (tables[0][branch],) if i == 0 else tables[i]:
+        for cells, sizes, support, inverses in (tables[0][branch],) if i == 0 else tables[i]:
             steps += 1
             if steps + tested > budget:
                 status = "BUDGET"
                 return True
-            if not row_fits(i, cells, sizes, support):
+            if not row_fits(i, sizes, support, inverses):
                 continue
             chosen[i] = cells
             if i < m - 1:
@@ -248,23 +230,28 @@ def _search_branches(
 
     Results merge in branch order whatever ``jobs`` is: the checkpoint is
     written after each merged branch, and the search stops at the first
-    branch that holds a witness.  Each branch runs under the whole budget;
+    branch that holds a witness.  One job runs each branch under the budget
+    the earlier ones left, a pool under the whole budget; either way
     :class:`BudgetExceeded` is raised, before merging, at the first branch
     that hit it or after which the work summed over the branches passes it.
     """
-    search = partial(_search_branch, space, tables, exact_histogram, budget)
     tested = tested_start
     histogram: dict[int, int] = dict(histogram_start or {})
     work = 0
     workers = min(jobs, len(branches))
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
-        results = pool.map(search, branches) if pool else map(search, branches)
+        search = partial(_search_branch, space, tables, exact_histogram)
+        if pool:
+            results = pool.map(partial(search, budget), branches)
+        else:
+            # lazy, so each branch runs under the budget the merged ones left
+            results = (search(budget - work, branch) for branch in branches)
         for branch, (status, witness, count, found, done) in zip(branches, results):
             work += done
             if status == "BUDGET" or work > budget:
                 raise BudgetExceeded(
-                    f"work of {work} row steps and candidates passed the budget"
+                    f"the rows tried and candidates completed passed the budget"
                     f" of {budget} in branch {branch}"
                 )
             tested += count
@@ -452,10 +439,6 @@ class RigidSearchOutcome:
         }
 
 
-def _is_rigid(graph: Digraph) -> bool:
-    return automorphism_group(graph, stop_order_above=1).order() == 1
-
-
 def _exhaustive_rigid(
     n: int, k: int, oriented: bool, budget: int
 ) -> RigidSearchOutcome:
@@ -464,9 +447,9 @@ def _exhaustive_rigid(
     # labelling of any digraph achieves it
     @lru_cache(maxsize=None)
     def row(targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        # 0/1 cells are their own popcounts; vertices share the rows they allow
+        # 0/1 cells are their own popcounts and inverses; vertices share rows
         cells = tuple(1 if w in targets else 0 for w in range(n))
-        return cells, cells, targets
+        return cells, cells, targets, cells
 
     tables = [[row(tuple(range(1, k + 1)))]]
     for v in range(1, n):
@@ -506,7 +489,7 @@ def _randomized_rigid(
             try_switch()
         tested += 1
         graph = Digraph(n, outs)
-        if _is_rigid(graph):
+        if automorphism_group(graph, stop_order_above=1).order() == 1:
             return RigidSearchOutcome("FOUND", graph, tested)
     return RigidSearchOutcome("BUDGET", None, tested)
 

@@ -7,7 +7,7 @@ import pytest
 
 from omsr.autgroup import automorphism_group
 from omsr.digraphs import is_k_regular, is_oriented, is_weakly_connected
-from omsr.groups import klein_four, make_cyclic
+from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
 from omsr import search
 from omsr.search import (
@@ -25,6 +25,7 @@ Z2 = make_cyclic(2)[0]
 Z3 = make_cyclic(3)[0]
 Z4 = make_cyclic(4)[0]
 Z5 = make_cyclic(5)[0]
+Z24 = make_cyclic(24)[0]
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
@@ -102,6 +103,35 @@ def test_enumerate_rows_row_properties() -> None:
         assert not any(Z4.inv[t] in diag for t in diag)
     with pytest.raises(ValueError):
         enumerate_rows(Z4, 2, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "group,m",
+    [
+        (Z1, 5),
+        (Z2, 3),
+        (Z2, 4),
+        (Z3, 2),
+        (Z4, 2),
+        (klein_four()[0], 2),
+        (standard_two_generated("S3")[0], 2),
+    ],
+    ids=["z1-m5", "z2-m3", "z2-m4", "z3-m2", "z4-m2", "z2xz2-m2", "s3-m2"],
+)
+def test_enumerate_rows_matches_its_definition(group, m) -> None:
+    # every m-tuple of element masks with k elements in all whose diagonal
+    # cell holds no element together with its inverse, in sorted order
+    def avoids_inverses(mask: int) -> bool:
+        elements = _mask_elements(mask)
+        return not any(group.inv[t] in elements for t in elements)
+
+    tuples = list(itertools.product(range(1 << group.n), repeat=m))
+    for k in range(5):
+        sized = [row for row in tuples if sum(bin(c).count("1") for c in row) == k]
+        for i in range(m):
+            assert enumerate_rows(group, m, k, i, oriented=False) == sorted(sized)
+            reference = sorted(row for row in sized if avoids_inverses(row[i]))
+            assert enumerate_rows(group, m, k, i) == reference, (k, i)
 
 
 def test_search_space_validation() -> None:
@@ -187,15 +217,20 @@ def test_connected_z5_two_block_witness() -> None:
     assert automorphism_group(gamma.graph).order() == 5
 
 
-def test_budget_precheck_raises_before_searching() -> None:
-    with pytest.raises(BudgetExceeded):
-        exhaustive_search(SearchSpace(Z2, 3), budget=10)
+@pytest.mark.parametrize(
+    "group,m", [(Z2, 3), (Z24, 2)], ids=["z2-m3", "z24-m2"]
+)
+def test_small_budget_raises_budget_exceeded(group, m) -> None:
+    # Z24 m=2 has C(48, 3) slot choices per row: the row tables, not 2^24
+    # element masks, bound the work done before the first row is tried
+    with pytest.raises(BudgetExceeded, match="budget of 10 in branch"):
+        exhaustive_search(SearchSpace(group, m), budget=10)
 
 
 @pytest.mark.parametrize(
     "group,m,candidates",
-    [(Z2, 5, 1), (Z3, 4, 58), (Z1, 8, 98)],
-    ids=["z2-m5", "z3-m4", "z1-m8"],
+    [(Z2, 5, 1), (Z3, 4, 58), (Z1, 8, 98), (Z24, 2, 2)],
+    ids=["z2-m5", "z3-m4", "z1-m8", "z24-m2"],
 )
 def test_default_budget_decides_small_spaces(group, m, candidates) -> None:
     # the budget counts work done, so a space with (#rows)^m far above the
@@ -224,6 +259,21 @@ def test_budget_stop_is_the_same_for_any_job_count(group, m, budgets) -> None:
             except BudgetExceeded as exc:
                 results.append(str(exc))
         assert results[0] == results[1], budget
+
+
+def test_one_job_runs_each_branch_under_the_budget_left(monkeypatch) -> None:
+    # branches 0 and 1 of Z1 m=7 do 88,846 units of work with 264 candidates,
+    # so the budget stop comes at the first row of branch 2
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return automorphism_group(*args, **kwargs)
+
+    monkeypatch.setattr(search, "automorphism_group", counting)
+    with pytest.raises(BudgetExceeded, match="budget of 88846 in branch 2"):
+        exhaustive_search(SearchSpace(Z1, 7), budget=88846)
+    assert len(calls) == 264
 
 
 def test_outcome_json_shape() -> None:
