@@ -54,7 +54,6 @@ from .search import (
     SearchSpace,
     exhaustive_search,
     search_trivial_aut_digraph,
-    verify_nonexistence_suite,
 )
 from .suite import CriterionResult, run_all
 from .verify import VerificationReport, verify_connection
@@ -101,7 +100,6 @@ __all__ = [
     "validate_claims",
     "valency_profile",
     "verify_connection",
-    "verify_nonexistence_suite",
 ]
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -228,21 +229,23 @@ def automorphism_group(
 def brute_force_automorphisms(graph: Digraph) -> PermGroup:
     """Exact automorphism group by checking all nv! permutations (nv <= 10).
 
-    The arc-preserving permutations form the group, so they are adjoined only
-    until its order reaches their count; every later one is then a member.
-    RuntimeError when the final order differs from the count.
+    The arc-preserving permutations form the group, so a first scan counts
+    them and a second adjoins them only until the order reaches that count;
+    none is held in a list.  RuntimeError when the order differs from the count.
     """
     nv = graph.nv
     if nv > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX} vertices, got {nv}")
-    found = [p for p in permutations(range(nv)) if _preserves_arcs(graph, p)]
+    preserving = partial(_preserves_arcs, graph)
+    count = sum(map(preserving, permutations(range(nv))))
     aut = PermGroup(nv)
-    for p in found:
-        if aut.add(p) and aut.order() == len(found):
+    for p in filter(preserving, permutations(range(nv))):
+        if aut.order() == count:
             break
-    if aut.order() != len(found):
+        aut.add(p)
+    if aut.order() != count:
         raise RuntimeError(
-            f"{len(found)} arc-preserving permutations generate a group of order {aut.order()}"
+            f"{count} arc-preserving permutations generate a group of order {aut.order()}"
         )
     return aut
 

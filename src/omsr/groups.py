@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -91,26 +90,23 @@ def element_order(group: FiniteGroup, g: int) -> int:
 
 
 def generated_subgroup(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing the seed elements (always contains identity)."""
-    members = {IDENTITY}
-    queue: deque[int] = deque([IDENTITY])
-    for s in seed:
+    """Smallest subgroup containing the seed elements (always contains identity).
+
+    In a finite group the products of the seed already hold every inverse, so
+    closing {1} under right multiplication by the seed reaches the subgroup.
+    """
+    gens = tuple(seed)
+    for s in gens:
         if not 0 <= s < group.n:
             raise ValueError(f"element {s} out of range for {group.name!r}")
-        if s not in members:
-            members.add(s)
-            queue.append(s)
-    while queue:
-        a = queue.popleft()
-        snapshot = list(members)
-        candidates = [group.inv[a]]
-        for b in snapshot:
-            candidates.append(group.mult[a][b])
-            candidates.append(group.mult[b][a])
-        for c in candidates:
-            if c not in members:
-                members.add(c)
-                queue.append(c)
+    members = {IDENTITY}
+    stack = [IDENTITY]
+    while stack:
+        row = group.mult[stack.pop()]
+        for s in gens:
+            if row[s] not in members:
+                members.add(row[s])
+                stack.append(row[s])
     return frozenset(members)
 
 

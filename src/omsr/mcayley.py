@@ -114,18 +114,21 @@ def _check_conn(group: FiniteGroup, conn: ConnectionMatrix) -> None:
         )
 
 
+def block_rows(group: FiniteGroup, row: Iterable[Iterable[int]]) -> list[list[int]]:
+    """Out-neighbour lists of the |G| vertices g_i of the block whose matrix
+    row is ``row``: the arcs (g_i, (t*g)_j) for t in T[i][j], unchecked."""
+    n = group.n
+    mult = group.mult
+    # (first vertex of block j, the products t*g) for each t in T[i][j]
+    arcs = [(j * n, mult[t]) for j, cell in enumerate(row) for t in sorted(cell)]
+    return [[offset + col[g] for offset, col in arcs] for g in range(n)]
+
+
 def build(group: FiniteGroup, conn: ConnectionMatrix) -> MCayleyDigraph:
     """Digraph on m*|G| vertices with arcs (g_i, (t*g)_j) for t in T[i][j]."""
     _check_conn(group, conn)
-    n = group.n
-    mult = group.mult
-    rows: list[list[int]] = []
-    for row in conn.sets:
-        # (first vertex of block j, the products t*g) for each t in T[i][j]
-        arcs = [(j * n, mult[t]) for j, cell in enumerate(row) if cell for t in sorted(cell)]
-        for g in range(n):
-            rows.append([offset + col[g] for offset, col in arcs])
-    return MCayleyDigraph(group, conn, Digraph(conn.m * n, rows))
+    rows = [out for row in conn.sets for out in block_rows(group, row)]
+    return MCayleyDigraph(group, conn, Digraph(conn.m * group.n, rows))
 
 
 def connection_is_oriented(group: FiniteGroup, conn: ConnectionMatrix) -> bool:

@@ -25,7 +25,7 @@ from pathlib import Path
 from .autgroup import automorphism_group
 from .digraphs import Digraph, is_weakly_connected
 from .groups import FiniteGroup, make_cyclic
-from .mcayley import ConnectionMatrix, build
+from .mcayley import ConnectionMatrix, block_rows, build
 
 DEFAULT_BUDGET = 10**8
 
@@ -83,13 +83,14 @@ def _histogram_json(histogram: dict[int, int]) -> dict[str, int]:
     return {str(order): count for order, count in sorted(histogram.items())}
 
 
+def _elements(mask: int) -> list[int]:
+    """The element indices selected by ``mask``, in increasing order."""
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
 def _inverse_mask(group: FiniteGroup, mask: int) -> int:
     """The bitmask of the inverses of the elements selected by ``mask``."""
-    inverses = 0
-    while mask:
-        inverses |= 1 << group.inv[(mask & -mask).bit_length() - 1]
-        mask &= mask - 1
-    return inverses
+    return sum(1 << group.inv[e] for e in _elements(mask))
 
 
 def enumerate_rows(
@@ -149,7 +150,8 @@ def _search_branch(
     order (or None), the number of completed candidates, the histogram of
     their automorphism orders, and the work done.
     """
-    m, k, n = space.m, space.k, space.group.n
+    group, m, k = space.group, space.m, space.k
+    n = group.n
     oriented = space.require_oriented
     stop = None if exact_histogram else n
     # a later row adds at most min(k, |G|) elements to one column
@@ -162,9 +164,9 @@ def _search_branch(
     col_sums = [0] * m
 
     @lru_cache(maxsize=None)
-    def row_sets(cells: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-        # a row's connection sets, built once per row however often it is chosen
-        return tuple(frozenset(e for e in range(n) if mask >> e & 1) for mask in cells)
+    def row_outs(cells: tuple[int, ...]) -> list[list[int]]:
+        # a block's out-lists, built once per row however often it is chosen
+        return block_rows(group, [_elements(mask) for mask in cells])
 
     def row_fits(
         i: int, sizes: tuple[int, ...], support: tuple[int, ...], inverses: tuple[int, ...]
@@ -197,17 +199,19 @@ def _search_branch(
                 if done:
                     return True
                 continue
-            conn = ConnectionMatrix(m, tuple(map(row_sets, chosen)))
             tested += 1
-            gamma = build(space.group, conn)
-            if space.require_connected and not is_weakly_connected(gamma.graph):
+            graph = Digraph(m * n, [out for row in chosen for out in row_outs(row)])
+            if space.require_connected and not is_weakly_connected(graph):
                 continue
             # the right translations make |Aut| >= |G|, so an order of |G| is
             # exact even when the engine may stop early above it
-            order = automorphism_group(gamma.graph, stop_order_above=stop).order()
+            order = automorphism_group(graph, stop_order_above=stop).order()
             histogram[order] = histogram.get(order, 0) + 1
             if order == n:
-                status, witness = "FOUND", conn
+                status = "FOUND"
+                witness = ConnectionMatrix(
+                    m, tuple(tuple(frozenset(_elements(c)) for c in row) for row in chosen)
+                )
                 return True
         return False
 
@@ -392,31 +396,6 @@ def nonexistence_instances() -> list[tuple[str, FiniteGroup, int]]:
         ("Z4", z4, 2),
         ("Z2xZ2", klein, 2),
     ]
-
-
-def verify_nonexistence_suite(budget: int = DEFAULT_BUDGET) -> list[dict]:
-    """Exhaust the six excluded (group, m) instances and report the evidence.
-
-    Raises RuntimeError if any instance unexpectedly yields a witness, since
-    that would overturn the non-existence results the suite certifies.
-    """
-    reports = []
-    for name, group, m in nonexistence_instances():
-        outcome = exhaustive_search(SearchSpace(group, m), budget=budget)
-        if outcome.status != "EXHAUSTED":
-            raise RuntimeError(
-                f"({name}, m={m}) produced a witness; expected exhaustion"
-            )
-        reports.append(
-            {
-                "group": name,
-                "m": m,
-                "status": outcome.status,
-                "candidates_tested": outcome.candidates_tested,
-                "aut_order_histogram": _histogram_json(outcome.aut_order_histogram),
-            }
-        )
-    return reports
 
 
 # ---------------------------------------------------------------------------

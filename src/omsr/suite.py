@@ -44,7 +44,12 @@ from .mcayley import (
     right_translation,
     valency_profile,
 )
-from .search import search_trivial_aut_digraph, verify_nonexistence_suite
+from .search import (
+    SearchSpace,
+    exhaustive_search,
+    nonexistence_instances,
+    search_trivial_aut_digraph,
+)
 from .verify import verify_connection
 
 TWO_GENERATED_NAMES = ("S3", "D4", "D5", "Q8", "Z2xZ4", "A4")
@@ -159,20 +164,19 @@ def _z4_block_example() -> tuple[bool, str]:
 
 
 def _nonexistence_suite() -> tuple[bool, str]:
-    reports = verify_nonexistence_suite()
-    if any(r["status"] != "EXHAUSTED" for r in reports):
-        return False, "some instance did not exhaust"
-    for r in reports:
-        if (r["group"], r["m"]) in (("Z2", 4), ("Z4", 2)):
-            hist = {int(k): v for k, v in r["aut_order_histogram"].items()}
-            bound = 2 if r["group"] == "Z2" else 4
+    tested = 0
+    for name, group, m in nonexistence_instances():
+        outcome = exhaustive_search(SearchSpace(group, m))
+        label = f"({name}, m={m})"
+        if outcome.status != "EXHAUSTED":
+            return False, f"{label}: {outcome.status}, expected exhaustion"
+        hist = outcome.aut_order_histogram
+        if (name, m) in (("Z2", 4), ("Z4", 2)):
             if not hist:
-                return False, f"({r['group']}, m={r['m']}): empty histogram"
-            if min(hist) <= bound:
-                return False, (
-                    f"({r['group']}, m={r['m']}): candidate with |Aut| <= {bound}"
-                )
-    tested = sum(r["candidates_tested"] for r in reports)
+                return False, f"{label}: empty histogram"
+            if min(hist) <= group.n:
+                return False, f"{label}: candidate with |Aut| <= {group.n}"
+        tested += outcome.candidates_tested
     return True, f"6 instances exhausted, {tested} candidates, histograms all above |G|"
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from omsr import suite
+from omsr.groups import make_cyclic
 from omsr.suite import CRITERIA, run_all
 
 
@@ -18,3 +20,12 @@ def test_criterion(number: int) -> None:
     assert result.number == number
     assert result.name == CRITERIA[number - 1][0]
     assert result.passed, result.detail
+
+
+def test_nonexistence_criterion_fails_on_a_witness(monkeypatch) -> None:
+    # Z5 m=2 has a witness, so its exhaustion claim must fail, not raise
+    z5 = make_cyclic(5)[0]
+    monkeypatch.setattr(suite, "nonexistence_instances", lambda: [("Z5", z5, 2)])
+    (result,) = run_all((6,))
+    assert not result.passed
+    assert result.detail == "(Z5, m=2): FOUND, expected exhaustion"

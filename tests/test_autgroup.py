@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -240,6 +241,18 @@ def test_brute_force_raises_when_the_arc_check_is_not_closed(monkeypatch) -> Non
     monkeypatch.setattr(autgroup, "_preserves_arcs", lambda graph, p: p in passing)
     with pytest.raises(RuntimeError):
         brute_force_automorphisms(Digraph.from_arcs(3, []))
+
+
+def test_brute_force_holds_no_list_of_automorphisms() -> None:
+    # a list of the 8! automorphisms of arcless 8 would peak near 5 MB
+    tracemalloc.start()
+    try:
+        order = brute_force_automorphisms(Digraph.from_arcs(8, [])).order()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == math.factorial(8)
+    assert peak < 1 << 20
 
 
 def test_initial_coloring_restricts_automorphisms() -> None:

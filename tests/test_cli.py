@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -240,7 +241,7 @@ def test_search_budget_stop_resumes_from_its_checkpoint(tmp_path, capsys) -> Non
     path = str(tmp_path / "ckpt.json")
     # branches 0..6 do 3,017 units of work, and branch 7 passes that budget
     assert main([*args, "--budget", "3017", "--checkpoint", path]) == 3
-    assert json.loads(open(path).read())["last_completed_branch"] == 6
+    assert json.loads(Path(path).read_text())["last_completed_branch"] == 6
     capsys.readouterr()
     for jobs in ("1", "2"):
         resumed = str(tmp_path / f"resumed{jobs}.json")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,6 @@ from omsr.search import (
     exhaustive_search,
     nonexistence_instances,
     search_trivial_aut_digraph,
-    verify_nonexistence_suite,
 )
 
 Z1 = make_cyclic(1)[0]
@@ -189,7 +189,10 @@ def test_nonexistence_instances_cover_the_six_excluded_pairs() -> None:
 
 
 def test_nonexistence_suite_frozen_evidence() -> None:
-    reports = {(r["group"], r["m"]): r for r in verify_nonexistence_suite()}
+    reports = {
+        (name, m): exhaustive_search(SearchSpace(group, m)).to_json()
+        for name, group, m in nonexistence_instances()
+    }
     assert all(r["status"] == "EXHAUSTED" for r in reports.values())
     # spaces so tight the structural pruning leaves nothing to test
     for key in (("Z2", 2), ("Z2", 3), ("Z3", 2), ("Z2xZ2", 2)):
@@ -276,6 +279,30 @@ def test_one_job_runs_each_branch_under_the_budget_left(monkeypatch) -> None:
     assert len(calls) == 264
 
 
+@pytest.mark.parametrize(
+    "run,status,tested,matrices",
+    [
+        (lambda: exhaustive_search(SearchSpace(Z4, 2)), "EXHAUSTED", 24, 0),
+        (lambda: exhaustive_search(SearchSpace(Z5, 2, require_connected=True)), "FOUND", 2, 1),
+        (lambda: search_trivial_aut_digraph(7, 2, True, "exhaustive"), "FOUND", 3, 1),
+    ],
+    ids=["z4-m2", "z5-m2-connected", "rigid-n7-k2"],
+)
+def test_only_a_witness_becomes_a_connection_matrix(
+    monkeypatch, run, status, tested, matrices
+) -> None:
+    # a candidate goes to the engine as a plain digraph built from its rows
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return ConnectionMatrix(*args)
+
+    monkeypatch.setattr(search, "ConnectionMatrix", counting)
+    outcome = run()
+    assert (outcome.status, outcome.candidates_tested, len(made)) == (status, tested, matrices)
+
+
 def test_outcome_json_shape() -> None:
     outcome = exhaustive_search(SearchSpace(Z4, 2))
     payload = outcome.to_json()
@@ -303,14 +330,14 @@ def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
             space, _matrix_tables(space), list(range(8)), True, DEFAULT_BUDGET,
             checkpoint_path=path,
         )
-        assert json.loads(open(path).read())["last_completed_branch"] == 7
+        assert json.loads(Path(path).read_text())["last_completed_branch"] == 7
 
         resumed = exhaustive_search(space, checkpoint_path=path, jobs=jobs)
         assert resumed.status == clean.status
         assert resumed.candidates_tested == clean.candidates_tested
         assert resumed.aut_order_histogram == clean.aut_order_histogram
         # the resumed run checkpoints every branch it merges, on any job count
-        assert json.loads(open(path).read())["last_completed_branch"] == 15
+        assert json.loads(Path(path).read_text())["last_completed_branch"] == 15
 
 
 def test_checkpoint_for_other_space_raises(tmp_path) -> None:
