@@ -405,7 +405,14 @@ def applicable_family(
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     if not _generates(group, spec):
-        raise ValueError("the supplied generators do not generate the group")
+        pair = f"x = {group.names[spec.x]}"
+        if spec.y is not None:
+            pair += f", y = {group.names[spec.y]}"
+        raise ValueError(
+            f"the designated pair {pair} does not generate {group.name} (a product group"
+            " takes x from its first factor and y from its second); give any other"
+            " generating pair as perm:file.json"
+        )
     n = group.n
     if n == 1:
         return ExceptionVerdict(

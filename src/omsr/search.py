@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, compress
+from multiprocessing import Pool
 from operator import add
 from pathlib import Path
 
@@ -219,57 +220,17 @@ def _search_branch(
     return status, witness, tested, histogram, steps + tested
 
 
-def _search_branches(
-    space: SearchSpace,
-    tables: list[_RowTable],
-    branches: list[int],
-    exact_histogram: bool,
-    budget: int,
-    checkpoint_path: str | None = None,
-    tested_start: int = 0,
-    histogram_start: dict[int, int] | None = None,
-    jobs: int = 1,
-) -> tuple[ConnectionMatrix | None, int, dict[int, int]]:
-    """Search ``branches`` in order, on ``jobs`` processes, and merge.
+@lru_cache(maxsize=1)
+def _worker_tables(space: SearchSpace) -> list[_RowTable]:
+    # one slot, filled only in pool workers, so the parent keeps no tables
+    return _matrix_tables(space)
 
-    Results merge in branch order whatever ``jobs`` is: the checkpoint is
-    written after each merged branch, and the search stops at the first
-    branch that holds a witness.  One job runs each branch under the budget
-    the earlier ones left, a pool under the whole budget; either way
-    :class:`BudgetExceeded` is raised, before merging, at the first branch
-    that hit it or after which the work summed over the branches passes it.
-    """
-    tested = tested_start
-    histogram: dict[int, int] = dict(histogram_start or {})
-    work = 0
-    workers = min(jobs, len(branches))
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
-    try:
-        search = partial(_search_branch, space, tables, exact_histogram)
-        if pool:
-            results = pool.map(partial(search, budget), branches)
-        else:
-            # lazy, so each branch runs under the budget the merged ones left
-            results = (search(budget - work, branch) for branch in branches)
-        for branch, (status, witness, count, found, done) in zip(branches, results):
-            work += done
-            if status == "BUDGET" or work > budget:
-                raise BudgetExceeded(
-                    f"the rows tried and candidates completed passed the budget"
-                    f" of {budget} in branch {branch}"
-                )
-            tested += count
-            for order, c in found.items():
-                histogram[order] = histogram.get(order, 0) + c
-            if witness is not None:
-                return witness, tested, histogram
-            if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
-    finally:
-        if pool:
-            # branches after a witness or a budget stop are dropped unrun
-            pool.shutdown(cancel_futures=True)
-    return None, tested, histogram
+
+def _pool_branch(
+    space: SearchSpace, exact_histogram: bool, budget: int, branch: int
+) -> tuple[str, ConnectionMatrix | None, int, dict[int, int], int]:
+    """Pool entry point: one branch on the tables this process built for ``space``."""
+    return _search_branch(space, _worker_tables(space), exact_histogram, budget, branch)
 
 
 def _write_checkpoint(
@@ -345,39 +306,64 @@ def exhaustive_search(
     ``budget``; with ``checkpoint_path`` the checkpoint then holds the last
     branch merged before the stop, so a run with a larger budget resumes
     there.  With ``jobs > 1`` the depth-1 subtrees run on that many
-    processes, or one per subtree when there are fewer; the outcome, the
-    budget stop and the checkpoints are the same as with one job.  Raises
-    ValueError when ``jobs < 1``, and when the checkpoint is malformed,
-    belongs to another space or completed a branch the space does not have.
+    processes, or one per subtree when there are fewer; results merge in
+    branch order, so the outcome, the budget stop and the checkpoints are the
+    same as with one job, and the branches still running at a witness or a
+    budget stop are terminated.  Raises ValueError when ``jobs < 1`` or
+    ``budget < 0``, and when the checkpoint is malformed, belongs to another
+    space or completed a branch the space does not have.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tables = _matrix_tables(space)
-    branches = len(tables[0])
-    start_branch, tested0, hist0 = (
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    start, tested, histogram = (
         _read_checkpoint(checkpoint_path, space)
         if checkpoint_path is not None
         else (-1, 0, {})
     )
-    if start_branch >= branches:
+    # a pool's workers build their own tables; the parent only counts row 0
+    tables = _matrix_tables(space) if jobs == 1 else None
+    rows = len(
+        tables[0]
+        if tables is not None
+        else enumerate_rows(space.group, space.m, space.k, 0, space.require_oriented)
+    )
+    if start >= rows:
         # resuming past the end would report EXHAUSTED without a search
         raise ValueError(
-            f"checkpoint {checkpoint_path} completed branch {start_branch},"
-            f" but the search space has {branches} branches"
+            f"checkpoint {checkpoint_path} completed branch {start},"
+            f" but the search space has {rows} branches"
         )
-    witness, tested, histogram = _search_branches(
-        space,
-        tables,
-        list(range(start_branch + 1, branches)),
-        exact_histogram,
-        budget,
-        checkpoint_path,
-        tested0,
-        hist0,
-        jobs,
-    )
-    if witness is not None:
-        return SearchOutcome("FOUND", witness, tested, histogram)
+    branches = range(start + 1, rows)
+    work = 0
+    # leaving the block terminates the pool, so at a witness or a budget
+    # stop the branches still running are killed, not awaited
+    pool = Pool(min(jobs, len(branches))) if tables is None and branches else None
+    with pool or nullcontext():
+        if pool is None:
+            # lazy, so each branch runs under the budget the merged ones left
+            results = (
+                _search_branch(space, tables, exact_histogram, budget - work, branch)
+                for branch in branches
+            )
+        else:
+            # a task carries only its branch; each runs under the whole budget
+            results = pool.imap(partial(_pool_branch, space, exact_histogram, budget), branches)
+        for branch, (status, witness, count, found, done) in zip(branches, results):
+            work += done
+            if status == "BUDGET" or work > budget:
+                raise BudgetExceeded(
+                    f"the rows tried and candidates completed passed the budget"
+                    f" of {budget} in branch {branch}"
+                )
+            tested += count
+            for order, c in found.items():
+                histogram[order] = histogram.get(order, 0) + c
+            if witness is not None:
+                return SearchOutcome("FOUND", witness, tested, histogram)
+            if checkpoint_path is not None:
+                _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
     return SearchOutcome("EXHAUSTED", None, tested, histogram)
 
 
@@ -491,7 +477,8 @@ def search_trivial_aut_digraph(
     first-row leader normalization, BUDGET once the rows tried plus the
     candidates completed pass ``budget``.  Randomized mode runs a
     degree-preserving arc-switch chain from a circulant seed and tests every
-    ``switches`` swaps (default 3nk), at most ``budget`` samples.
+    ``switches`` swaps (default 3nk), at most ``budget`` samples.  Raises
+    ValueError when ``budget < 0``.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -499,6 +486,8 @@ def search_trivial_aut_digraph(
         raise ValueError(f"valency must be non-negative, got k={k}")
     if switches is not None and switches < 1:
         raise ValueError(f"need at least one switch between samples, got {switches}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if k >= n:
         return RigidSearchOutcome("EXHAUSTED", None, 0)
     if oriented and n < 2 * k + 1:

@@ -76,6 +76,18 @@ def test_construct_forced_family_outside_domain_exits_1(capsys) -> None:
     assert "error" in capsys.readouterr().err
 
 
+def test_construct_names_the_designated_pair_that_does_not_generate(capsys) -> None:
+    # Z2^3 needs three generators; Z2xZ2xZ3 has two, but not the designated pair
+    for spec, name in (("product:2,2,2", "Z2xZ2xZ2"), ("product:2,2,3", "Z2xZ2xZ3")):
+        assert main(["construct", "--group", spec, "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: the designated pair x = ((x,1),1), y = ((1,x),1) does not generate {name}"
+        )
+        assert "x from its first factor and y from its second" in err
+        assert "perm:file.json" in err
+
+
 def test_construct_writes_out_and_dot(tmp_path, capsys) -> None:
     out = tmp_path / "report.json"
     dot = tmp_path / "graph.dot"
@@ -232,6 +244,21 @@ def test_search_checkpoint_for_other_space_exits_1(tmp_path, capsys) -> None:
 def test_search_budget_exits_3(capsys) -> None:
     assert main(["search", "--group", "cyclic:2", "--m", "3", "--budget", "10"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_negative_budget_exits_1(capsys) -> None:
+    for args in (
+        ["search", "--group", "cyclic:4", "--m", "2"],
+        ["explore", "--n", "8"],
+        ["explore", "--n", "8", "--mode", "exhaustive"],
+    ):
+        assert main([*args, "--budget", "-3"]) == 1, args
+        captured = capsys.readouterr()
+        assert captured.err == "error: budget must be nonnegative, got -3\n"
+        assert captured.out == ""
+    # a budget of 0 is valid: the search stops at its first row
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--budget", "0"]) == 3
+    assert "budget of 0 in branch 0" in capsys.readouterr().err
 
 
 def test_search_budget_stop_resumes_from_its_checkpoint(tmp_path, capsys) -> None:

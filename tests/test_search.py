@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
+import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ Z2 = make_cyclic(2)[0]
 Z3 = make_cyclic(3)[0]
 Z4 = make_cyclic(4)[0]
 Z5 = make_cyclic(5)[0]
+Z7 = make_cyclic(7)[0]
 Z24 = make_cyclic(24)[0]
 
 
@@ -230,6 +234,19 @@ def test_small_budget_raises_budget_exceeded(group, m) -> None:
         exhaustive_search(SearchSpace(group, m), budget=10)
 
 
+def test_negative_budget_raises_value_error() -> None:
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -3"):
+            exhaustive_search(SearchSpace(Z4, 2), budget=-3, jobs=jobs)
+    for mode in ("exhaustive", "randomized"):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            search_trivial_aut_digraph(8, 3, mode=mode, budget=-1)
+    # a budget of 0 stays valid and stops at the first row or sample
+    with pytest.raises(BudgetExceeded, match="budget of 0 in branch 0"):
+        exhaustive_search(SearchSpace(Z4, 2), budget=0)
+    assert search_trivial_aut_digraph(8, 3, mode="randomized", budget=0).status == "BUDGET"
+
+
 @pytest.mark.parametrize(
     "group,m,candidates",
     [(Z2, 5, 1), (Z3, 4, 58), (Z1, 8, 98), (Z24, 2, 2)],
@@ -318,24 +335,18 @@ def test_outcome_json_shape() -> None:
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
-    from omsr.search import DEFAULT_BUDGET, _matrix_tables, _search_branches
-
     space = SearchSpace(Z4, 2)
     clean = exhaustive_search(space)
     for jobs in (1, 2):
         path = str(tmp_path / f"ckpt{jobs}.json")
 
-        # emulate an interrupted run that finished the first 8 depth-1 branches
-        _search_branches(
-            space, _matrix_tables(space), list(range(8)), True, DEFAULT_BUDGET,
-            checkpoint_path=path,
-        )
+        # branches 0..7 of Z4 m=2 do 144 units of work, so the stop is in branch 8
+        with pytest.raises(BudgetExceeded, match="budget of 150 in branch 8"):
+            exhaustive_search(space, budget=150, checkpoint_path=path, jobs=jobs)
         assert json.loads(Path(path).read_text())["last_completed_branch"] == 7
 
         resumed = exhaustive_search(space, checkpoint_path=path, jobs=jobs)
-        assert resumed.status == clean.status
-        assert resumed.candidates_tested == clean.candidates_tested
-        assert resumed.aut_order_histogram == clean.aut_order_histogram
+        assert resumed.to_json() == clean.to_json()
         # the resumed run checkpoints every branch it merges, on any job count
         assert json.loads(Path(path).read_text())["last_completed_branch"] == 15
 
@@ -427,31 +438,99 @@ def test_parallel_jobs_match_single_job() -> None:
     assert parallel.aut_order_histogram == single.aut_order_histogram
 
 
-def test_pool_never_outnumbers_the_branches(monkeypatch) -> None:
-    sizes = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    class InProcessPool:
+        """Stands in for ``multiprocessing.Pool``: runs the tasks in this
+        process and records the pool sizes and the callables handed to imap."""
 
-    class RecordingPool:
-        # runs the branches in this process; only the requested size is kept
-        def __init__(self, max_workers: int) -> None:
-            sizes.append(max_workers)
+        sizes: list[int] = []
+        tasks: list = []
 
-        def map(self, fn, items):
+        def __init__(self, processes: int) -> None:
+            self.sizes.append(processes)
+
+        def __enter__(self) -> "InProcessPool":
+            return self
+
+        def __exit__(self, *exc) -> None:
+            # like a terminated pool's workers, leave no tables behind
+            search._worker_tables.cache_clear()
+
+        def imap(self, fn, items):
+            self.tasks.append(fn)
             return map(fn, items)
 
-        def shutdown(self, cancel_futures: bool = False) -> None:
-            pass
+    monkeypatch.setattr(search, "Pool", InProcessPool)
+    return InProcessPool
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+
+def test_pool_never_outnumbers_the_branches(in_process_pool) -> None:
     space = SearchSpace(Z4, 2)
     branches = len(enumerate_rows(Z4, 2, 3, 0, True))
     single = exhaustive_search(space).to_json()
-    assert sizes == []
+    assert in_process_pool.sizes == []
     assert exhaustive_search(space, jobs=5000).to_json() == single
     assert exhaustive_search(space, jobs=3).to_json() == single
-    assert sizes == [branches, 3]
+    assert in_process_pool.sizes == [branches, 3]
     for jobs in (0, -2):
         with pytest.raises(ValueError):
             exhaustive_search(space, jobs=jobs)
+
+
+def test_pool_task_carries_only_its_branch(in_process_pool) -> None:
+    # the two row tables of Z24 m=2 pickle to about 1 MB; a task holds the
+    # space, the histogram switch, the budget and the branch number
+    single = exhaustive_search(SearchSpace(Z24, 2)).to_json()
+    assert exhaustive_search(SearchSpace(Z24, 2), jobs=2).to_json() == single
+    (task,) = in_process_pool.tasks
+    assert len(pickle.dumps(task)) < 8_000
+    assert search._worker_tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "space,budget",
+    [(SearchSpace(Z7, 2), search.DEFAULT_BUDGET), (SearchSpace(Z2, 4), 466)],
+    ids=["witness-z7-m2", "budget-z2-m4"],
+)
+def test_pool_terminates_the_branches_still_running(monkeypatch, space, budget) -> None:
+    # Z7 m=2 has its witness in branch 0, and branch 0 of Z2 m=4 does 467
+    # units of work; every later branch stalls, so only a terminated pool
+    # lets the search return in time
+    def outcome(jobs: int):
+        try:
+            return exhaustive_search(space, budget, jobs=jobs).to_json()
+        except BudgetExceeded as exc:
+            return str(exc)
+
+    single = outcome(1)
+    real = search._search_branch
+
+    def stalled(space, tables, exact_histogram, budget, branch):
+        if branch > 0:
+            time.sleep(60)
+        return real(space, tables, exact_histogram, budget, branch)
+
+    # forked workers inherit the stalled branch search
+    monkeypatch.setattr(search, "_search_branch", stalled)
+    monkeypatch.setattr(search, "Pool", multiprocessing.get_context("fork").Pool)
+    start = time.perf_counter()
+    assert outcome(2) == single
+    assert time.perf_counter() - start < 20
+
+
+def test_spawned_workers_give_the_one_job_outcome() -> None:
+    # spawned workers share no memory with this process: each rebuilds the
+    # tables from the pickled space
+    space = SearchSpace(Z5, 2)
+    single = exhaustive_search(space).to_json()
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert exhaustive_search(space, jobs=2).to_json() == single
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert search._worker_tables.cache_info().currsize == 0
 
 
 def test_parallel_found_space_returns_a_valid_witness() -> None:
