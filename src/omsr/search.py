@@ -18,8 +18,9 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, compress
-from multiprocessing import Pool
+from itertools import combinations, compress, count
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection, wait
 from operator import add
 from pathlib import Path
 
@@ -136,12 +137,35 @@ def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
     return tables
 
 
+def _twins(group: FiniteGroup, rows: list[tuple[int, ...]]) -> list[int]:
+    """The index in the sorted first rows ``rows`` of each row's orbit leader.
+
+    Permuting blocks 1..m-1, and relabelling block j >= 1 by g -> a*g, which
+    sends T(0, j) to a*T(0, j), map the matrices under one first row one to
+    one onto those under its image, with isomorphic digraphs.  The leader
+    keeps T(0, 0) and sorts the least a*T(0, j) of each cell, so it is the
+    least row of its orbit and no later in ``rows`` than any other.
+    """
+    least: dict[int, int] = {}
+
+    def least_image(mask: int) -> int:
+        if mask not in least:
+            elements = _elements(mask)
+            orbit = [sum(1 << product[t] for t in elements) for product in group.mult]
+            least.update(dict.fromkeys(orbit, min(orbit)))
+        return least[mask]
+
+    index = {row: i for i, row in enumerate(rows)}
+    return [index[(row[0], *sorted(map(least_image, row[1:])))] for row in rows]
+
+
 def _search_branch(
     space: SearchSpace,
     tables: list[_RowTable],
     exact_histogram: bool,
     budget: int,
     branch: int,
+    evaluate: bool,
 ) -> tuple[str, ConnectionMatrix | None, int, dict[int, int], int]:
     """Search the subtree under first row ``branch``.
 
@@ -149,7 +173,8 @@ def _search_branch(
     more; the search stops as soon as the work passes ``budget``.  Returns
     the status (FOUND, EXHAUSTED or BUDGET), the first witness in depth-first
     order (or None), the number of completed candidates, the histogram of
-    their automorphism orders, and the work done.
+    their automorphism orders, and the work done.  Without ``evaluate`` the
+    candidates are only counted: no digraph, no engine call, no histogram.
     """
     group, m, k = space.group, space.m, space.k
     n = group.n
@@ -201,6 +226,8 @@ def _search_branch(
                     return True
                 continue
             tested += 1
+            if not evaluate:
+                continue
             graph = Digraph(m * n, [out for row in chosen for out in row_outs(row)])
             if space.require_connected and not is_weakly_connected(graph):
                 continue
@@ -227,10 +254,79 @@ def _worker_tables(space: SearchSpace) -> list[_RowTable]:
 
 
 def _pool_branch(
-    space: SearchSpace, exact_histogram: bool, budget: int, branch: int
+    space: SearchSpace, exact_histogram: bool, budget: int, task: tuple[int, bool]
 ) -> tuple[str, ConnectionMatrix | None, int, dict[int, int], int]:
-    """Pool entry point: one branch on the tables this process built for ``space``."""
-    return _search_branch(space, _worker_tables(space), exact_histogram, budget, branch)
+    """Pool entry point: one ``(branch, evaluate)`` task on the tables this
+    process built for ``space``."""
+    return _search_branch(space, _worker_tables(space), exact_histogram, budget, *task)
+
+
+def _pipe_worker(conn: Connection) -> None:
+    """Worker loop of :class:`_PipePool`: apply each ``(fn, item)`` received
+    and send back ``(True, result)`` or ``(False, exception)``."""
+    for fn, item in iter(conn.recv, None):
+        try:
+            conn.send((True, fn(item)))
+        except Exception as exc:
+            conn.send((False, exc))
+
+
+class _PipePool:
+    """Worker processes, each with its own pipe to the parent.
+
+    ``multiprocessing.Pool`` returns results through one queue whose write
+    lock its workers share, and its ``terminate`` hangs when it kills a worker
+    that holds that lock.  These workers share nothing, so leaving the
+    ``with`` block can kill them whatever they are doing.
+    """
+
+    def __init__(self, processes: int) -> None:
+        self._pipes: list[Connection] = []
+        self._workers: list[Process] = []
+        for _ in range(processes):
+            ours, theirs = Pipe()
+            worker = Process(target=_pipe_worker, args=(theirs,), daemon=True)
+            worker.start()
+            theirs.close()
+            self._pipes.append(ours)
+            self._workers.append(worker)
+
+    def __enter__(self) -> "_PipePool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        for worker in self._workers:
+            worker.kill()
+            worker.join()
+        for pipe in self._pipes:
+            pipe.close()
+
+    def imap(self, fn, items):
+        """``fn(item)`` for each of ``items`` on the workers, yielded in the
+        order of ``items``; an exception is raised where its result would be."""
+        pending = enumerate(items)
+        busy: dict[Connection, int] = {}
+        done: dict[int, tuple[bool, object]] = {}
+
+        def feed(pipe: Connection) -> None:
+            for index, item in pending:
+                pipe.send((fn, item))
+                busy[pipe] = index
+                return
+
+        for pipe in self._pipes:
+            feed(pipe)
+        for index in count():
+            while index not in done:
+                if not busy:
+                    return
+                for pipe in wait(list(busy)):
+                    done[busy.pop(pipe)] = pipe.recv()
+                    feed(pipe)
+            ok, value = done.pop(index)
+            if not ok:
+                raise value
+            yield value
 
 
 def _write_checkpoint(
@@ -275,7 +371,7 @@ def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int,
         _is_count(branch)
         and _is_count(tested)
         and isinstance(histogram, dict)
-        and all(k.isdigit() and _is_count(c) for k, c in histogram.items())
+        and all(k.isascii() and k.isdigit() and _is_count(c) for k, c in histogram.items())
     ):
         raise ValueError(f"checkpoint {path} for this search space is malformed")
     counted = sum(histogram.values())
@@ -309,9 +405,22 @@ def exhaustive_search(
     processes, or one per subtree when there are fewer; results merge in
     branch order, so the outcome, the budget stop and the checkpoints are the
     same as with one job, and the branches still running at a witness or a
-    budget stop are terminated.  Raises ValueError when ``jobs < 1`` or
-    ``budget < 0``, and when the checkpoint is malformed, belongs to another
-    space or completed a branch the space does not have.
+    budget stop are killed.
+
+    Relabelling blocks maps the subtrees of first rows in one orbit onto
+    each other (see ``_twins``), so only the first branch of each orbit, its
+    leader, goes to the automorphism engine.  A twin, a branch whose leader
+    was merged earlier in the same run, still walks its rows: it counts the
+    same rows tried and candidates completed, against the budget too, and
+    takes the leader's histogram, so counts, histograms, budget stops and
+    checkpoints stay those of the labelled search.  A twin whose candidate
+    count differs from its leader's raises RuntimeError.  A branch whose
+    leader was merged before a resumed checkpoint, and every branch when
+    ``exact_histogram`` is False, is evaluated in full.
+
+    Raises ValueError when ``jobs < 1`` or ``budget < 0``, and when the
+    checkpoint is malformed, belongs to another space or completed a branch
+    the space does not have.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -322,13 +431,14 @@ def exhaustive_search(
         if checkpoint_path is not None
         else (-1, 0, {})
     )
-    # a pool's workers build their own tables; the parent only counts row 0
+    # a pool's workers build their own tables; the parent only needs row 0
     tables = _matrix_tables(space) if jobs == 1 else None
-    rows = len(
-        tables[0]
+    first_rows = (
+        [cells for cells, *_ in tables[0]]
         if tables is not None
         else enumerate_rows(space.group, space.m, space.k, 0, space.require_oriented)
     )
+    rows = len(first_rows)
     if start >= rows:
         # resuming past the end would report EXHAUSTED without a search
         raise ValueError(
@@ -336,27 +446,47 @@ def exhaustive_search(
             f" but the search space has {rows} branches"
         )
     branches = range(start + 1, rows)
+    # an engine stop gives a lower bound that depends on labels, so without
+    # exact histograms every branch is its own leader
+    leaders = _twins(space.group, first_rows) if exact_histogram else list(range(rows))
+    tasks = [(branch, not start < leaders[branch] < branch) for branch in branches]
+    # a leader's (count, histogram) is kept until its last twin is merged
+    last_twin = {leaders[branch]: branch for branch, evaluate in tasks if not evaluate}
+    kept: dict[int, tuple[int, dict[int, int]]] = {}
     work = 0
-    # leaving the block terminates the pool, so at a witness or a budget
-    # stop the branches still running are killed, not awaited
-    pool = Pool(min(jobs, len(branches))) if tables is None and branches else None
+    # leaving the block kills the workers, so at a witness or a budget stop
+    # the branches still running are killed, not awaited
+    pool = _PipePool(min(jobs, len(branches))) if tables is None and branches else None
     with pool or nullcontext():
         if pool is None:
             # lazy, so each branch runs under the budget the merged ones left
             results = (
-                _search_branch(space, tables, exact_histogram, budget - work, branch)
-                for branch in branches
+                _search_branch(space, tables, exact_histogram, budget - work, *task)
+                for task in tasks
             )
         else:
-            # a task carries only its branch; each runs under the whole budget
-            results = pool.imap(partial(_pool_branch, space, exact_histogram, budget), branches)
-        for branch, (status, witness, count, found, done) in zip(branches, results):
+            # a task carries only its branch and whether to evaluate it; each
+            # runs under the whole budget
+            results = pool.imap(partial(_pool_branch, space, exact_histogram, budget), tasks)
+        for (branch, evaluate), (status, witness, count, found, done) in zip(tasks, results):
             work += done
             if status == "BUDGET" or work > budget:
                 raise BudgetExceeded(
                     f"the rows tried and candidates completed passed the budget"
                     f" of {budget} in branch {branch}"
                 )
+            if not evaluate:
+                leader = leaders[branch]
+                leader_count, found = (
+                    kept.pop(leader) if last_twin[leader] == branch else kept[leader]
+                )
+                if count != leader_count:
+                    raise RuntimeError(
+                        f"branch {branch} completed {count} candidates, but its"
+                        f" orbit leader {leader} completed {leader_count}"
+                    )
+            if branch in last_twin:
+                kept[branch] = count, found
             tested += count
             for order, c in found.items():
                 histogram[order] = histogram.get(order, 0) + c
@@ -420,7 +550,7 @@ def _exhaustive_rigid(
     for v in range(1, n):
         tables.append([row(t) for t in combinations([w for w in range(n) if w != v], k)])
     space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
-    status, witness, tested, _, _ = _search_branch(space, tables, False, budget, 0)
+    status, witness, tested, _, _ = _search_branch(space, tables, False, budget, 0, True)
     graph = None if witness is None else build(space.group, witness).graph
     return RigidSearchOutcome(status, graph, tested)
 

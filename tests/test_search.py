@@ -3,7 +3,10 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -281,9 +284,9 @@ def test_budget_stop_is_the_same_for_any_job_count(group, m, budgets) -> None:
         assert results[0] == results[1], budget
 
 
-def test_one_job_runs_each_branch_under_the_budget_left(monkeypatch) -> None:
-    # branches 0 and 1 of Z1 m=7 do 88,846 units of work with 264 candidates,
-    # so the budget stop comes at the first row of branch 2
+@pytest.fixture
+def engine_calls(monkeypatch) -> list:
+    """Records one entry per automorphism-group call the search makes."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -291,9 +294,107 @@ def test_one_job_runs_each_branch_under_the_budget_left(monkeypatch) -> None:
         return automorphism_group(*args, **kwargs)
 
     monkeypatch.setattr(search, "automorphism_group", counting)
+    return calls
+
+
+def test_one_job_runs_each_branch_under_the_budget_left(engine_calls) -> None:
+    # branches 0 and 1 of Z1 m=7 do 88,846 units of work with 264 candidates,
+    # so the budget stop comes at the first row of branch 2; branch 1 is a
+    # twin of branch 0, so only branch 0's 132 candidates reach the engine
     with pytest.raises(BudgetExceeded, match="budget of 88846 in branch 2"):
         exhaustive_search(SearchSpace(Z1, 7), budget=88846)
-    assert len(calls) == 264
+    assert len(engine_calls) == 132
+
+
+# ---------------------------------------------------------------------------
+# First-row orbit reuse.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "group,m,candidates,histogram,calls",
+    [
+        # the labelled regular tournaments on 7 vertices: 7!/|Aut| copies of
+        # each of the three classes, all 20 first rows in one orbit
+        (Z1, 7, 2640, {3: 1680, 7: 720, 21: 240}, 132),
+        (Z2, 4, 152, {6: 64, 8: 48, 16: 24, 24: 16}, 16),
+        (Z4, 2, 24, {8: 8, 16: 8, 24: 8}, 8),
+    ],
+    ids=["z1-m7", "z2-m4", "z4-m2"],
+)
+def test_only_orbit_leaders_reach_the_engine(
+    engine_calls, group, m, candidates, histogram, calls
+) -> None:
+    outcome = exhaustive_search(SearchSpace(group, m))
+    assert (outcome.status, outcome.candidates_tested) == ("EXHAUSTED", candidates)
+    assert outcome.aut_order_histogram == histogram
+    assert len(engine_calls) == calls
+
+
+def test_leaders_are_the_least_rows_of_their_orbits() -> None:
+    rows = enumerate_rows(Z4, 2, 3, 0)
+    leaders = search._twins(Z4, rows)
+    assert leaders == [0, 0, 0, 0, 4, 5, 4, 4, 5, 4, 10, 11, 10, 10, 11, 10]
+    for row, leader in zip(rows, leaders):
+        # the leader keeps T(0,0) and its T(0,1) is a*T(0,1) for some a
+        images = {sum(1 << Z4.mult[a][t] for t in _mask_elements(row[1])) for a in range(4)}
+        assert rows[leader][0] == row[0] and rows[leader][1] == min(images)
+    # Z1 m=7: permuting blocks 1..6 joins all 20 first rows
+    assert set(search._twins(Z1, enumerate_rows(Z1, 7, 3, 0))) == {0}
+
+
+@pytest.mark.parametrize(
+    "space,budgets",
+    [
+        (SearchSpace(Z2, 4), (10**12, 500, 5000)),
+        (SearchSpace(Z2, 4, require_connected=True), (10**12, 5000)),
+        (SearchSpace(Z4, 2), (10**12, 150)),
+        (SearchSpace(Z4, 2, require_connected=True), (10**12,)),
+        (SearchSpace(make_cyclic(6)[0], 2), (10**12, 500)),
+        (SearchSpace(standard_two_generated("S3")[0], 2, require_connected=True), (10**12,)),
+    ],
+    ids=["z2-m4", "z2-m4-connected", "z4-m2", "z4-m2-connected", "z6-m2", "s3-m2-connected"],
+)
+def test_reuse_gives_the_outputs_of_evaluating_every_branch(monkeypatch, space, budgets) -> None:
+    def outcomes() -> list:
+        results = []
+        for budget in budgets:
+            for jobs in (1, 2):
+                try:
+                    results.append(exhaustive_search(space, budget, jobs=jobs).to_json())
+                except BudgetExceeded as exc:
+                    results.append(str(exc))
+        return results
+
+    reduced = outcomes()
+    # every branch its own leader: the search without reuse
+    monkeypatch.setattr(search, "_twins", lambda group, rows: list(range(len(rows))))
+    assert outcomes() == reduced
+
+
+def test_a_resumed_run_evaluates_twins_of_earlier_leaders(engine_calls, tmp_path) -> None:
+    # the leaders of Z4 m=2 are branches 0, 4, 5, 10 and 11, and the stop at
+    # budget 100 checkpoints branches 0..4; on resuming, branches 6, 7 and 9
+    # name leader 4, merged before the checkpoint, so they are evaluated in
+    # full with 5, 10 and 11: six branches of two candidates
+    space = SearchSpace(Z4, 2)
+    path = str(tmp_path / "ckpt.json")
+    with pytest.raises(BudgetExceeded, match="budget of 100 in branch 5"):
+        exhaustive_search(space, 100, checkpoint_path=path)
+    before = len(engine_calls)
+    resumed = exhaustive_search(space, checkpoint_path=path).to_json()
+    assert len(engine_calls) - before == 12
+    assert resumed == exhaustive_search(space).to_json()
+
+
+def test_a_twin_whose_count_differs_from_its_leader_raises(monkeypatch, tmp_path) -> None:
+    # branches 0..3 of Z4 m=2 complete no candidate and branch 4 completes
+    # two, so a map naming branch 0 as every leader fails at branch 4
+    monkeypatch.setattr(search, "_twins", lambda group, rows: [0] * len(rows))
+    for jobs in (1, 2):
+        path = tmp_path / f"ckpt{jobs}.json"
+        with pytest.raises(RuntimeError, match="branch 4 completed 2 .* leader 0 completed 0"):
+            exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path), jobs=jobs)
+        assert json.loads(path.read_text())["last_completed_branch"] == 3
 
 
 @pytest.mark.parametrize(
@@ -396,6 +497,11 @@ def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             exhaustive_search(space, checkpoint_path=str(path))
+    # "²".isdigit() holds, but int("²") fails: only ASCII decimal keys count
+    for key in ("²", "８", ""):
+        path.write_text(json.dumps({**good, "aut_order_histogram": {key: 2}}))
+        with pytest.raises(ValueError, match="for this search space is malformed"):
+            exhaustive_search(space, checkpoint_path=str(path))
     # the checkpoint of a finished search is valid and resumes to its outcome
     finished = {**good, "last_completed_branch": rows - 1, "candidates_tested": 24,
                 "aut_order_histogram": {"8": 8, "16": 8, "24": 8}}
@@ -441,7 +547,7 @@ def test_parallel_jobs_match_single_job() -> None:
 @pytest.fixture
 def in_process_pool(monkeypatch):
     class InProcessPool:
-        """Stands in for ``multiprocessing.Pool``: runs the tasks in this
+        """Stands in for ``search._PipePool``: runs the tasks in this
         process and records the pool sizes and the callables handed to imap."""
 
         sizes: list[int] = []
@@ -461,7 +567,7 @@ def in_process_pool(monkeypatch):
             self.tasks.append(fn)
             return map(fn, items)
 
-    monkeypatch.setattr(search, "Pool", InProcessPool)
+    monkeypatch.setattr(search, "_PipePool", InProcessPool)
     return InProcessPool
 
 
@@ -506,17 +612,59 @@ def test_pool_terminates_the_branches_still_running(monkeypatch, space, budget) 
     single = outcome(1)
     real = search._search_branch
 
-    def stalled(space, tables, exact_histogram, budget, branch):
+    def stalled(space, tables, exact_histogram, budget, branch, evaluate):
         if branch > 0:
             time.sleep(60)
-        return real(space, tables, exact_histogram, budget, branch)
+        return real(space, tables, exact_histogram, budget, branch, evaluate)
 
     # forked workers inherit the stalled branch search
     monkeypatch.setattr(search, "_search_branch", stalled)
-    monkeypatch.setattr(search, "Pool", multiprocessing.get_context("fork").Pool)
-    start = time.perf_counter()
-    assert outcome(2) == single
-    assert time.perf_counter() - start < 20
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    try:
+        start = time.perf_counter()
+        assert outcome(2) == single
+        assert time.perf_counter() - start < 20
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+
+
+def test_pipe_pool_raises_a_task_error_in_order() -> None:
+    with search._PipePool(2) as pool:
+        results = pool.imap(float, ["1", "2", "x", "4"])
+        assert [next(results), next(results)] == [1.0, 2.0]
+        with pytest.raises(ValueError, match="'x'"):
+            next(results)
+
+
+def test_pool_stops_while_workers_send_large_results() -> None:
+    # every branch after 0 returns a large result, so at each budget stop the
+    # workers are mid-send; multiprocessing.Pool.terminate hung on its shared
+    # result queue's lock within these 30 stops in 7 of 13 runs.  A child
+    # process bounds the time, and forked workers inherit the patch.
+    code = """
+import multiprocessing
+from omsr import search
+from omsr.groups import make_cyclic
+
+real = search._search_branch
+
+def bulky(*args):
+    status, witness, count, histogram, work = real(*args)
+    return status, witness, count, histogram if args[4] == 0 else dict.fromkeys(range(20000), 1), work
+
+search._search_branch = bulky
+multiprocessing.set_start_method("fork", force=True)
+for _ in range(30):
+    try:
+        search.exhaustive_search(search.SearchSpace(make_cyclic(2)[0], 4), 4000, jobs=2)
+    except search.BudgetExceeded:
+        pass
+"""
+    src = str(Path(search.__file__).parent.parent)
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True
+    )
 
 
 def test_spawned_workers_give_the_one_job_outcome() -> None:
