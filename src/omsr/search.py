@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import os
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, compress, count
+from functools import lru_cache
+from itertools import combinations, compress
 from multiprocessing import Pipe, Process
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from operator import add
 from pathlib import Path
 
@@ -247,86 +246,43 @@ def _search_branch(
     return status, witness, tested, histogram, steps + tested
 
 
-@lru_cache(maxsize=1)
-def _worker_tables(space: SearchSpace) -> list[_RowTable]:
-    # one slot, filled only in pool workers, so the parent keeps no tables
-    return _matrix_tables(space)
+def _run_share(
+    space: SearchSpace, tables: list[_RowTable], exact_histogram: bool, budget: int, tasks: list
+):
+    """Yield the result of each ``(branch, evaluate)`` task in order, each run
+    under ``budget`` less the work of the earlier ones."""
+    for task in tasks:
+        result = _search_branch(space, tables, exact_histogram, budget, *task)
+        budget -= result[-1]
+        yield result
 
 
-def _pool_branch(
-    space: SearchSpace, exact_histogram: bool, budget: int, task: tuple[int, bool]
-) -> tuple[str, ConnectionMatrix | None, int, dict[int, int], int]:
-    """Pool entry point: one ``(branch, evaluate)`` task on the tables this
-    process built for ``space``."""
-    return _search_branch(space, _worker_tables(space), exact_histogram, budget, *task)
+def _worker(
+    pipe: Connection, space: SearchSpace, exact_histogram: bool, budget: int, tasks: list
+) -> None:
+    """Process entry point: run one share on tables built here and send each
+    result, or the first exception, down ``pipe``."""
+    try:
+        for result in _run_share(space, _matrix_tables(space), exact_histogram, budget, tasks):
+            pipe.send(result)
+    except Exception as exc:
+        pipe.send(exc)
 
 
-def _pipe_worker(conn: Connection) -> None:
-    """Worker loop of :class:`_PipePool`: apply each ``(fn, item)`` received
-    and send back ``(True, result)`` or ``(False, exception)``."""
-    for fn, item in iter(conn.recv, None):
+def _received(pipe: Connection, worker: Process, tasks: list):
+    """The results ``worker`` sends for its share ``tasks``, in order; its
+    exception is raised where its result would be."""
+    for branch, _ in tasks:
         try:
-            conn.send((True, fn(item)))
-        except Exception as exc:
-            conn.send((False, exc))
-
-
-class _PipePool:
-    """Worker processes, each with its own pipe to the parent.
-
-    ``multiprocessing.Pool`` returns results through one queue whose write
-    lock its workers share, and its ``terminate`` hangs when it kills a worker
-    that holds that lock.  These workers share nothing, so leaving the
-    ``with`` block can kill them whatever they are doing.
-    """
-
-    def __init__(self, processes: int) -> None:
-        self._pipes: list[Connection] = []
-        self._workers: list[Process] = []
-        for _ in range(processes):
-            ours, theirs = Pipe()
-            worker = Process(target=_pipe_worker, args=(theirs,), daemon=True)
-            worker.start()
-            theirs.close()
-            self._pipes.append(ours)
-            self._workers.append(worker)
-
-    def __enter__(self) -> "_PipePool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        for worker in self._workers:
-            worker.kill()
+            result = pipe.recv()
+        except EOFError:
             worker.join()
-        for pipe in self._pipes:
-            pipe.close()
-
-    def imap(self, fn, items):
-        """``fn(item)`` for each of ``items`` on the workers, yielded in the
-        order of ``items``; an exception is raised where its result would be."""
-        pending = enumerate(items)
-        busy: dict[Connection, int] = {}
-        done: dict[int, tuple[bool, object]] = {}
-
-        def feed(pipe: Connection) -> None:
-            for index, item in pending:
-                pipe.send((fn, item))
-                busy[pipe] = index
-                return
-
-        for pipe in self._pipes:
-            feed(pipe)
-        for index in count():
-            while index not in done:
-                if not busy:
-                    return
-                for pipe in wait(list(busy)):
-                    done[busy.pop(pipe)] = pipe.recv()
-                    feed(pipe)
-            ok, value = done.pop(index)
-            if not ok:
-                raise value
-            yield value
+            raise ChildProcessError(
+                f"the worker searching branch {branch} exited with code {worker.exitcode}"
+            ) from None
+        if isinstance(result, Exception):
+            raise result
+        yield result
 
 
 def _write_checkpoint(
@@ -401,11 +357,17 @@ def exhaustive_search(
     completed candidate, and :class:`BudgetExceeded` is raised once it passes
     ``budget``; with ``checkpoint_path`` the checkpoint then holds the last
     branch merged before the stop, so a run with a larger budget resumes
-    there.  With ``jobs > 1`` the depth-1 subtrees run on that many
-    processes, or one per subtree when there are fewer; results merge in
-    branch order, so the outcome, the budget stop and the checkpoints are the
-    same as with one job, and the branches still running at a witness or a
-    budget stop are killed.
+    there.
+
+    The depth-1 subtrees, the branches, are dealt round-robin into J shares,
+    J being ``jobs`` or the number of branches if smaller.  This process runs
+    share 0 as the merge reaches it; each other share runs on a worker of its
+    own, which builds its own row tables and sends its results down its own
+    pipe.  A branch runs under the budget less the work of its share's
+    earlier branches, never less than one job gives it, so merging in branch
+    order gives the outcome, budget stop and checkpoints of one job.  At a
+    witness, a budget stop or an error the workers are killed; a worker that
+    dies raises ChildProcessError naming the branch the merge waited for.
 
     Relabelling blocks maps the subtrees of first rows in one orbit onto
     each other (see ``_twins``), so only the first branch of each orbit, its
@@ -426,18 +388,11 @@ def exhaustive_search(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    start, tested, histogram = (
-        _read_checkpoint(checkpoint_path, space)
-        if checkpoint_path is not None
-        else (-1, 0, {})
-    )
-    # a pool's workers build their own tables; the parent only needs row 0
-    tables = _matrix_tables(space) if jobs == 1 else None
-    first_rows = (
-        [cells for cells, *_ in tables[0]]
-        if tables is not None
-        else enumerate_rows(space.group, space.m, space.k, 0, space.require_oriented)
-    )
+    start, tested, histogram = -1, 0, {}
+    if checkpoint_path is not None:
+        start, tested, histogram = _read_checkpoint(checkpoint_path, space)
+    tables = _matrix_tables(space)
+    first_rows = [cells for cells, *_ in tables[0]]
     rows = len(first_rows)
     if start >= rows:
         # resuming past the end would report EXHAUSTED without a search
@@ -445,29 +400,28 @@ def exhaustive_search(
             f"checkpoint {checkpoint_path} completed branch {start},"
             f" but the search space has {rows} branches"
         )
-    branches = range(start + 1, rows)
     # an engine stop gives a lower bound that depends on labels, so without
     # exact histograms every branch is its own leader
     leaders = _twins(space.group, first_rows) if exact_histogram else list(range(rows))
-    tasks = [(branch, not start < leaders[branch] < branch) for branch in branches]
+    tasks = [(branch, not start < leaders[branch] < branch) for branch in range(start + 1, rows)]
     # a leader's (count, histogram) is kept until its last twin is merged
     last_twin = {leaders[branch]: branch for branch, evaluate in tasks if not evaluate}
     kept: dict[int, tuple[int, dict[int, int]]] = {}
     work = 0
-    # leaving the block kills the workers, so at a witness or a budget stop
-    # the branches still running are killed, not awaited
-    pool = _PipePool(min(jobs, len(branches))) if tables is None and branches else None
-    with pool or nullcontext():
-        if pool is None:
-            # lazy, so each branch runs under the budget the merged ones left
-            results = (
-                _search_branch(space, tables, exact_histogram, budget - work, *task)
-                for task in tasks
-            )
-        else:
-            # a task carries only its branch and whether to evaluate it; each
-            # runs under the whole budget
-            results = pool.imap(partial(_pool_branch, space, exact_histogram, budget), tasks)
+    # task i belongs to share i mod n_shares; share 0 runs here, lazily
+    n_shares = max(1, min(jobs, len(tasks)))
+    shares = [_run_share(space, tables, exact_histogram, budget, tasks[0::n_shares])]
+    workers: list[tuple[Process, Connection]] = []
+    try:
+        for w in range(1, n_shares):
+            ours, theirs = Pipe(duplex=False)
+            args = theirs, space, exact_histogram, budget, tasks[w::n_shares]
+            worker = Process(target=_worker, args=args, daemon=True)
+            worker.start()
+            theirs.close()
+            workers.append((worker, ours))
+            shares.append(_received(ours, worker, tasks[w::n_shares]))
+        results = (next(shares[i % n_shares]) for i in range(len(tasks)))
         for (branch, evaluate), (status, witness, count, found, done) in zip(tasks, results):
             work += done
             if status == "BUDGET" or work > budget:
@@ -494,6 +448,12 @@ def exhaustive_search(
                 return SearchOutcome("FOUND", witness, tested, histogram)
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
+    finally:
+        # kill, not await, the workers still running; none holds a shared lock
+        for worker, pipe in workers:
+            worker.kill()
+            worker.join()
+            pipe.close()
     return SearchOutcome("EXHAUSTED", None, tested, histogram)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from omsr.autgroup import automorphism_group
+from omsr.cli import main
 from omsr.digraphs import is_k_regular, is_oriented, is_weakly_connected
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
@@ -276,12 +277,12 @@ def test_budget_stop_is_the_same_for_any_job_count(group, m, budgets) -> None:
     space = SearchSpace(group, m)
     for budget in budgets:
         results = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             try:
                 results.append(exhaustive_search(space, budget, jobs=jobs).to_json())
             except BudgetExceeded as exc:
                 results.append(str(exc))
-        assert results[0] == results[1], budget
+        assert results[0] == results[1] == results[2], budget
 
 
 @pytest.fixture
@@ -544,54 +545,80 @@ def test_parallel_jobs_match_single_job() -> None:
     assert parallel.aut_order_histogram == single.aut_order_histogram
 
 
+class _RecordedProcess(multiprocessing.Process):
+    """``search.Process`` that records the arguments of each process started."""
+
+    started: list[tuple] = []
+
+    def start(self) -> None:
+        self.started.append(self._args)
+        super().start()
+
+
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    class InProcessPool:
-        """Stands in for ``search._PipePool``: runs the tasks in this
-        process and records the pool sizes and the callables handed to imap."""
-
-        sizes: list[int] = []
-        tasks: list = []
-
-        def __init__(self, processes: int) -> None:
-            self.sizes.append(processes)
-
-        def __enter__(self) -> "InProcessPool":
-            return self
-
-        def __exit__(self, *exc) -> None:
-            # like a terminated pool's workers, leave no tables behind
-            search._worker_tables.cache_clear()
-
-        def imap(self, fn, items):
-            self.tasks.append(fn)
-            return map(fn, items)
-
-    monkeypatch.setattr(search, "_PipePool", InProcessPool)
-    return InProcessPool
+def forked(monkeypatch):
+    """Start workers by fork, so they inherit this test's patches, and record
+    each start in ``_RecordedProcess.started``."""
+    monkeypatch.setattr(search, "Process", _RecordedProcess)
+    monkeypatch.setattr(_RecordedProcess, "started", [])
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield _RecordedProcess.started
+    multiprocessing.set_start_method(method, force=True)
 
 
-def test_pool_never_outnumbers_the_branches(in_process_pool) -> None:
+def test_pool_never_outnumbers_the_branches(forked) -> None:
+    # this process runs one share itself, so a job count at or above the 16
+    # branches of Z4 m=2 starts one worker fewer than there are branches
     space = SearchSpace(Z4, 2)
-    branches = len(enumerate_rows(Z4, 2, 3, 0, True))
+    assert len(enumerate_rows(Z4, 2, 3, 0, True)) == 16
     single = exhaustive_search(space).to_json()
-    assert in_process_pool.sizes == []
-    assert exhaustive_search(space, jobs=5000).to_json() == single
-    assert exhaustive_search(space, jobs=3).to_json() == single
-    assert in_process_pool.sizes == [branches, 3]
+    assert forked == []
+    for jobs, started in ((5000, 15), (3, 2)):
+        forked.clear()
+        assert exhaustive_search(space, jobs=jobs).to_json() == single
+        assert len(forked) == started
     for jobs in (0, -2):
         with pytest.raises(ValueError):
             exhaustive_search(space, jobs=jobs)
 
 
-def test_pool_task_carries_only_its_branch(in_process_pool) -> None:
-    # the two row tables of Z24 m=2 pickle to about 1 MB; a task holds the
-    # space, the histogram switch, the budget and the branch number
-    single = exhaustive_search(SearchSpace(Z24, 2)).to_json()
-    assert exhaustive_search(SearchSpace(Z24, 2), jobs=2).to_json() == single
-    (task,) = in_process_pool.tasks
-    assert len(pickle.dumps(task)) < 8_000
-    assert search._worker_tables.cache_info().currsize == 0
+def test_worker_arguments_carry_no_tables(forked) -> None:
+    # the two row tables of Z24 m=2 pickle to about 1 MB; a worker gets the
+    # space, the histogram switch, the budget and its share of the branches
+    # and builds its own tables
+    space = SearchSpace(Z24, 2)
+    assert len(pickle.dumps(search._matrix_tables(space))) > 900_000
+    assert exhaustive_search(space, jobs=2).to_json() == exhaustive_search(space).to_json()
+    (args,) = forked
+    # the first argument is the worker's pipe, which spawn passes by handle
+    assert len(pickle.dumps(args[1:])) < 100_000
+
+
+def test_a_share_runs_each_branch_under_the_budget_its_earlier_branches_left(
+    monkeypatch,
+) -> None:
+    space = SearchSpace(Z2, 4)
+    tables = search._matrix_tables(space)
+    tasks = [(branch, True) for branch in range(len(tables[0]))][1::2]
+    real = search._search_branch
+    budgets = []
+
+    def recording(space, tables, exact_histogram, budget, branch, evaluate):
+        budgets.append(budget)
+        return real(space, tables, exact_histogram, budget, branch, evaluate)
+
+    monkeypatch.setattr(search, "_search_branch", recording)
+    # the share's 10 branches do 3,686 units of work, so at 2,000 its fifth
+    # branch runs out and the later ones stop at their first row
+    last = {}
+    for budget in (2000, search.DEFAULT_BUDGET):
+        budgets.clear()
+        results = list(search._run_share(space, tables, True, budget, tasks))
+        work = [result[-1] for result in results]
+        assert budgets == [budget - sum(work[:i]) for i in range(len(tasks))]
+        last[budget] = results[-1][0]
+    assert last == {2000: "BUDGET", search.DEFAULT_BUDGET: "EXHAUSTED"}
 
 
 @pytest.mark.parametrize(
@@ -629,12 +656,39 @@ def test_pool_terminates_the_branches_still_running(monkeypatch, space, budget) 
         multiprocessing.set_start_method(method, force=True)
 
 
-def test_pipe_pool_raises_a_task_error_in_order() -> None:
-    with search._PipePool(2) as pool:
-        results = pool.imap(float, ["1", "2", "x", "4"])
-        assert [next(results), next(results)] == [1.0, 2.0]
-        with pytest.raises(ValueError, match="'x'"):
-            next(results)
+def test_worker_error_reaches_the_caller_at_its_branch(monkeypatch, forked, tmp_path) -> None:
+    # with two jobs branch 3 of Z4 m=2 runs on the worker, with three here
+    real = search._search_branch
+
+    def failing(space, tables, exact_histogram, budget, branch, evaluate):
+        if branch == 3:
+            raise ArithmeticError("branch 3 failed")
+        return real(space, tables, exact_histogram, budget, branch, evaluate)
+
+    monkeypatch.setattr(search, "_search_branch", failing)
+    for jobs in (2, 3):
+        path = tmp_path / f"ckpt-{jobs}.json"
+        with pytest.raises(ArithmeticError, match="branch 3 failed"):
+            exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path), jobs=jobs)
+        assert json.loads(path.read_text())["last_completed_branch"] == 2
+
+
+def test_a_dead_worker_raises_child_process_error(monkeypatch, forked, capsys) -> None:
+    # a worker killed from outside, say by the OOM killer, closes its pipe
+    # without a word; the merge names the branch it waited for
+    real = search._search_branch
+
+    def dying(space, tables, exact_histogram, budget, branch, evaluate):
+        if branch == 3:
+            os._exit(9)
+        return real(space, tables, exact_histogram, budget, branch, evaluate)
+
+    monkeypatch.setattr(search, "_search_branch", dying)
+    message = "the worker searching branch 3 exited with code 9"
+    with pytest.raises(ChildProcessError, match=message):
+        exhaustive_search(SearchSpace(Z4, 2), jobs=2)
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_pool_stops_while_workers_send_large_results() -> None:
@@ -678,7 +732,6 @@ def test_spawned_workers_give_the_one_job_outcome() -> None:
         assert exhaustive_search(space, jobs=2).to_json() == single
     finally:
         multiprocessing.set_start_method(method, force=True)
-    assert search._worker_tables.cache_info().currsize == 0
 
 
 def test_parallel_found_space_returns_a_valid_witness() -> None:
@@ -691,6 +744,29 @@ def test_parallel_found_space_returns_a_valid_witness() -> None:
         space = SearchSpace(group, 2)
         single = exhaustive_search(space).to_json()
         assert exhaustive_search(space, jobs=2).to_json() == single
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_inexact_histograms_keep_the_verdicts_and_counts(jobs) -> None:
+    # without exact histograms the engine may stop once the order passes |G|,
+    # so the histogram holds lower bounds whose values follow the engine's
+    # order; the verdict, the witness and the counts do not move
+    for group, m in ((Z5, 2), (standard_two_generated("S3")[0], 2),
+                     (standard_two_generated("Q8")[0], 2), (Z1, 8)):
+        space = SearchSpace(group, m)
+        exact = exhaustive_search(space).to_json()
+        inexact = exhaustive_search(space, exact_histogram=False, jobs=jobs).to_json()
+        for key in ("status", "witness", "candidates_tested"):
+            assert inexact[key] == exact[key], (group.name, key)
+    for group, m in ((Z4, 2), (Z2, 4)):
+        space = SearchSpace(group, m)
+        exact = exhaustive_search(space)
+        inexact = exhaustive_search(space, exact_histogram=False, jobs=jobs)
+        assert inexact.status == exact.status == "EXHAUSTED"
+        assert inexact.candidates_tested == exact.candidates_tested
+        counts = inexact.aut_order_histogram
+        assert sum(counts.values()) == sum(exact.aut_order_histogram.values())
+        assert group.n < min(counts) and max(counts) <= max(exact.aut_order_histogram)
 
 
 # ---------------------------------------------------------------------------
