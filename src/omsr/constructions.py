@@ -7,6 +7,11 @@ work on the raw assignments; see ``validate_claims``.  ``FAMILIES`` maps each
 family name to its function, and ``family_matrix`` turns the claims into the
 :class:`~omsr.mcayley.ConnectionMatrix` of a 3-regular oriented m-Cayley
 digraph with |Aut| = |G| on the family's domain.
+
+``applicable_family`` is the classification theorem: it returns the first
+family in ``FAMILIES`` whose domain holds, and otherwise the theorem's
+exception for the group's kind, one row of ``_EXCEPTIONS``.  No domain
+boundary is written twice.
 """
 
 from __future__ import annotations
@@ -393,6 +398,52 @@ def normalized_pair(group: FiniteGroup, spec: GeneratorSpec) -> GeneratorSpec:
 # Dispatcher.
 # ---------------------------------------------------------------------------
 
+# The dispatcher takes the first family whose domain holds, so order matters:
+# cyclic-m2 comes before two-gen, because Z6 with the pair (x^2, x^3) at
+# m = 2 lies in both domains.
+FAMILIES: dict[str, Callable[[FiniteGroup, GeneratorSpec, int], tuple[Claim, ...]]] = {
+    "z2-table": z2_table_claims,
+    "z2-general": z2_general_claims,
+    "cyclic-m2": cyclic_m2_claims,
+    "cyclic-general": cyclic_general_claims,
+    "klein-m3": klein_m3_claims,
+    "klein-m4": klein_m4_claims,
+    "klein-general": klein_general_claims,
+    "two-gen": two_generated_claims,
+}
+
+# The theorem's exceptions: (clause, status, detail) for each kind of group
+# that some m leaves outside every family; the detail fills in n and m.
+_EXCEPTIONS: dict[str, tuple[str, str, str]] = {
+    "trivial": (
+        "trivial-group-needs-rigid-digraph",
+        "open",
+        "a construction would be a 3-regular oriented digraph on {m} blocks with no"
+        " nontrivial symmetry; whether one exists for every block count is"
+        " unresolved (see the explorer)",
+    ),
+    "order-two": (
+        "order-two-group-with-at-most-four-blocks",
+        "impossible",
+        "the order-two group admits no 3-regular oriented construction on fewer"
+        " than five blocks; certified by exhaustive search",
+    ),
+    "klein": (
+        "klein-group-with-two-blocks",
+        "impossible",
+        "the Klein four-group admits no two-block 3-regular oriented construction"
+        " with automorphism group of order 4; certified by exhaustive search",
+    ),
+    "cyclic": (
+        "cyclic-group-of-order-three-or-four-with-two-blocks",
+        "impossible",
+        "the cyclic group of order {n} admits no two-block 3-regular oriented"
+        " construction with automorphism group of order {n}; certified by"
+        " exhaustive search",
+    ),
+}
+
+
 def _generates(group: FiniteGroup, spec: GeneratorSpec) -> bool:
     gens = [spec.x] if spec.y is None else [spec.x, spec.y]
     return len(generated_subgroup(group, gens)) == group.n
@@ -413,69 +464,15 @@ def applicable_family(
             " takes x from its first factor and y from its second); give any other"
             " generating pair as perm:file.json"
         )
-    n = group.n
-    if n == 1:
-        return ExceptionVerdict(
-            group_name=group.name,
-            m=m,
-            clause="trivial-group-needs-rigid-digraph",
-            status="open",
-            detail=(
-                "a construction would be a 3-regular oriented digraph on "
-                f"{m} blocks with no nontrivial symmetry; whether one exists "
-                "for every block count is unresolved (see the explorer)"
-            ),
-        )
-    if n == 2:
-        if m <= 4:
-            return ExceptionVerdict(
-                group_name=group.name,
-                m=m,
-                clause="order-two-group-with-at-most-four-blocks",
-                status="impossible",
-                detail=(
-                    "the order-two group admits no 3-regular oriented "
-                    "construction on fewer than five blocks; certified by "
-                    "exhaustive search"
-                ),
-            )
-        return "z2-table" if m <= 10 else "z2-general"
-    if is_klein(group):
-        if m == 2:
-            return ExceptionVerdict(
-                group_name=group.name,
-                m=m,
-                clause="klein-group-with-two-blocks",
-                status="impossible",
-                detail=(
-                    "the Klein four-group admits no two-block 3-regular "
-                    "oriented construction with automorphism group of order "
-                    "4; certified by exhaustive search"
-                ),
-            )
-        if m == 3:
-            return "klein-m3"
-        if m == 4:
-            return "klein-m4"
-        return "klein-general"
-    if cyclic_generator(group) is not None:
-        if m == 2:
-            if n <= 4:
-                return ExceptionVerdict(
-                    group_name=group.name,
-                    m=m,
-                    clause="cyclic-group-of-order-three-or-four-with-two-blocks",
-                    status="impossible",
-                    detail=(
-                        f"the cyclic group of order {n} admits no two-block "
-                        "3-regular oriented construction with automorphism "
-                        "group of order "
-                        f"{n}; certified by exhaustive search"
-                    ),
-                )
-            return "cyclic-m2"
-        return "cyclic-general"
-    return "two-gen"
+    for name, claims in FAMILIES.items():
+        try:
+            claims(group, spec, m)
+        except FamilyError:
+            continue
+        return name
+    kind = {1: "trivial", 2: "order-two"}.get(group.n, "klein" if is_klein(group) else "cyclic")
+    clause, status, detail = _EXCEPTIONS[kind]
+    return ExceptionVerdict(group.name, m, clause, status, detail.format(n=group.n, m=m))
 
 
 def construct_omsr(
@@ -491,18 +488,6 @@ def construct_omsr(
     if isinstance(family, ExceptionVerdict):
         return family
     return family_matrix(family, group, spec, m)
-
-
-FAMILIES: dict[str, Callable[[FiniteGroup, GeneratorSpec, int], tuple[Claim, ...]]] = {
-    "z2-table": z2_table_claims,
-    "z2-general": z2_general_claims,
-    "cyclic-m2": cyclic_m2_claims,
-    "cyclic-general": cyclic_general_claims,
-    "klein-m3": klein_m3_claims,
-    "klein-m4": klein_m4_claims,
-    "klein-general": klein_general_claims,
-    "two-gen": two_generated_claims,
-}
 
 
 def family_matrix(

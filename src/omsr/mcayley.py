@@ -80,7 +80,7 @@ class ConnectionMatrix:
         entries: dict[tuple[int, int], list[int]] = {}
         for key, elems in sets.items():
             i_s, sep, j_s = key.partition(",")
-            if not (sep and i_s.isdigit() and j_s.isdigit()):
+            if not (sep and key.isascii() and i_s.isdigit() and j_s.isdigit()):
                 raise ValueError(f"matrix key {key!r} is not of the form \"i,j\"")
             if not (isinstance(elems, list) and all(_is_int(e) for e in elems)):
                 raise ValueError(f"matrix entry {key!r} is not a list of integers")

@@ -377,8 +377,10 @@ def exhaustive_search(
     takes the leader's histogram, so counts, histograms, budget stops and
     checkpoints stay those of the labelled search.  A twin whose candidate
     count differs from its leader's raises RuntimeError.  A branch whose
-    leader was merged before a resumed checkpoint, and every branch when
-    ``exact_histogram`` is False, is evaluated in full.
+    leader was merged before a resumed checkpoint is evaluated in full.
+    Without ``exact_histogram`` the engine may stop once the order passes
+    |G|; a twin's candidates are isomorphic to its leader's, so the leader's
+    lower bounds hold for the twin too.
 
     Raises ValueError when ``jobs < 1`` or ``budget < 0``, and when the
     checkpoint is malformed, belongs to another space or completed a branch
@@ -400,9 +402,7 @@ def exhaustive_search(
             f"checkpoint {checkpoint_path} completed branch {start},"
             f" but the search space has {rows} branches"
         )
-    # an engine stop gives a lower bound that depends on labels, so without
-    # exact histograms every branch is its own leader
-    leaders = _twins(space.group, first_rows) if exact_histogram else list(range(rows))
+    leaders = _twins(space.group, first_rows)
     tasks = [(branch, not start < leaders[branch] < branch) for branch in range(start + 1, rows)]
     # a leader's (count, histogram) is kept until its last twin is merged
     last_twin = {leaders[branch]: branch for branch, evaluate in tasks if not evaluate}

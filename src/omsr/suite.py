@@ -290,40 +290,27 @@ def _clearing_retargets(
 
 def _repair_forcing() -> tuple[bool, str]:
     z2, z2spec = make_cyclic(2)
-    literal = Z2_UNREPAIRED_CLAIMS[6]
-    if not validate_claims(z2, 6, literal):
-        return False, "literal m=6 table reports no violations"
-    fixes = _clearing_retargets(z2, 6, literal)
-    # the two clearing moves are the duplicate (1,0) occurrences, and
-    # both land on the same vacant cell, so the repair is forced up to
-    # which duplicate travels
-    if fixes != [(0, (0, 1)), (10, (0, 1))]:
-        return False, f"m=6 clearing moves {fixes}"
-    repaired = family_matrix("z2-table", z2, z2spec, 6)
-    if automorphism_group(build(z2, repaired).graph).order() != 2:
-        return False, "repaired m=6 table misses |Aut| = 2"
-
     z5, z5spec = make_cyclic(5)
-    literal = cyclic_general_claims(z5, z5spec, 3, repaired=False)
-    if not validate_claims(z5, 3, literal):
-        return False, "literal cyclic table reports no violations"
-    fixes = _clearing_retargets(z5, 3, literal)
-    if fixes != [(5, (2, 0))]:
-        return False, f"cyclic clearing moves {fixes}"
-    repaired = family_matrix("cyclic-general", z5, z5spec, 3)
-    if automorphism_group(build(z5, repaired).graph).order() != 5:
-        return False, "repaired cyclic table misses |Aut| = 5"
-
-    s3, spec = standard_two_generated("S3")
-    literal = two_generated_claims(s3, spec, 3, repaired=False)
-    if not validate_claims(s3, 3, literal):
-        return False, "literal two-generated table reports no violations"
-    fixes = _clearing_retargets(s3, 3, literal)
-    if fixes != [(5, (2, 0))]:
-        return False, f"two-generated clearing moves {fixes}"
-    repaired = family_matrix("two-gen", s3, spec, 3)
-    if automorphism_group(build(s3, repaired).graph).order() != 6:
-        return False, "repaired two-generated table misses |Aut| = 6"
+    s3, s3spec = standard_two_generated("S3")
+    rows = (
+        # the two clearing moves are the duplicate (1,0) occurrences, and
+        # both land on the same vacant cell, so the repair is forced up to
+        # which duplicate travels
+        ("z2-table", z2, z2spec, 6, Z2_UNREPAIRED_CLAIMS[6], [(0, (0, 1)), (10, (0, 1))]),
+        ("cyclic-general", z5, z5spec, 3,
+         cyclic_general_claims(z5, z5spec, 3, repaired=False), [(5, (2, 0))]),
+        ("two-gen", s3, s3spec, 3,
+         two_generated_claims(s3, s3spec, 3, repaired=False), [(5, (2, 0))]),
+    )
+    for family, group, spec, m, literal, moves in rows:
+        if not validate_claims(group, m, literal):
+            return False, f"literal {family} table reports no violations"
+        fixes = _clearing_retargets(group, m, literal)
+        if fixes != moves:
+            return False, f"{family} clearing moves {fixes}"
+        order = automorphism_group(build(group, family_matrix(family, group, spec, m)).graph).order()
+        if order != group.n:
+            return False, f"repaired {family} table has |Aut| = {order}, not {group.n}"
     return True, "all three repairs forced by single-move enumeration"
 
 

@@ -31,6 +31,8 @@ from omsr.digraphs import (
 from omsr.groups import (
     GeneratorSpec,
     element_order,
+    generated_subgroup,
+    group_from_json,
     klein_four,
     make_cyclic,
     standard_two_generated,
@@ -463,6 +465,63 @@ def test_applicable_family_input_errors() -> None:
     s3, _ = standard_two_generated("S3")
     with pytest.raises(ValueError):
         applicable_family(s3, GeneratorSpec(x=0), 3)
+
+
+def _verdict_grid() -> list:
+    """Every catalog group with its designated pair, and every one- and
+    two-element spec of ten small groups, generating or not."""
+    cases = [make_cyclic(n) for n in range(1, 17)] + [klein_four()]
+    cases += [standard_two_generated(name) for name in ("S3", "D4", "D5", "Q8", "Z2xZ4", "A4")]
+    cases += [
+        group_from_json({"kind": "product", "factors": factors})
+        for factors in ([2, 3], [3, 2], [2, 2], [2, 4], [4, 2], [2, 6], [3, 3], [4, 4],
+                        [2, 5], [3, 4], [1, 2], [2, 1], [1, 3])
+    ]
+    groups = [make_cyclic(n)[0] for n in (3, 4, 6, 8)] + [klein_four()[0]]
+    groups += [standard_two_generated(name)[0] for name in ("S3", "D4", "Q8", "A4", "Z2xZ4")]
+    for group in groups:
+        for x in range(group.n):
+            cases.append((group, GeneratorSpec(x)))
+            cases.extend((group, GeneratorSpec(x, y)) for y in range(group.n))
+    return cases
+
+
+def test_applicable_family_verdict_grid() -> None:
+    # the verdicts are the classification's, written out here rather than
+    # asked of the families: a family name, or the exception's status
+    for group, spec in _verdict_grid():
+        n = group.n
+        gens = [spec.x] if spec.y is None else [spec.x, spec.y]
+        generates = len(generated_subgroup(group, gens)) == n
+        cyclic = any(element_order(group, g) == n for g in range(n))
+        for m in range(1, 15):
+            if m == 1 or not generates:
+                with pytest.raises(ValueError, match="at least 2" if m == 1 else "does not generate"):
+                    applicable_family(group, spec, m)
+                continue
+            if n == 1:
+                expected = "open"
+            elif n == 2:
+                expected = "impossible" if m <= 4 else "z2-table" if m <= 10 else "z2-general"
+            elif n == 4 and not cyclic:
+                expected = {2: "impossible", 3: "klein-m3", 4: "klein-m4"}.get(m, "klein-general")
+            elif cyclic and m == 2:
+                expected = "impossible" if n <= 4 else "cyclic-m2"
+            elif cyclic:
+                expected = "cyclic-general"
+            else:
+                expected = "two-gen"
+            verdict = applicable_family(group, spec, m)
+            if isinstance(verdict, ExceptionVerdict):
+                assert (verdict.group_name, verdict.m) == (group.name, m)
+                verdict = verdict.status
+            assert verdict == expected, (group.name, spec, m)
+    # Z6 with (x^2, x^3) at m = 2 lies in the domains of cyclic-m2 and
+    # two-gen, so this pins cyclic before two-gen in FAMILIES
+    z6, _ = make_cyclic(6)
+    pair = GeneratorSpec(x=2, y=3)
+    assert two_generated_claims(z6, pair, 2)
+    assert applicable_family(z6, pair, 2) == "cyclic-m2"
 
 
 def test_construct_omsr_returns_matrices_or_verdicts() -> None:

@@ -30,6 +30,14 @@ def test_connection_matrix_json_roundtrip() -> None:
     assert again == conn
 
 
+@pytest.mark.parametrize("key", ["２,0", "²,0", "0,٢"], ids=["fullwidth", "superscript", "arabic-indic"])
+def test_connection_matrix_keys_are_ascii_decimals(key) -> None:
+    # str.isdigit accepts all three; int() reads the first and last as 2 and
+    # fails on the superscript
+    with pytest.raises(ValueError, match='is not of the form "i,j"'):
+        ConnectionMatrix.from_json({"m": 3, "sets": {key: [0]}})
+
+
 def test_connection_matrix_save(tmp_path) -> None:
     import json
 

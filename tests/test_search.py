@@ -747,7 +747,7 @@ def test_parallel_found_space_returns_a_valid_witness() -> None:
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_inexact_histograms_keep_the_verdicts_and_counts(jobs) -> None:
+def test_inexact_histograms_keep_the_verdicts_and_counts(engine_calls, jobs) -> None:
     # without exact histograms the engine may stop once the order passes |G|,
     # so the histogram holds lower bounds whose values follow the engine's
     # order; the verdict, the witness and the counts do not move
@@ -767,6 +767,11 @@ def test_inexact_histograms_keep_the_verdicts_and_counts(jobs) -> None:
         counts = inexact.aut_order_histogram
         assert sum(counts.values()) == sum(exact.aut_order_histogram.values())
         assert group.n < min(counts) and max(counts) <= max(exact.aut_order_histogram)
+    # a twin takes its leader's lower bounds, so inexact runs reuse first rows
+    # too: only the 16 leaders' candidates of Z2 m=4's 152 reach the engine
+    before = len(engine_calls)
+    exhaustive_search(SearchSpace(Z2, 4), exact_histogram=False)
+    assert len(engine_calls) - before == 16
 
 
 # ---------------------------------------------------------------------------
