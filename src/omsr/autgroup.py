@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .digraphs import Digraph, is_weakly_connected
 # _Chain is unused here; perfbench/spans.py patches it in this module too
@@ -148,12 +148,23 @@ def automorphism_group(
     depth-first order found each of them below that node, so they fix the path
     above it. A leaf off the first path that preserves arcs fixes the path down
     to the node where it leaves the first path and maps the first path's next
-    vertex onto its own, so the search backjumps to that node whether or not
-    the leaf enlarged the group: the rest of the subtree holds only products
-    with the stabilizer already found below the node's first child.
-    With stop_order_above set, the search aborts once the found subgroup's
-    order exceeds the bound and returns that subgroup (a certified lower bound,
-    sound for threshold tests because it only ever finds true automorphisms).
+    vertex onto its own, so the search backjumps to that node: the rest of
+    the subtree holds only products with the stabilizer already found below
+    the node's first child. That own vertex lies outside the orbit of the
+    children explored before it, so every such leaf enlarges the group and
+    is kept as a generator.
+    The group's order is read off the tree (McKay 1981): with u_d the vertex
+    individualized at depth d of the first path and K_d the group generated
+    by the automorphisms found at or below that node, |Aut| is the product
+    of the orbit sizes |u_d^K_d|, each taken when its node's children are
+    done. No Schreier-Sims chain is built; the returned group builds one
+    only when a caller asks for membership.
+    With stop_order_above set, the search aborts once the order of the
+    subgroup found so far exceeds the bound and returns that subgroup (a
+    certified lower bound, sound for threshold tests because it only ever
+    finds true automorphisms). That order is exact at every moment: every
+    level below the current first-path node is complete, and every
+    generator fixes the first path above it.
     """
     nv = graph.nv
     if colors is None:
@@ -161,29 +172,31 @@ def automorphism_group(
     else:
         # refine raises ValueError unless the cells partition 0..nv-1
         start = tuple(tuple(c) for c in colors)
-    aut = PermGroup(nv)
+    gens: list[tuple[int, ...]] = []
     first_leaf: list[int] | None = None
     path_shapes: list[tuple[int, ...]] = []
-    state = {"aborted": False}
+    order = 1
 
-    def orbit_hits(v: int, targets: set[int]) -> bool:
+    def orbit(v: int, targets: Container[int] = ()) -> set[int] | None:
+        """The orbit of v under the generators so far; None once it meets targets."""
         seen = {v}
         queue = [v]
         while queue:
             u = queue.pop()
             if u in targets:
-                return True
-            for g in aut.generators:
+                return None
+            for g in gens:
                 w = g[u]
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        return False
+        return seen
 
     def descend(cells: Cells, depth: int) -> bool:
-        """Search below a node. True makes every ancestor off the first path
-        return at once: a leaf below preserved arcs, or the search aborted."""
-        nonlocal first_leaf
+        """Search below a node. True off the first path: a leaf below preserved
+        arcs, and every ancestor off the path returns at once. True on the
+        first path: the search aborted."""
+        nonlocal first_leaf, order
         on_path = first_leaf is None
         shape = tuple(len(c) for c in cells)
         if on_path:
@@ -207,23 +220,30 @@ def automorphism_group(
             cand = tuple(img)
             if not _preserves_arcs(graph, cand):
                 return False
-            if aut.add(cand) and stop_order_above is not None and aut.order() > stop_order_above:
-                state["aborted"] = True
+            gens.append(cand)
             return True
         cell = cells[target]
         processed: set[int] = set()
         for v in cell:
-            if state["aborted"]:
-                return True
-            if on_path and processed and orbit_hits(v, processed):
+            if on_path and processed and orbit(v, processed) is None:
                 continue
-            if descend(refine(graph, _individualize(cells, target, v)), depth + 1) and not on_path:
-                return True
+            if descend(refine(graph, _individualize(cells, target, v)), depth + 1):
+                if not on_path:
+                    return True
+                # a generator was found below v, or the search aborted there;
+                # either way the group found so far has order `found`
+                if stop_order_above is not None:
+                    found = order * len(orbit(cell[0]))
+                    if found > stop_order_above:
+                        order = found
+                        return True
             processed.add(v)
+        if on_path:
+            order *= len(orbit(cell[0]))
         return False
 
     descend(refine(graph, start), 0)
-    return aut
+    return PermGroup(nv, gens, order=order)
 
 
 def brute_force_automorphisms(graph: Digraph) -> PermGroup:

@@ -70,11 +70,17 @@ class ConnectionMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConnectionMatrix":
-        """Inverse of to_json; ValueError when ``m``, a key or an entry is malformed."""
+        """Inverse of to_json; ValueError when ``m``, ``sets``, a key or an entry
+        is missing or malformed, or when a top-level key is neither of those two."""
+        extra = sorted(set(obj) - {"m", "sets"})
+        if extra:
+            raise ValueError(f"matrix has keys other than 'm' and 'sets': {extra}")
         m = obj.get("m")
         if not _is_int(m):
             raise ValueError(f"matrix needs an integer 'm', got {m!r}")
-        sets = obj.get("sets", {})
+        if "sets" not in obj:
+            raise ValueError("matrix needs 'sets', an object of \"i,j\" keys")
+        sets = obj["sets"]
         if not isinstance(sets, dict):
             raise ValueError("matrix 'sets' must be an object of \"i,j\" keys")
         entries: dict[tuple[int, int], list[int]] = {}

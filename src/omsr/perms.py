@@ -1,7 +1,9 @@
-"""Permutations and permutation groups backed by a Schreier-Sims chain.
+"""Permutations and permutation groups, with a Schreier-Sims chain built on demand.
 
 A permutation of 0..degree-1 is the tuple of its images: ``p[v]`` is the
-image of ``v``.
+image of ``v``. A group whose order is already known (the automorphism
+engine reads it off its search tree) keeps only its generators until a
+caller asks for membership or adjoins a permutation.
 """
 
 from __future__ import annotations
@@ -105,22 +107,45 @@ class _Chain:
 
 
 class PermGroup:
-    """Permutation group closed once in a chain that grows with ``add``.
+    """Permutation group given by generators, closed in a chain only on demand.
 
-    ``generators`` holds, in order, the given permutations that enlarged the
-    group: the identity and members of the group so far are skipped, so a
-    redundant generating list keeps fewer of them. Reports list only the
-    automorphism engine's generators, each of which enlarged its group.
+    Without ``order``, every given permutation is adjoined with ``add``, so
+    the chain is built at once and ``generators`` holds, in order, the ones
+    that enlarged the group: the identity and members of the group so far
+    are skipped. With ``order``, the caller vouches that the generators,
+    kept as given, generate a group of that order; the chain is then built
+    from them by the first ``add`` or ``is_member``, and ``order()`` never
+    builds it. Reports list only the automorphism engine's generators, each
+    of which enlarged the group found before it.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Sequence[int]] = ()):
+    def __init__(
+        self,
+        degree: int,
+        generators: Iterable[Sequence[int]] = (),
+        *,
+        order: int | None = None,
+    ):
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
+        if order is not None and not (type(order) is int and order >= 1):
+            raise ValueError(f"order must be a positive integer, got {order!r}")
         self.degree = degree
-        self.generators: tuple[tuple[int, ...], ...] = ()
-        self._chain = _Chain(degree)
-        for p in generators:
-            self.add(p)
+        self._order = order
+        self._chain: _Chain | None = None
+        if order is None:
+            self.generators: tuple[tuple[int, ...], ...] = ()
+            for p in generators:
+                self.add(p)
+        else:
+            self.generators = tuple(check_permutation(p, degree) for p in generators)
+
+    def _closed(self) -> _Chain:
+        if self._chain is None:
+            self._chain = _Chain(self.degree)
+            for p in self.generators:
+                self._chain.extend(p)
+        return self._chain
 
     def add(self, images: Sequence[int]) -> bool:
         """Adjoin a permutation given by its images; False when already a member.
@@ -128,17 +153,19 @@ class PermGroup:
         ValueError unless ``images`` is a permutation of 0..degree-1.
         """
         images = check_permutation(images, self.degree)
-        if self._chain.contains(images):
+        chain = self._closed()
+        if chain.contains(images):
             return False
-        self._chain.extend(images)
+        chain.extend(images)
         self.generators += (images,)
+        self._order = None
         return True
 
     def order(self) -> int:
-        return self._chain.order()
+        return self._closed().order() if self._order is None else self._order
 
     def is_member(self, images: Sequence[int]) -> bool:
-        return self._chain.contains(check_permutation(images, self.degree))
+        return self._closed().contains(check_permutation(images, self.degree))
 
     def orbits(self) -> list[list[int]]:
         """Orbits sorted internally and ordered by smallest member."""

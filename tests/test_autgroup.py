@@ -19,6 +19,7 @@ from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
+from omsr.perms import PermGroup
 from omsr.suite import family_grid
 
 
@@ -59,7 +60,7 @@ def test_is_automorphism() -> None:
             is_automorphism(cycle, malformed)
 
 
-def test_engine_closes_one_chain_per_call(monkeypatch) -> None:
+def test_engine_builds_no_chain_until_asked(monkeypatch) -> None:
     built = []
 
     class CountedChain(perms._Chain):
@@ -69,11 +70,44 @@ def test_engine_closes_one_chain_per_call(monkeypatch) -> None:
 
     monkeypatch.setattr(perms, "_Chain", CountedChain)
     monkeypatch.setattr(autgroup, "_Chain", CountedChain)
-    for graph in (_directed_cycle(6), Digraph.from_arcs(5, []), _directed_cycle(1)):
+    for graph, order in ((_directed_cycle(6), 6), (Digraph.from_arcs(5, []), 120),
+                         (_directed_cycle(1), 1)):
         built.clear()
         aut = automorphism_group(graph)
-        assert len(built) == 1
-        assert aut._chain is built[0]
+        assert built == []
+        assert aut.order() == order
+        assert built == []
+        assert aut.is_member(tuple(range(graph.nv)))
+        assert all(aut.is_member(p) for p in aut.generators)
+        assert len(built) == 1 and built[0].order() == order
+
+
+def test_tree_order_matches_a_chain_rebuilt_from_the_generators() -> None:
+    # the engine's order is a product of orbit sizes read off its search tree;
+    # a Schreier-Sims chain closed over its generators recounts it independently
+    rng = random.Random(27)
+    for trial in range(200):
+        graph = _random_digraph(rng, rng.randrange(1, 13), rng.uniform(0.05, 0.6))
+        if trial % 3 == 0:
+            # two copies of a digraph on at most 6 vertices, so the group is large
+            half = _random_digraph(rng, rng.randrange(1, 7), rng.uniform(0.05, 0.6))
+            graph = Digraph.from_arcs(
+                2 * half.nv, [(u + s, v + s) for u, v in half.arcs() for s in (0, half.nv)]
+            )
+        colors = None
+        if trial % 2 and graph.nv >= 2:
+            verts = list(range(graph.nv))
+            rng.shuffle(verts)
+            cut = rng.randrange(1, graph.nv)
+            colors = [verts[:cut], verts[cut:]]
+        exact = automorphism_group(graph, colors).order()
+        for stop in (None, 1, 2, 5):
+            aut = automorphism_group(graph, colors, stop_order_above=stop)
+            assert aut.order() == PermGroup(graph.nv, aut.generators).order()
+            if stop is None or exact <= stop:
+                assert aut.order() == exact
+            else:
+                assert stop < aut.order() <= exact
 
 
 def test_traced_module_attributes_exist() -> None:

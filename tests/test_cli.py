@@ -172,6 +172,9 @@ def test_verify_malformed_matrix_exits_1(tmp_path, capsys) -> None:
         {"m": 2, "sets": {"0,1,2": [1]}},
         {"m": 2, "sets": {"0,1": 3}},
         {"m": 2, "sets": {"0,1": [1.5]}},
+        # without "sets" this once verified as the empty matrix and exited 0
+        {"m": 2},
+        {"m": 2, "rows": {}},
     )
     for payload in payloads:
         path = tmp_path / "matrix.json"

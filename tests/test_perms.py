@@ -152,3 +152,17 @@ def test_add_rejects_bad_images() -> None:
         with pytest.raises(ValueError):
             s3.add(images)
     assert len(s3.generators) == 2 and s3.order() == 6
+
+
+def test_known_order_group_closes_its_chain_on_first_add() -> None:
+    r = (1, 2, 3, 0)
+    group = PermGroup(4, [r], order=4)
+    assert group.generators == (r,) and group.order() == 4
+    assert not group.add(_compose(r, r))
+    assert group.add((1, 0, 2, 3))
+    assert group.generators == (r, (1, 0, 2, 3)) and group.order() == 24
+    for bad in (0, -4, 4.0, True):
+        with pytest.raises(ValueError):
+            PermGroup(4, [r], order=bad)
+    with pytest.raises(ValueError):
+        PermGroup(4, [(1, 0)], order=2)
