@@ -23,9 +23,18 @@ BRUTE_FORCE_MAX = 10
 
 
 Cells = tuple[tuple[int, ...], ...]
+# a split: the cell's offset, the size left there, then (score, size) of
+# every fragment split off it, in score order
+Event = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
+def refine(
+    graph: Digraph,
+    cells: Iterable[Iterable[int]],
+    *,
+    record: list[Event] | None = None,
+    expect: Sequence[Event] | None = None,
+) -> Cells | None:
     """Coarsest equitable refinement of an ordered partition into non-empty cells.
 
     Every cell is scored against a worklist of splitter cells by the pair
@@ -46,6 +55,16 @@ def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
     cell's belongs to a cell split since. An empty cell would share its
     offset with the next one, so it raises ValueError, and so do cells that
     do not partition 0..nv-1.
+
+    Every split is an event: the cell's offset, the size of the piece left
+    there, and the (score, size) of each fragment split off, in score order.
+    With record, a list, the call appends its events to it. With expect, it
+    compares each event with the one at the same position there and returns
+    None at the first that differs, or at the end if any are left unmatched;
+    otherwise it returns what a call without it returns. Events hold only
+    offsets, sizes and scores, and splitters, touched cells and fragments are
+    taken in an order fixed by those, so relabelling the graph and the cells
+    together leaves the events unchanged.
     """
     nv = graph.nv
     cell_at: dict[int, set[int]] = {}
@@ -68,6 +87,7 @@ def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
     # one int per score: the in-count is at most |splitter| <= nv, so
     # out * (nv + 1) + in sorts like the pair (out, in)
     step = nv + 1
+    splits = 0
 
     while queue and len(cell_at) < nv:
         woff, size = queue.popleft()
@@ -97,14 +117,24 @@ def refine(graph: Digraph, cells: Iterable[Iterable[int]]) -> Cells:
                 continue
             else:
                 members = cell_at[coff] = set(buckets.pop(min(buckets)))
+            frags = sorted(buckets.items())
+            if record is not None or expect is not None:
+                event = (coff, len(members), tuple((s, len(f)) for s, f in frags))
+                if record is not None:
+                    record.append(event)
+                elif splits == len(expect) or expect[splits] != event:
+                    return None
+                splits += 1
             queue.append((coff, len(members)))
             coff += len(members)
-            for _, frag in sorted(buckets.items()):
+            for _, frag in frags:
                 cell_at[coff] = set(frag)
                 for v in frag:
                     cell_of[v] = coff
                 queue.append((coff, len(frag)))
                 coff += len(frag)
+    if expect is not None and splits != len(expect):
+        return None
     return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
 
 
@@ -141,18 +171,22 @@ def automorphism_group(
 
     Individualization-refinement search: the first (leftmost) leaf of the tree
     fixes a reference labeling, every other discrete leaf proposes the bijection
-    onto the reference and is kept when it preserves arcs. Branches are pruned
-    when their refined cell-size profile disagrees with the reference path at
-    the same depth. At every node of the first path, a child is skipped when it
-    lies in the orbit of an explored child under the generators found so far;
-    depth-first order found each of them below that node, so they fix the path
-    above it. A leaf off the first path that preserves arcs fixes the path down
-    to the node where it leaves the first path and maps the first path's next
-    vertex onto its own, so the search backjumps to that node: the rest of
-    the subtree holds only products with the stabilizer already found below
-    the node's first child. That own vertex lies outside the orbit of the
-    children explored before it, so every such leaf enlarges the group and
-    is kept as a generator.
+    onto the reference and is kept when it preserves arcs. Each refinement on
+    the first path records its split events (see refine); a node off it is
+    refined against the events recorded at its depth and pruned at the first
+    that differs. An automorphism taking the first leaf to a leaf below the
+    node takes the first path's partition at each depth onto that leaf's
+    path, and refine commutes with relabelling, so the events there agree:
+    a pruned node has no arc-preserving leaf below it. At every node of the
+    first path, a child is skipped when it lies in the orbit of an explored
+    child under the generators found so far; depth-first order found each of
+    them below that node, so they fix the path above it. A leaf off the first
+    path that preserves arcs fixes the path down to the node where it leaves
+    the first path and maps the first path's next vertex onto its own, so the
+    search backjumps to that node: the rest of the subtree holds only
+    products with the stabilizer already found below the node's first child.
+    That own vertex lies outside the orbit of the children explored before
+    it, so every such leaf enlarges the group and is kept as a generator.
     The group's order is read off the tree (McKay 1981): with u_d the vertex
     individualized at depth d of the first path and K_d the group generated
     by the automorphisms found at or below that node, |Aut| is the product
@@ -174,7 +208,8 @@ def automorphism_group(
         start = tuple(tuple(c) for c in colors)
     gens: list[tuple[int, ...]] = []
     first_leaf: list[int] | None = None
-    path_shapes: list[tuple[int, ...]] = []
+    # traces[d]: the split events of the first path's refinement at depth d
+    traces: list[list[Event]] = []
     order = 1
 
     def orbit(v: int, targets: Container[int] = ()) -> set[int] | None:
@@ -192,17 +227,19 @@ def automorphism_group(
                     queue.append(w)
         return seen
 
-    def descend(cells: Cells, depth: int) -> bool:
-        """Search below a node. True off the first path: a leaf below preserved
-        arcs, and every ancestor off the path returns at once. True on the
-        first path: the search aborted."""
+    def descend(part: Cells, depth: int) -> bool:
+        """Refine a node's partition and search below it. True off the first
+        path: a leaf below preserved arcs, and every ancestor off the path
+        returns at once. True on the first path: the search aborted."""
         nonlocal first_leaf, order
         on_path = first_leaf is None
-        shape = tuple(len(c) for c in cells)
         if on_path:
-            path_shapes.append(shape)
-        elif depth >= len(path_shapes) or shape != path_shapes[depth]:
-            return False
+            traces.append([])
+            cells = refine(graph, part, record=traces[depth])
+        else:
+            cells = refine(graph, part, expect=traces[depth])
+            if cells is None:
+                return False
         target = -1
         best = 1
         for idx, c in enumerate(cells):
@@ -227,7 +264,7 @@ def automorphism_group(
         for v in cell:
             if on_path and processed and orbit(v, processed) is None:
                 continue
-            if descend(refine(graph, _individualize(cells, target, v)), depth + 1):
+            if descend(_individualize(cells, target, v), depth + 1):
                 if not on_path:
                     return True
                 # a generator was found below v, or the search aborted there;
@@ -242,7 +279,7 @@ def automorphism_group(
             order *= len(orbit(cell[0]))
         return False
 
-    descend(refine(graph, start), 0)
+    descend(start, 0)
     return PermGroup(nv, gens, order=order)
 
 

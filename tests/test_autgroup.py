@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import deque
+from itertools import permutations
 
 import pytest
 
@@ -197,6 +198,91 @@ def test_first_path_pruning_checks_at_most_nv_leaves(monkeypatch) -> None:
         checks.clear()
         assert automorphism_group(graph).order() == order
         assert checks
+
+
+def _permutation_union(rng: random.Random, nv: int, k: int) -> Digraph:
+    """The arcs v -> p(v) of k random permutations p, fixed points dropped.
+
+    Such digraphs are close to regular, so their equitable partitions are
+    often coarser than their orbits, and the search meets off-path nodes
+    whose refinement splits unlike the first path's."""
+    arcs = set()
+    for _ in range(k):
+        perm = list(range(nv))
+        rng.shuffle(perm)
+        arcs.update((v, w) for v, w in enumerate(perm) if v != w)
+    return Digraph.from_arcs(nv, sorted(arcs))
+
+
+def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
+    # an off-path node is pruned when its split events differ from the first
+    # path's at its depth; an automorphism mapping the first path's input
+    # partition there onto the node's would make the events equal
+    recorded: dict[int, tuple[list, tuple]] = {}
+    pruned: list[tuple[tuple, tuple]] = []
+    plain = autgroup.refine
+
+    def watched(graph, cells, *, record=None, expect=None):
+        cells = tuple(tuple(c) for c in cells)
+        fine = plain(graph, cells, record=record, expect=expect)
+        if record is not None:
+            # the list is kept too, so its id is not reused while looked up
+            recorded[id(record)] = (record, cells)
+        elif expect is not None and fine is None:
+            pruned.append((recorded[id(expect)][1], cells))
+        return fine
+
+    monkeypatch.setattr(autgroup, "refine", watched)
+    rng = random.Random(28)
+    graphs_pruned = 0
+    for trial in range(300):
+        nv = rng.randrange(2, 8)
+        if trial % 3:
+            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+        else:
+            graph = _random_digraph(rng, nv, rng.uniform(0.15, 0.6))
+        verts = list(range(nv))
+        rng.shuffle(verts)
+        cut = rng.randrange(1, nv)
+        for colors in (None, [verts[:cut], verts[cut:]]):
+            recorded.clear()
+            pruned.clear()
+            order = automorphism_group(graph, colors).order()
+            if not pruned:
+                continue
+            graphs_pruned += 1
+            auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
+            for first, node in pruned:
+                assert [len(c) for c in first] == [len(c) for c in node]
+                for p in auts:
+                    assert any({p[v] for v in a} != set(b) for a, b in zip(first, node))
+            if colors is None:
+                assert order == len(auts)
+    assert graphs_pruned >= 20
+
+
+def test_family_instances_check_one_leaf_per_generator(monkeypatch) -> None:
+    # the children of the root off the first path stop at their first split
+    # unlike the first path's; refined to leaves instead, these instances
+    # check 120, 20, 41 and 13 leaves
+    checks = []
+    preserves_arcs = autgroup._preserves_arcs
+
+    def counted(graph, img):
+        checks.append(preserves_arcs(graph, img))
+        return checks[-1]
+
+    monkeypatch.setattr(autgroup, "_preserves_arcs", counted)
+    for (group, spec), m, leaves in (
+        (make_cyclic(2), 120, 1),
+        (make_cyclic(40), 20, 1),
+        (klein_four(), 40, 2),
+        (standard_two_generated("A4"), 12, 2),
+    ):
+        checks.clear()
+        aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
+        assert aut.order() == group.n
+        assert checks == [True] * leaves
 
 
 def _symmetric_digraphs() -> list[Digraph]:
@@ -424,8 +510,31 @@ def test_refine_commutes_with_relabelling() -> None:
         sigma = list(range(graph.nv))
         rng.shuffle(sigma)
         moved_start = tuple(tuple(sigma[v] for v in cell) for cell in start)
-        expected = [{sigma[v] for v in cell} for cell in refine(graph, start)]
+        fine = refine(graph, start)
+        expected = [{sigma[v] for v in cell} for cell in fine]
         assert [set(cell) for cell in refine(_relabel(graph, sigma), moved_start)] == expected
+
+        # the split events are the same after relabelling, and matching them
+        # leaves the result as it is
+        trace: list = []
+        moved_trace: list = []
+        assert refine(graph, start, record=trace) == fine
+        refine(_relabel(graph, sigma), moved_start, record=moved_trace)
+        assert moved_trace == trace
+        assert refine(graph, start, expect=trace) == fine
+        # one event altered, one missing, or one left over: no match
+        for i, (offset, stay, frags) in enumerate(trace):
+            (score, size), *rest = frags
+            for event in (
+                (offset + 1, stay, frags),
+                (offset, stay + 1, frags),
+                (offset, stay, ((score + 1, size), *rest)),
+                (offset, stay, ((score, size + 1), *rest)),
+            ):
+                assert refine(graph, start, expect=trace[:i] + [event] + trace[i + 1 :]) is None
+        if trace:
+            assert refine(graph, start, expect=trace[:-1]) is None
+        assert refine(graph, start, expect=trace + [(0, 1, ((1, 1),))]) is None
 
 
 def _refine_full_scan(graph: Digraph, cells) -> tuple[tuple[int, ...], ...]:
