@@ -28,7 +28,7 @@ from .search import (
     exhaustive_search,
     search_trivial_aut_digraph,
 )
-from .suite import run_all
+from .suite import CRITERIA, run_all
 from .verify import verify_connection
 
 EXIT_OK = 0
@@ -160,9 +160,18 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _criterion_numbers(text: str) -> tuple[int, ...]:
+    """``--only``'s comma-separated criterion numbers, ASCII digits only."""
+    parts = text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"want criterion numbers 1..{len(CRITERIA)} separated by commas, got {text!r}"
+        )
+    return tuple(map(int, parts))
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
-    numbers = tuple(int(part) for part in args.only.split(",")) if args.only else None
-    results = run_all(numbers)
+    results = run_all(args.only)
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
@@ -212,7 +221,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
-    p.add_argument("--only", help="comma-separated criterion numbers")
+    p.add_argument("--only", type=_criterion_numbers, help="comma-separated criterion numbers")
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -16,11 +16,11 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
-from operator import add
+from operator import add, or_
 from pathlib import Path
 
 from .autgroup import automorphism_group
@@ -84,9 +84,10 @@ def _histogram_json(histogram: dict[int, int]) -> dict[str, int]:
     return {str(order): count for order, count in sorted(histogram.items())}
 
 
-def _elements(mask: int) -> list[int]:
+@lru_cache(maxsize=1 << 16)
+def _elements(mask: int) -> tuple[int, ...]:
     """The element indices selected by ``mask``, in increasing order."""
-    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+    return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 def _inverse_mask(group: FiniteGroup, mask: int) -> int:
@@ -119,15 +120,81 @@ def enumerate_rows(
     return rows
 
 
-# each row assignment with its per-cell popcounts, non-empty cells and inverses
-_RowTable = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
+class _RowTable(list):
+    """The assignments of one matrix row in sorted order, each with its
+    per-cell popcounts, non-empty cells and inverses, and the masks that
+    pick the rows fitting a search node.
+
+    The masks stay unbuilt (``allow`` is None) until the search has scanned
+    the table in full twice (``scans``): building them costs about one scan,
+    and a first-witness search or an explorer run scans most of its tables
+    once or not at all.  They live on the table, so they never outlive the
+    rows they index.
+    """
+
+    def __init__(self, rows=()) -> None:
+        super().__init__(rows)
+        self.scans = 0
+        self.allow: list[tuple[int, ...]] | None = None
+        self.keep: list[list[int]] = []
+
+    def build_masks(self, i: int, m: int, k: int, left: int, n: int, oriented: bool) -> None:
+        """Build the masks of table ``i``, bit r for row r, in one pass.
+
+        ``allow[j][c]`` holds the rows whose cell j fits a column sum of c,
+        that is k - left - c <= |cell j| <= k - c: the column stays within k,
+        and the at most ``left`` elements the later rows add can still fill
+        it.  When the rows are oriented, ``keep[j][e]`` for j < i holds the
+        rows whose cell j's inverse set misses element e.
+        """
+        width = (len(self) + 7) // 8
+        # by_size[j][s - 1]: the rows with |cell j| = s, for s = 1..k
+        by_size = [[bytearray(width) for _ in range(k)] for _ in range(m)]
+        clash = [[bytearray(width) for _ in range(n)] for _ in range(i if oriented else 0)]
+        for r, (_, sizes, support, inverses) in enumerate(self):
+            byte, bit = r >> 3, 1 << (r & 7)
+            for j in support:
+                by_size[j][sizes[j] - 1][byte] |= bit
+                if j < len(clash):
+                    for e in _elements(inverses[j]):
+                        clash[j][e][byte] |= bit
+        full = (1 << len(self)) - 1
+        self.allow = []
+        for buffers in by_size:
+            sized = [int.from_bytes(buffer, "little") for buffer in buffers]
+            sized.insert(0, full ^ reduce(or_, sized, 0))
+            self.allow.append(
+                tuple(reduce(or_, sized[max(0, k - left - c) : k - c + 1]) for c in range(k + 1))
+            )
+        self.keep = [[full ^ int.from_bytes(b, "little") for b in cell] for cell in clash]
+
+    def fitting(self, i: int, col_sums: list[int], chosen: list[tuple[int, ...]]) -> int:
+        """The rows of table ``i`` that fit below the rows ``chosen`` with
+        ``col_sums``, bit r for row r; needs the masks."""
+        fits = -1
+        for column, c in zip(self.allow, col_sums):
+            fits &= column[c]
+        for cell, row in zip(self.keep, chosen):
+            if row[i]:
+                for e in _elements(row[i]):
+                    fits &= cell[e]
+        return fits
+
+    def selected(self, fits: int):
+        """The index and row of each row that ``fits`` selects, in order."""
+        # one string search per row: fits & -fits would copy the whole int
+        bits = bin(fits)[:1:-1]
+        r = bits.find("1")
+        while r >= 0:
+            yield r, self[r]
+            r = bits.find("1", r + 1)
 
 
 def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
     group, m = space.group, space.m
     tables = []
     for i in range(m):
-        table = []
+        table = _RowTable()
         for cells in enumerate_rows(group, m, space.k, i, space.require_oriented):
             sizes = tuple(map(int.bit_count, cells))
             inverses = tuple(_inverse_mask(group, cell) for cell in cells)
@@ -169,11 +236,23 @@ def _search_branch(
     """Search the subtree under first row ``branch``.
 
     Every row tried is one step of work and every completed candidate one
-    more; the search stops as soon as the work passes ``budget``.  Returns
-    the status (FOUND, EXHAUSTED or BUDGET), the first witness in depth-first
+    more; the search stops once the work passes ``budget``.  Returns the
+    status (FOUND, EXHAUSTED or BUDGET), the first witness in depth-first
     order (or None), the number of completed candidates, the histogram of
     their automorphism orders, and the work done.  Without ``evaluate`` the
     candidates are only counted: no digraph, no engine call, no histogram.
+
+    A node tests its table's rows one by one with ``row_fits`` until the
+    table has been scanned in full twice; then the table builds its masks
+    (``_RowTable.build_masks``), and a node ANDs the masks its column sums
+    and chosen cells select and visits only the set bits.  A skipped row
+    still counts as tried: the rows up to each visited one, and the rest of
+    the table at the end of the scan, are added to the work, and the budget
+    is checked at each visited row and at the end.  No candidate completes between two
+    checks, so the status and the candidate count at a stop are those of a
+    check at every row; only the work a BUDGET result returns may be larger.
+    A node of the last table that only counts adds its rows and candidates
+    at once when that keeps the work within the budget.
     """
     group, m, k = space.group, space.m, space.k
     n = group.n
@@ -193,9 +272,8 @@ def _search_branch(
         # a block's out-lists, built once per row however often it is chosen
         return block_rows(group, [_elements(mask) for mask in cells])
 
-    def row_fits(
-        i: int, sizes: tuple[int, ...], support: tuple[int, ...], inverses: tuple[int, ...]
-    ) -> bool:
+    def row_fits(i: int, row: tuple[tuple[int, ...], ...]) -> bool:
+        _, sizes, support, inverses = row
         for j in support:
             if col_sums[j] + sizes[j] > k:
                 return False
@@ -207,13 +285,30 @@ def _search_branch(
 
     def descend(i: int) -> bool:
         nonlocal steps, tested, status, witness
-        for cells, sizes, support, inverses in (tables[0][branch],) if i == 0 else tables[i]:
-            steps += 1
+        table = tables[i]
+        rows = (table[branch],) if i == 0 else table
+        masked = i > 0 and table.allow is not None
+        if not masked:
+            found = ((r, row) for r, row in enumerate(rows) if row_fits(i, row))
+        else:
+            fits = table.fitting(i, col_sums, chosen)
+            if i == m - 1 and not evaluate:
+                # only counting: when the work stays within the budget even
+                # after the last row, no row of this scan stops the search
+                count = fits.bit_count()
+                if steps + tested + len(rows) + count <= budget:
+                    steps += len(rows)
+                    tested += count
+                    return False
+            found = table.selected(fits)
+        tried = 0
+        for r, (cells, sizes, support, inverses) in found:
+            # every row up to this one was tried, the skipped ones included
+            steps += r + 1 - tried
+            tried = r + 1
             if steps + tested > budget:
                 status = "BUDGET"
                 return True
-            if not row_fits(i, sizes, support, inverses):
-                continue
             chosen[i] = cells
             if i < m - 1:
                 for j in support:
@@ -240,6 +335,15 @@ def _search_branch(
                     m, tuple(tuple(frozenset(_elements(c)) for c in row) for row in chosen)
                 )
                 return True
+        if tried < len(rows):
+            steps += len(rows) - tried
+            if steps + tested > budget:
+                status = "BUDGET"
+                return True
+        if not masked and i > 0:
+            table.scans += 1
+            if table.scans == 2:
+                table.build_masks(i, m, k, (m - 1 - i) * per_row, n, oriented)
         return False
 
     descend(0)
@@ -369,6 +473,11 @@ def exhaustive_search(
     witness, a budget stop or an error the workers are killed; a worker that
     dies raises ChildProcessError naming the branch the merge waited for.
 
+    Once the search has scanned a row table in full twice, the table keeps
+    masks that pick each node's fitting rows for the later branches (see
+    ``_search_branch``).  Every count, histogram, witness, budget stop and
+    checkpoint stays that of testing each row in turn.
+
     Relabelling blocks maps the subtrees of first rows in one orbit onto
     each other (see ``_twins``), so only the first branch of each orbit, its
     leader, goes to the automorphism engine.  A twin, a branch whose leader
@@ -382,9 +491,10 @@ def exhaustive_search(
     |G|; a twin's candidates are isomorphic to its leader's, so the leader's
     lower bounds hold for the twin too.
 
-    Raises ValueError when ``jobs < 1`` or ``budget < 0``, and when the
-    checkpoint is malformed, belongs to another space or completed a branch
-    the space does not have.
+    Raises ValueError when ``jobs < 1`` or ``budget < 0``, when the
+    checkpoint's directory does not exist, and when the checkpoint is
+    malformed, belongs to another space or completed a branch the space does
+    not have.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -392,6 +502,12 @@ def exhaustive_search(
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start, tested, histogram = -1, 0, {}
     if checkpoint_path is not None:
+        # found now, not when the first branch's checkpoint is written
+        if not Path(checkpoint_path).parent.is_dir():
+            raise ValueError(
+                f"checkpoint {checkpoint_path} cannot be written:"
+                f" {Path(checkpoint_path).parent} is not a directory"
+            )
         start, tested, histogram = _read_checkpoint(checkpoint_path, space)
     tables = _matrix_tables(space)
     first_rows = [cells for cells, *_ in tables[0]]
@@ -506,9 +622,9 @@ def _exhaustive_rigid(
         cells = tuple(1 if w in targets else 0 for w in range(n))
         return cells, cells, targets, cells
 
-    tables = [[row(tuple(range(1, k + 1)))]]
+    tables = [_RowTable([row(tuple(range(1, k + 1)))])]
     for v in range(1, n):
-        tables.append([row(t) for t in combinations([w for w in range(n) if w != v], k)])
+        tables.append(_RowTable(row(t) for t in combinations([w for w in range(n) if w != v], k)))
     space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
     status, witness, tested, _, _ = _search_branch(space, tables, False, budget, 0, True)
     graph = None if witness is None else build(space.group, witness).graph

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from omsr import search
 from omsr.cli import main, parse_group_spec
 from omsr.constructions import family_matrix
 from omsr.groups import make_cyclic
@@ -232,6 +233,17 @@ def test_search_checkpoint_past_the_end_or_overcounted_exits_1(tmp_path, capsys)
         assert path.read_bytes() == written
 
 
+def test_search_checkpoint_in_a_missing_directory_exits_1_before_searching(
+    monkeypatch, tmp_path, capsys
+) -> None:
+    path = tmp_path / "missing" / "x.json"
+    monkeypatch.setattr(search, "_search_branch", lambda *args: pytest.fail("searched"))
+    assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {path} cannot be written: {path.parent} is not a directory\n"
+    assert not path.parent.exists()
+
+
 def test_search_checkpoint_for_other_space_exits_1(tmp_path, capsys) -> None:
     path = tmp_path / "c.json"
     assert main(["search", "--group", "cyclic:4", "--m", "2", "--checkpoint", str(path)]) == 0
@@ -332,6 +344,15 @@ def test_suite_only_out_of_range_exits_1(capsys) -> None:
         captured = capsys.readouterr()
         assert "criteria are numbered 1..11" in captured.err
         assert "PASS" not in captured.out
+
+
+def test_suite_only_takes_ascii_digits_and_commas(capsys) -> None:
+    # "１" is a fullwidth digit, which int() would read as 1
+    for only in ("x", "1,,2", "１", "", "1, 2", "-1"):
+        assert main(["suite", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert "argument --only: want criterion numbers 1..11" in captured.err
+        assert "invalid literal" not in captured.err and captured.out == ""
 
 
 def test_usage_errors_exit_1(capsys) -> None:

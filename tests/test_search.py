@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 from omsr.autgroup import automorphism_group
 from omsr.cli import main
 from omsr.digraphs import is_k_regular, is_oriented, is_weakly_connected
-from omsr.groups import klein_four, make_cyclic, standard_two_generated
+from omsr.groups import direct_product, klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
 from omsr import search
 from omsr.search import (
@@ -305,6 +306,172 @@ def test_one_job_runs_each_branch_under_the_budget_left(engine_calls) -> None:
     with pytest.raises(BudgetExceeded, match="budget of 88846 in branch 2"):
         exhaustive_search(SearchSpace(Z1, 7), budget=88846)
     assert len(engine_calls) == 132
+
+
+# ---------------------------------------------------------------------------
+# Mask filtering against the row-by-row walk.
+# ---------------------------------------------------------------------------
+
+def _row_fits(space: SearchSpace, col_sums: list, chosen: list, i: int, row: tuple) -> bool:
+    """The search's row test before mask filtering, on one node's state."""
+    m, k = space.m, space.k
+    _, sizes, support, inverses = row
+    for j in support:
+        if col_sums[j] + sizes[j] > k:
+            return False
+        if space.require_oriented and j < i and inverses[j] & chosen[j][i]:
+            return False
+    left = (m - 1 - i) * min(k, space.group.n)
+    return left >= k or min(c + s for c, s in zip(col_sums, sizes)) >= k - left
+
+
+def _row_by_row(space: SearchSpace, tables: list, budget: int, branch: int, evaluate: bool):
+    """Reference branch search: every row of every table goes through
+    ``_row_fits`` and counts as one unit of work, checked against the budget
+    as it is tried.  Returns what ``search._search_branch`` returns."""
+    group, m = space.group, space.m
+    steps = tested = 0
+    status = "EXHAUSTED"
+    histogram: dict[int, int] = {}
+    witness = None
+    chosen: list = [()] * m
+    col_sums = [0] * m
+
+    def descend(i: int) -> bool:
+        nonlocal steps, tested, status, witness
+        for row in (tables[0][branch],) if i == 0 else tables[i]:
+            steps += 1
+            if steps + tested > budget:
+                status = "BUDGET"
+                return True
+            if not _row_fits(space, col_sums, chosen, i, row):
+                continue
+            cells, sizes, support, _ = row
+            chosen[i] = cells
+            if i < m - 1:
+                for j in support:
+                    col_sums[j] += sizes[j]
+                done = descend(i + 1)
+                for j in support:
+                    col_sums[j] -= sizes[j]
+                if done:
+                    return True
+                continue
+            tested += 1
+            if not evaluate:
+                continue
+            conn = ConnectionMatrix(
+                m, tuple(tuple(frozenset(_mask_elements(c)) for c in row) for row in chosen)
+            )
+            graph = build(group, conn).graph
+            if space.require_connected and not is_weakly_connected(graph):
+                continue
+            order = automorphism_group(graph).order()
+            histogram[order] = histogram.get(order, 0) + 1
+            if order == group.n:
+                status, witness = "FOUND", conn
+                return True
+        return False
+
+    descend(0)
+    return status, witness, tested, histogram, steps + tested
+
+
+_FILTER_SPACES = {
+    **{f"{name}-m{m}": SearchSpace(group, m) for name, group, m in nonexistence_instances()},
+    "Z1-m7": SearchSpace(Z1, 7),
+    "Z1-m8": SearchSpace(Z1, 8),
+    "Q8-m3": SearchSpace(standard_two_generated("Q8")[0], 3),
+    "Z2^3-m2": SearchSpace(direct_product(klein_four()[0], Z2), 2),
+    "Z2-m4-connected": SearchSpace(Z2, 4, require_connected=True),
+    "Z4-m2-connected": SearchSpace(Z4, 2, require_connected=True),
+    "S3-m2-connected": SearchSpace(standard_two_generated("S3")[0], 2, require_connected=True),
+    "Z1-m5-k2": SearchSpace(Z1, 5, 2),
+    "Z2-m3-k2": SearchSpace(Z2, 3, 2),
+    "Z2-m2-digons": SearchSpace(Z2, 2, require_oriented=False),
+    "Z1-m6-digons": SearchSpace(Z1, 6, require_oriented=False),
+}
+
+
+@pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
+def test_mask_filtering_matches_the_row_by_row_walk(space) -> None:
+    # the branches in order on one set of tables up to the first witness, as
+    # one job runs them, so a table is scanned row by row until two full
+    # scans build its masks
+    tables = search._matrix_tables(space)
+    leaders = search._twins(space.group, [cells for cells, *_ in tables[0]])
+    for branch, leader in enumerate(leaders):
+        args = search.DEFAULT_BUDGET, branch, leader == branch
+        got = search._search_branch(space, tables, True, *args)
+        assert got == _row_by_row(space, tables, *args), branch
+        if got[0] == "FOUND":
+            break
+    assert not tables[0] or any(table.allow is not None for table in tables)
+
+
+def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -> None:
+    # Z4 m=2 does 296 units of work in all; each run merges the branches as
+    # one job does, each under the budget its earlier branches left, up to
+    # the first stop.  Only a stopped branch's work may differ.
+    space = SearchSpace(Z4, 2)
+    leaders = search._twins(Z4, enumerate_rows(Z4, 2, 3, 0))
+    total = 296
+    for budget in range(total + 1):
+        tables = search._matrix_tables(space)
+        left = budget
+        for branch, leader in enumerate(leaders):
+            args = left, branch, leader == branch
+            got = search._search_branch(space, tables, True, *args)
+            want = _row_by_row(space, tables, *args)
+            assert got[:4] == want[:4], (budget, branch)
+            if got[0] == "BUDGET":
+                break
+            assert got[4] == want[4], (budget, branch)
+            left -= got[4]
+        else:
+            assert budget == total and left == 0
+
+
+@pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
+def test_masks_select_the_rows_row_fits_accepts(space) -> None:
+    # random descents from a first row reach states at every depth
+    group, m, k = space.group, space.m, space.k
+    tables = search._matrix_tables(space)
+    for i in range(1, m):
+        left = (m - 1 - i) * min(k, group.n)
+        tables[i].build_masks(i, m, k, left, group.n, space.require_oriented)
+    rng = random.Random(1)
+    for _ in range(200):
+        chosen: list = [()] * m
+        col_sums = [0] * m
+        for i in range(m):
+            fitting = {
+                r for r, row in enumerate(tables[i]) if _row_fits(space, col_sums, chosen, i, row)
+            }
+            if i > 0:
+                fits = tables[i].fitting(i, col_sums, chosen)
+                assert fitting == {r for r, _ in tables[i].selected(fits)}
+            if not fitting:
+                break
+            cells, sizes, _, _ = tables[i][rng.choice(sorted(fitting))]
+            chosen[i] = cells
+            col_sums = [c + s for c, s in zip(col_sums, sizes)]
+
+
+def test_z1_m7_work_per_branch() -> None:
+    # the budget units each branch of Z1 m=7 spends, twins included: 542,260
+    # in all, 88,846 for the first two
+    space = SearchSpace(Z1, 7)
+    tables = search._matrix_tables(space)
+    work = [
+        search._search_branch(space, tables, True, search.DEFAULT_BUDGET, branch, branch == 0)[-1]
+        for branch in range(len(tables[0]))
+    ]
+    assert work == [
+        52693, 36153, 33173, 33173, 32953, 29973, 29973, 22513, 22513, 19433,
+        32753, 29773, 29773, 22313, 22313, 19233, 20793, 20793, 17713, 14253,
+    ]
+    assert sum(work) == 542_260
 
 
 # ---------------------------------------------------------------------------
