@@ -19,7 +19,13 @@ from .constructions import (
     applicable_family,
     family_matrix,
 )
-from .groups import FiniteGroup, GeneratorSpec, group_from_json, load_group_file
+from .groups import (
+    FiniteGroup,
+    GeneratorSpec,
+    group_from_json,
+    load_group_file,
+    standard_two_generated,
+)
 from .mcayley import ConnectionMatrix, build
 from .search import (
     DEFAULT_BUDGET,
@@ -36,9 +42,12 @@ EXIT_ERROR = 1
 EXIT_EXCEPTION = 2
 EXIT_BUDGET = 3
 
+GROUP_HELP = "cyclic:N | product:a,b[,c...] | catalog:NAME | perm:file.json"
+
 
 def parse_group_spec(text: str) -> tuple[FiniteGroup, GeneratorSpec]:
-    """cyclic:N, product:a,b[,c...], or perm:file.json."""
+    """cyclic:N, product:a,b[,c...], catalog:NAME (groups.standard_two_generated),
+    or perm:file.json."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise ValueError(f"group spec {text!r} is not kind:args")
@@ -47,9 +56,11 @@ def parse_group_spec(text: str) -> tuple[FiniteGroup, GeneratorSpec]:
     if kind == "product":
         factors = [int(part) for part in rest.split(",")]
         return group_from_json({"kind": "product", "factors": factors})
+    if kind == "catalog":
+        return standard_two_generated(rest)
     if kind == "perm":
         return load_group_file(rest)
-    raise ValueError(f"unknown group spec kind {kind!r} (want cyclic, product, perm)")
+    raise ValueError(f"unknown group spec kind {kind!r} (want cyclic, product, catalog, perm)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,7 +195,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("construct", help="emit a family's connection matrix")
-    p.add_argument("--group", required=True, help="cyclic:N | product:a,b[,c...] | perm:file.json")
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--m", type=int, required=True, help="number of blocks")
     p.add_argument("--family", choices=sorted(FAMILIES), help="force a family instead of dispatching")
     p.add_argument("--out", help="write the JSON report to this file")
@@ -192,7 +203,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run the full OmSR check pipeline")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--matrix", help="connection matrix JSON file")
     p.add_argument("--family", choices=sorted(FAMILIES))
     p.add_argument("--m", type=int, help="number of blocks (with --family)")
@@ -200,7 +211,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaust a (group, m) space")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=int, default=1, help="worker processes; same outcome as one job")

@@ -140,10 +140,29 @@ def test_generators_returned_are_automorphisms() -> None:
 
 
 def test_engine_matches_brute_force_random() -> None:
+    # random and near-regular digraphs, on whose start partition the split
+    # by triangle counts differs most, each also two-coloured and stopped
+    # below, at and above its order
     rng = random.Random(22)
-    for _ in range(60):
-        graph = _random_digraph(rng, rng.randrange(2, 8), rng.uniform(0.15, 0.6))
-        assert automorphism_group(graph).order() == brute_force_automorphisms(graph).order()
+    for trial in range(80):
+        nv = rng.randrange(1, 9 if trial % 8 == 0 else 8)
+        if trial % 2:
+            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+        else:
+            graph = _random_digraph(rng, nv, rng.uniform(0.15, 0.6))
+        auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
+        assert brute_force_automorphisms(graph).order() == len(auts)
+        verts = list(range(nv))
+        rng.shuffle(verts)
+        cut = rng.randrange(nv)
+        for colors in (None, [verts[:cut], verts[cut:]] if cut else None):
+            order = sum(all({p[v] for v in c} == set(c) for c in colors or ()) for p in auts)
+            assert automorphism_group(graph, colors).order() == order
+            for stop in {1, 2, order // 2, order - 1, order, rng.randrange(1, 30)}:
+                bounded = automorphism_group(graph, colors, stop_order_above=stop).order()
+                assert order % bounded == 0
+                assert (bounded > stop) == (order > stop), (nv, order, stop)
+                assert order > stop or bounded == order
 
 
 def _disjoint_cycles(lengths: list[int]) -> Digraph:
@@ -235,7 +254,9 @@ def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
     monkeypatch.setattr(autgroup, "refine", watched)
     rng = random.Random(28)
     graphs_pruned = 0
-    for trial in range(300):
+    # the root split by triangle counts leaves few of these digraphs a
+    # pruned node, so the pool is wide enough to find 20 that have one
+    for trial in range(1500):
         nv = rng.randrange(2, 8)
         if trial % 3:
             graph = _permutation_union(rng, nv, rng.randrange(1, 4))
@@ -262,9 +283,8 @@ def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
 
 
 def test_family_instances_check_one_leaf_per_generator(monkeypatch) -> None:
-    # the children of the root off the first path stop at their first split
-    # unlike the first path's; refined to leaves instead, these instances
-    # check 120, 20, 41 and 13 leaves
+    # split by triangle counts, the root refines to cells of |G| vertices,
+    # and below it the search checks one leaf per generator it finds
     checks = []
     preserves_arcs = autgroup._preserves_arcs
 
@@ -283,6 +303,88 @@ def test_family_instances_check_one_leaf_per_generator(monkeypatch) -> None:
         aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
         assert aut.order() == group.n
         assert checks == [True] * leaves
+
+
+def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
+    # the unit partition of these regular digraphs is equitable; split by
+    # triangle counts, the root refines to cells of |G| vertices, so the
+    # search refines the root, one path and the leaves of the generators
+    roots = []
+    plain = autgroup.refine
+
+    def counted(graph, cells, *, record=None, expect=None):
+        roots.append(plain(graph, cells, record=record, expect=expect))
+        return roots[-1]
+
+    monkeypatch.setattr(autgroup, "refine", counted)
+    for (group, spec), m, calls in (
+        (make_cyclic(2), 120, 3),
+        (make_cyclic(40), 20, 3),
+        (klein_four(), 40, 4),
+        (standard_two_generated("A4"), 12, 4),
+    ):
+        roots.clear()
+        aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
+        assert aut.order() == group.n
+        assert len(roots) == calls
+        assert max(map(len, roots[0])) == group.n
+
+
+def _triangle_key(graph: Digraph, v: int) -> tuple[int, int]:
+    """(transitive triangles with v as source, directed 3-cycles through v),
+    counted arc by arc."""
+    out = graph.out_adj[v]
+    source = sum(graph.has_arc(a, b) for a in out for b in out)
+    cycles = sum(graph.has_arc(b, v) for a in out for b in graph.out_adj[a])
+    return source, cycles
+
+
+def _split_cases() -> list[tuple[Digraph, tuple[tuple[int, ...], ...]]]:
+    """Near-regular and random digraphs, each uncoloured and two-coloured,
+    and family digraphs from the unit partition."""
+    rng = random.Random(29)
+    cases = []
+    for trial in range(60):
+        nv = rng.randrange(2, 14)
+        if trial % 2:
+            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+        else:
+            graph = _random_digraph(rng, nv, rng.uniform(0.1, 0.6))
+        verts = list(range(nv))
+        rng.shuffle(verts)
+        cut = rng.randrange(1, nv)
+        cases.append((graph, (tuple(range(nv)),)))
+        cases.append((graph, (tuple(verts[:cut]), tuple(verts[cut:]))))
+    for group, spec, m in list(family_grid())[::22]:
+        graph = build(group, construct_omsr(group, spec, m)).graph
+        cases.append((graph, (tuple(range(graph.nv)),)))
+    return cases
+
+
+def test_root_split_is_by_triangle_counts_and_commutes_with_relabelling() -> None:
+    rng = random.Random(30)
+    for graph, start in _split_cases():
+        split = autgroup._split_by_triangles(graph, start)
+        assert _refines_in_order(split, start)
+        assert sorted(v for cell in split for v in cell) == list(range(graph.nv))
+        keys = []
+        for cell in split:
+            (key,) = {_triangle_key(graph, v) for v in cell}
+            keys.append(key)
+        # within each input cell the fragments stand in ascending key order
+        owner = {v: idx for idx, cell in enumerate(start) for v in cell}
+        for (a, ka), (b, kb) in zip(zip(split, keys), zip(split[1:], keys[1:])):
+            assert owner[a[0]] != owner[b[0]] or ka < kb
+
+        sigma = list(range(graph.nv))
+        rng.shuffle(sigma)
+        moved = _relabel(graph, sigma)
+        moved_split = autgroup._split_by_triangles(
+            moved, tuple(tuple(sigma[v] for v in cell) for cell in start)
+        )
+        assert [len(c) for c in moved_split] == [len(c) for c in split]
+        assert [_triangle_key(moved, c[0]) for c in moved_split] == keys
+        assert [{sigma[v] for v in c} for c in split] == [set(c) for c in moved_split]
 
 
 def _symmetric_digraphs() -> list[Digraph]:
@@ -396,10 +498,12 @@ def test_colors_must_partition_the_vertices() -> None:
         [(0, 1, 2, 3, 4)],
         [(0, 0, 1), (2, 3)],
     ):
-        with pytest.raises(ValueError):
-            automorphism_group(graph, colors=colors)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             refine(graph, colors)
+        # the root split leaves every check to refine, so the error is its own
+        with pytest.raises(ValueError) as engine:
+            automorphism_group(graph, colors=colors)
+        assert str(engine.value) == str(raised.value)
 
 
 def test_hypothesis_check_true_on_translation_only_instance() -> None:
@@ -592,8 +696,8 @@ def test_refine_matches_full_scan_cell_for_cell() -> None:
         assert refine(graph, start) == _refine_full_scan(graph, start)
 
     # family digraphs past the grid's 80 vertices, refined after one and
-    # after two individualized vertices, the starts the engine refines below
-    # the root (the unit partition stays one cell on these digraphs)
+    # after two vertices individualized in the unit partition, which stays
+    # one cell on these digraphs
     for (group, spec), m in (
         (make_cyclic(2), 60),
         (klein_four(), 30),

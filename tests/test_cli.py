@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from omsr import search
-from omsr.cli import main, parse_group_spec
+from omsr.cli import GROUP_HELP, main, parse_group_spec
 from omsr.constructions import family_matrix
-from omsr.groups import make_cyclic
+from omsr.groups import make_cyclic, standard_two_generated
 
 
 def _stdout_json(capsys) -> dict:
@@ -34,6 +34,28 @@ def test_parse_group_spec_kinds(tmp_path) -> None:
     for bad in ("cyclic", "cyclic:", "weird:3"):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
+
+
+def test_catalog_group_spec_names_the_catalog(capsys) -> None:
+    for name, order in (("A4", 12), ("Q8", 8), ("Z2xZ4", 8)):
+        parsed = parse_group_spec(f"catalog:{name}")
+        assert parsed == standard_two_generated(name)
+        assert parsed[0].n == order
+    assert main(["construct", "--group", "catalog:A4", "--m", "12"]) == 0
+    assert _stdout_json(capsys)["group"] == {"name": "A4", "order": 12}
+    for command in (["construct", "--m", "2"], ["verify", "--m", "2"], ["search", "--m", "2"]):
+        assert main([*command, "--group", "catalog:A5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown group 'A5'")
+        assert "known: A4, D4, D5, Q8, S3, Z2xZ4" in err
+
+
+def test_group_option_has_one_help_text(capsys) -> None:
+    for command in ("construct", "verify", "search"):
+        assert main([command, "--help"]) == 0
+        # argparse wraps the help text, so compare with whitespace collapsed
+        assert f"--group GROUP {GROUP_HELP}" in " ".join(capsys.readouterr().out.split())
+    assert "catalog:NAME" in GROUP_HELP
 
 
 # ---------------------------------------------------------------------------
