@@ -8,7 +8,7 @@ parameter spaces where no such digraph exists.
 
 from .autgroup import (
     automorphism_group,
-    brute_force_automorphisms,
+    brute_force_order,
     check_prop21_hypotheses,
     is_automorphism,
 )
@@ -76,7 +76,7 @@ __all__ = [
     "VerificationReport",
     "applicable_family",
     "automorphism_group",
-    "brute_force_automorphisms",
+    "brute_force_order",
     "build",
     "check_prop21_hypotheses",
     "connection_is_oriented",

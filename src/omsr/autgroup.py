@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import permutations
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .digraphs import Digraph, is_weakly_connected
 # _Chain is unused here; perfbench/spans.py patches it in this module too
@@ -14,7 +14,7 @@ from .perms import PermGroup, _Chain, check_permutation  # noqa: F401
 __all__ = [
     "refine",
     "automorphism_group",
-    "brute_force_automorphisms",
+    "brute_force_order",
     "is_automorphism",
     "check_prop21_hypotheses",
 ]
@@ -223,8 +223,7 @@ def automorphism_group(
     individualized at depth d of the first path and K_d the group generated
     by the automorphisms found at or below that node, |Aut| is the product
     of the orbit sizes |u_d^K_d|, each taken when its node's children are
-    done. No Schreier-Sims chain is built; the returned group builds one
-    only when a caller asks for membership.
+    done. No Schreier-Sims chain is built.
     With stop_order_above set, the search aborts once the order of the
     subgroup found so far exceeds the bound and returns that subgroup (a
     certified lower bound, sound for threshold tests because it only ever
@@ -315,36 +314,46 @@ def automorphism_group(
     return PermGroup(nv, gens, order=order)
 
 
-def brute_force_automorphisms(graph: Digraph) -> PermGroup:
-    """Exact automorphism group by checking all nv! permutations (nv <= 10).
+def _arc_preserving(graph: Digraph) -> Iterator[tuple[int, ...]]:
+    """Every arc-preserving permutation, from a scan of all nv! (nv <= 10)."""
+    if graph.nv > BRUTE_FORCE_MAX:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX} vertices, got {graph.nv}")
+    return filter(partial(_preserves_arcs, graph), permutations(range(graph.nv)))
 
-    The arc-preserving permutations form the group, so a first scan counts
-    them and a second adjoins them only until the order reaches that count;
-    none is held in a list.  RuntimeError when the order differs from the count.
+
+def brute_force_order(graph: Digraph) -> int:
+    """|Aut| as the number of arc-preserving permutations, which form the
+    group; one scan counts them and none is held in a list."""
+    return sum(1 for _ in _arc_preserving(graph))
+
+
+def brute_force_automorphisms(graph: Digraph) -> PermGroup:
+    """The brute-force scan's group, for callers of the old name
+    (perfbench/test_perfbench.py); new code calls brute_force_order.
+
+    The generators are the first arc-preserving permutation met for each
+    (first moved point k, its image): with the identity, these are coset
+    representatives of the stabilizer of 0..k in the stabilizer of 0..k-1,
+    so together they generate the group. At most nv² are held.
     """
-    nv = graph.nv
-    if nv > BRUTE_FORCE_MAX:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX} vertices, got {nv}")
-    preserving = partial(_preserves_arcs, graph)
-    count = sum(map(preserving, permutations(range(nv))))
-    aut = PermGroup(nv)
-    for p in filter(preserving, permutations(range(nv))):
-        if aut.order() == count:
-            break
-        aut.add(p)
-    if aut.order() != count:
-        raise RuntimeError(
-            f"{count} arc-preserving permutations generate a group of order {aut.order()}"
-        )
-    return aut
+    reps: dict[tuple[int, int], tuple[int, ...]] = {}
+    count = 0
+    for p in _arc_preserving(graph):
+        count += 1
+        k = next((v for v, w in enumerate(p) if v != w), None)
+        if k is not None:
+            reps.setdefault((k, p[k]), p)
+    return PermGroup(graph.nv, reps.values(), order=count)
 
 
 def check_prop21_hypotheses(gamma, aut: PermGroup, reps: Sequence[int]) -> bool:
     """Test the two hypotheses forcing Aut = R(G) on a connected block digraph.
 
-    (a) every generator maps each block onto itself, and (b) for each supplied
-    block representative u, the stabilizer of u fixes every out-neighbor of u
-    pointwise. When both hold the automorphism group must be exactly the right
+    ``aut`` must be the digraph's full automorphism group, as the engine
+    returns it. (a) every generator maps each block onto itself, and (b) for
+    each supplied block representative u, the stabilizer of u fixes every
+    out-neighbor of u pointwise; the stabilizer's Schreier generators are
+    checked. When both hold the automorphism group must be exactly the right
     translations, so the order is cross-checked against |G|.
     """
     from .mcayley import right_translation
@@ -358,15 +367,15 @@ def check_prop21_hypotheses(gamma, aut: PermGroup, reps: Sequence[int]) -> bool:
         raise ValueError("hypothesis check requires a weakly connected digraph")
     if sorted(v // n for v in reps) != list(range(m)):
         raise ValueError(f"need exactly one representative per block, got {list(reps)}")
-    if any(not aut.is_member(right_translation(gamma, g)) for g in range(n)):
+    # the group is the full Aut, so a permutation is a member when it preserves arcs
+    if any(not _preserves_arcs(graph, right_translation(gamma, g)) for g in range(n)):
         raise ValueError("supplied group must contain every right translation")
     for p in aut.generators:
         for v in range(graph.nv):
             if p[v] // n != v // n:
                 return False
     for u in reps:
-        stab = aut.stabilizer(u)
-        for p in stab.generators:
+        for p in aut.schreier_generators(u):
             if any(p[w] != w for w in graph.out_adj[u]):
                 return False
     if aut.order() != n:

@@ -172,6 +172,6 @@ def right_translation(gamma: MCayleyDigraph, g: int) -> tuple[int, ...]:
 
 
 def regular_action_group(gamma: MCayleyDigraph) -> PermGroup:
-    """The group of all right translations; semiregular of order |G|."""
+    """The group of all right translations, a copy of G, so of order |G|."""
     gens = [right_translation(gamma, g) for g in range(1, gamma.group.n)]
-    return PermGroup(gamma.graph.nv, gens)
+    return PermGroup(gamma.graph.nv, gens, order=gamma.group.n)

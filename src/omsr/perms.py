@@ -1,9 +1,9 @@
-"""Permutations and permutation groups, with a Schreier-Sims chain built on demand.
+"""Permutations and permutation groups.
 
 A permutation of 0..degree-1 is the tuple of its images: ``p[v]`` is the
-image of ``v``. A group whose order is already known (the automorphism
-engine reads it off its search tree) keeps only its generators until a
-caller asks for membership or adjoins a permutation.
+image of ``v``. A group is its generators and its order, which its maker
+vouches for (the automorphism engine reads it off its search tree), so no
+group builds a Schreier-Sims chain.
 """
 
 from __future__ import annotations
@@ -54,33 +54,34 @@ def cycle_string(images: Sequence[int]) -> str:
 
 
 class _Chain:
-    """Coset-representative tables over a fixed base, test/enter style.
+    """Coset-representative tables over the base 0, 1, 2, ..., test/enter style.
 
     Level k holds representatives of the pointwise stabilizer of the first k
     base points, keyed by the image of base point k (the identity entry is
     implicit). Membership testing peels one representative per level; entering
     a permutation stores its sifted residue and recursively closes products of
     table entries on both sides, which keeps the tables a faithful encoding of
-    the generated group. The base is 0,1,2,... by default; a base prefix
-    reorders it so point stabilizers can be read off the deeper levels.
+    the generated group.
+
+    Nothing in the package builds one. It stays for two reasons: the tests
+    recount orders and test membership against it as a reference
+    implementation, and perfbench/spans.py patches ``perms._Chain`` and
+    ``autgroup._Chain`` by name when it traces the layers.
     """
 
-    def __init__(self, degree: int, base_prefix: Sequence[int] = ()):
+    def __init__(self, degree: int):
         self.degree = degree
         self.identity = tuple(range(degree))
-        prefix = list(dict.fromkeys(base_prefix))
-        chosen = set(prefix)
-        self.base: tuple[int, ...] = tuple(prefix + [v for v in range(degree) if v not in chosen])
         self.tables: list[dict[int, tuple[int, ...]]] = [{} for _ in range(degree)]
 
     def _test(self, g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        for lev, b in enumerate(self.base):
+        for b in range(self.degree):
             img = g[b]
             if img == b:
                 continue
-            rep = self.tables[lev].get(img)
+            rep = self.tables[b].get(img)
             if rep is None:
-                return g, lev
+                return g, b
             g = _compose(g, _invert(rep))
         return g, self.degree
 
@@ -93,7 +94,7 @@ class _Chain:
         residue, lev = self._test(images)
         if lev == self.degree:
             return
-        self.tables[lev][residue[self.base[lev]]] = residue
+        self.tables[lev][residue[lev]] = residue
         for h in self.strong_generators():
             for f in (_compose(h, residue), _compose(residue, h)):
                 if f != self.identity:
@@ -107,65 +108,26 @@ class _Chain:
 
 
 class PermGroup:
-    """Permutation group given by generators, closed in a chain only on demand.
+    """Permutation group recorded as its generators and its order.
 
-    Without ``order``, every given permutation is adjoined with ``add``, so
-    the chain is built at once and ``generators`` holds, in order, the ones
-    that enlarged the group: the identity and members of the group so far
-    are skipped. With ``order``, the caller vouches that the generators,
-    kept as given, generate a group of that order; the chain is then built
-    from them by the first ``add`` or ``is_member``, and ``order()`` never
-    builds it. Reports list only the automorphism engine's generators, each
-    of which enlarged the group found before it.
+    The caller vouches that the generators, kept as given, generate a group
+    of that order: the automorphism engine reads the order off its search
+    tree, and the right translations of an m-Cayley digraph form a copy of
+    G. Reports list only the engine's generators, each of which enlarged the
+    group found before it.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Sequence[int]] = (),
-        *,
-        order: int | None = None,
-    ):
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]], *, order: int):
         if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
-        if order is not None and not (type(order) is int and order >= 1):
+        if not (type(order) is int and order >= 1):
             raise ValueError(f"order must be a positive integer, got {order!r}")
         self.degree = degree
         self._order = order
-        self._chain: _Chain | None = None
-        if order is None:
-            self.generators: tuple[tuple[int, ...], ...] = ()
-            for p in generators:
-                self.add(p)
-        else:
-            self.generators = tuple(check_permutation(p, degree) for p in generators)
-
-    def _closed(self) -> _Chain:
-        if self._chain is None:
-            self._chain = _Chain(self.degree)
-            for p in self.generators:
-                self._chain.extend(p)
-        return self._chain
-
-    def add(self, images: Sequence[int]) -> bool:
-        """Adjoin a permutation given by its images; False when already a member.
-
-        ValueError unless ``images`` is a permutation of 0..degree-1.
-        """
-        images = check_permutation(images, self.degree)
-        chain = self._closed()
-        if chain.contains(images):
-            return False
-        chain.extend(images)
-        self.generators += (images,)
-        self._order = None
-        return True
+        self.generators = tuple(check_permutation(p, degree) for p in generators)
 
     def order(self) -> int:
-        return self._closed().order() if self._order is None else self._order
-
-    def is_member(self, images: Sequence[int]) -> bool:
-        return self._closed().contains(check_permutation(images, self.degree))
+        return self._order
 
     def orbits(self) -> list[list[int]]:
         """Orbits sorted internally and ordered by smallest member."""
@@ -193,15 +155,24 @@ class PermGroup:
         n = self.order()
         return all(len(orb) == n for orb in self.orbits())
 
-    def stabilizer(self, v: int) -> "PermGroup":
-        """Point stabilizer, computed from a chain rebased to start at v."""
+    def schreier_generators(self, v: int) -> list[tuple[int, ...]]:
+        """Generators of the stabilizer of v (Schreier's lemma): t_x * s *
+        t_(x^s)^-1 for each point x of v's orbit and each generator s, where
+        t_x, a product of generators, takes v to x."""
         if not 0 <= v < self.degree:
             raise ValueError(f"point {v} out of range")
-        chain = _Chain(self.degree, base_prefix=(v,))
-        for p in self.generators:
-            chain.extend(p)
-        fixed = [g for g in chain.strong_generators() if g[v] == v]
-        return PermGroup(self.degree, fixed)
+        transversal = {v: tuple(range(self.degree))}
+        queue = [v]
+        for x in queue:
+            for s in self.generators:
+                if s[x] not in transversal:
+                    transversal[s[x]] = _compose(transversal[x], s)
+                    queue.append(s[x])
+        return [
+            _compose(_compose(t, s), _invert(transversal[s[x]]))
+            for x, t in transversal.items()
+            for s in self.generators
+        ]
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order()})"

@@ -12,16 +12,16 @@ from omsr import autgroup, perms, search, verify
 from omsr.autgroup import (
     automorphism_group,
     brute_force_automorphisms,
+    brute_force_order,
     check_prop21_hypotheses,
     is_automorphism,
     refine,
 )
 from omsr.constructions import construct_omsr
-from omsr.digraphs import Digraph
+from omsr.digraphs import Digraph, is_weakly_connected
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
-from omsr.perms import PermGroup
-from omsr.suite import family_grid
+from omsr.suite import family_grid, run_all, z4_block_example
 
 
 def _directed_cycle(n: int) -> Digraph:
@@ -61,7 +61,9 @@ def test_is_automorphism() -> None:
             is_automorphism(cycle, malformed)
 
 
-def test_engine_builds_no_chain_until_asked(monkeypatch) -> None:
+def test_src_builds_no_chain(monkeypatch) -> None:
+    # every verdict reads the engine's tree order, so no path through the
+    # package builds a Schreier-Sims chain, not even the oracle or criteria 7-9
     built = []
 
     class CountedChain(perms._Chain):
@@ -71,16 +73,22 @@ def test_engine_builds_no_chain_until_asked(monkeypatch) -> None:
 
     monkeypatch.setattr(perms, "_Chain", CountedChain)
     monkeypatch.setattr(autgroup, "_Chain", CountedChain)
-    for graph, order in ((_directed_cycle(6), 6), (Digraph.from_arcs(5, []), 120),
-                         (_directed_cycle(1), 1)):
-        built.clear()
-        aut = automorphism_group(graph)
-        assert built == []
-        assert aut.order() == order
-        assert built == []
-        assert aut.is_member(tuple(range(graph.nv)))
-        assert all(aut.is_member(p) for p in aut.generators)
-        assert len(built) == 1 and built[0].order() == order
+    group, spec = make_cyclic(5)
+    assert verify.verify_connection(group, construct_omsr(group, spec, 3)).verdict == "OMSR"
+    outcome = search.exhaustive_search(search.SearchSpace(make_cyclic(4)[0], 2))
+    assert outcome.candidates_tested == 24
+    assert brute_force_order(_directed_cycle(6)) == 6
+    assert brute_force_automorphisms(Digraph.from_arcs(5, [])).order() == 120
+    assert all(result.passed for result in run_all((7, 8, 9)))
+    assert built == []
+
+
+def _chain_order(degree: int, gens) -> int:
+    """Order of the group generated, from the reference Schreier-Sims chain."""
+    chain = perms._Chain(degree)
+    for p in gens:
+        chain.extend(p)
+    return chain.order()
 
 
 def test_tree_order_matches_a_chain_rebuilt_from_the_generators() -> None:
@@ -104,7 +112,7 @@ def test_tree_order_matches_a_chain_rebuilt_from_the_generators() -> None:
         exact = automorphism_group(graph, colors).order()
         for stop in (None, 1, 2, 5):
             aut = automorphism_group(graph, colors, stop_order_above=stop)
-            assert aut.order() == PermGroup(graph.nv, aut.generators).order()
+            assert aut.order() == _chain_order(graph.nv, aut.generators)
             if stop is None or exact <= stop:
                 assert aut.order() == exact
             else:
@@ -151,7 +159,7 @@ def test_engine_matches_brute_force_random() -> None:
         else:
             graph = _random_digraph(rng, nv, rng.uniform(0.15, 0.6))
         auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
-        assert brute_force_automorphisms(graph).order() == len(auts)
+        assert brute_force_order(graph) == len(auts)
         verts = list(range(nv))
         rng.shuffle(verts)
         cut = rng.randrange(nv)
@@ -409,7 +417,7 @@ def _symmetric_digraphs() -> list[Digraph]:
 
 def test_engine_matches_brute_force_on_symmetric_digraphs() -> None:
     for graph in _symmetric_digraphs():
-        order = brute_force_automorphisms(graph).order()
+        order = brute_force_order(graph)
         assert automorphism_group(graph).order() == order
         for s in {1, 2, order // 2, order - 1, order, order + 1}:
             bounded = automorphism_group(graph, stop_order_above=s).order()
@@ -432,11 +440,15 @@ def test_relabelling_keeps_order_and_conjugates_generators() -> None:
         inverse = [0] * graph.nv
         for v, w in enumerate(sigma):
             inverse[w] = v
+        relabelled = _relabel(graph, sigma)
         aut = automorphism_group(graph)
-        moved = automorphism_group(_relabel(graph, sigma))
+        moved = automorphism_group(relabelled)
         assert moved.order() == aut.order()
-        assert all(aut.is_member(p) for p in _conjugated(moved.generators, sigma, inverse))
-        assert all(moved.is_member(p) for p in _conjugated(aut.generators, inverse, sigma))
+        # each group is the full Aut, so membership is preserving arcs
+        for p in _conjugated(moved.generators, sigma, inverse):
+            assert autgroup._preserves_arcs(graph, p)
+        for p in _conjugated(aut.generators, inverse, sigma):
+            assert autgroup._preserves_arcs(relabelled, p)
 
 
 def test_stop_order_above_abort_is_sound() -> None:
@@ -454,27 +466,64 @@ def test_stop_order_above_abort_is_sound() -> None:
 
 def test_brute_force_cap() -> None:
     with pytest.raises(ValueError):
+        brute_force_order(Digraph.from_arcs(11, []))
+    with pytest.raises(ValueError):
         brute_force_automorphisms(Digraph.from_arcs(11, []))
 
 
-def test_brute_force_raises_when_the_arc_check_is_not_closed(monkeypatch) -> None:
-    # two transpositions pass but generate all six permutations of 0..2
-    passing = {(0, 1, 2), (1, 0, 2), (0, 2, 1)}
-    monkeypatch.setattr(autgroup, "_preserves_arcs", lambda graph, p: p in passing)
-    with pytest.raises(RuntimeError):
-        brute_force_automorphisms(Digraph.from_arcs(3, []))
+def test_preserves_arcs_agrees_with_the_arc_set_definition() -> None:
+    # random permutations, and the engine's generators with their products,
+    # so that both answers occur
+    rng = random.Random(29)
+    answers = set()
+    for trial in range(200):
+        nv = rng.randrange(1, 9)
+        if trial % 2:
+            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+        else:
+            graph = _random_digraph(rng, nv, rng.uniform(0.05, 0.6))
+        arcs = set(graph.arcs())
+        gens = automorphism_group(graph).generators
+        cands = [tuple(rng.sample(range(nv), nv)) for _ in range(5)]
+        cands += list(gens) + [perms._compose(p, q) for p in gens for q in gens]
+        for p in cands:
+            expected = {(p[u], p[v]) for u, v in arcs} == arcs
+            assert autgroup._preserves_arcs(graph, p) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_chain_over_the_arc_preserving_permutations_has_their_count() -> None:
+    # the arc-preserving permutations form a group: closed in the reference
+    # chain they give a group of exactly their number, which is the oracle's
+    # order; the generators of the group under the old name generate it too
+    rng = random.Random(30)
+    graphs = [Digraph.from_arcs(4, []), _directed_cycle(6), _lex_cycle(3, 2)]
+    for trial in range(30):
+        nv = rng.randrange(1, 7)
+        if trial % 2:
+            graphs.append(_permutation_union(rng, nv, rng.randrange(1, 3)))
+        else:
+            graphs.append(_random_digraph(rng, nv, rng.uniform(0.1, 0.6)))
+    for graph in graphs:
+        auts = [p for p in permutations(range(graph.nv)) if autgroup._preserves_arcs(graph, p)]
+        assert _chain_order(graph.nv, auts) == len(auts) == brute_force_order(graph)
+        group = brute_force_automorphisms(graph)
+        assert group.order() == _chain_order(graph.nv, group.generators) == len(auts)
+        assert len(group.generators) <= graph.nv**2
 
 
 def test_brute_force_holds_no_list_of_automorphisms() -> None:
     # a list of the 8! automorphisms of arcless 8 would peak near 5 MB
-    tracemalloc.start()
-    try:
-        order = brute_force_automorphisms(Digraph.from_arcs(8, [])).order()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert order == math.factorial(8)
-    assert peak < 1 << 20
+    for oracle in (brute_force_order, lambda g: brute_force_automorphisms(g).order()):
+        tracemalloc.start()
+        try:
+            order = oracle(Digraph.from_arcs(8, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == math.factorial(8)
+        assert peak < 1 << 20
 
 
 def test_initial_coloring_restricts_automorphisms() -> None:
@@ -525,6 +574,43 @@ def test_hypothesis_check_false_when_aut_exceeds_translations() -> None:
     aut = automorphism_group(gamma.graph)
     assert aut.order() == 8
     assert not check_prop21_hypotheses(gamma, aut, [gamma.vertex_of(0, 0), gamma.vertex_of(0, 1)])
+
+
+def test_hypothesis_check_matches_a_brute_force_stabilizer() -> None:
+    # (a) every automorphism keeps the blocks, (b) every arc-preserving
+    # permutation fixing a representative u fixes N+(u); the check reads (b)
+    # off Schreier generators, and here the stabilizer is enumerated outright
+    rng = random.Random(31)
+    groups = [make_cyclic(n)[0] for n in (2, 3, 4)] + [klein_four()[0]]
+    cases = [z4_block_example()]
+    while len(cases) < 60:
+        group = rng.choice(groups)
+        m = rng.randrange(1, 8 // group.n + 1)
+        p = rng.uniform(0.2, 0.5)
+        entries = {
+            (i, j): {g for g in range(group.n) if rng.random() < p}
+            for i in range(m)
+            for j in range(m)
+        }
+        cases.append((group, ConnectionMatrix.from_entries(m, entries)))
+    seen = set()
+    for group, conn in cases:
+        gamma = build(group, conn)
+        graph, n = gamma.graph, group.n
+        if not is_weakly_connected(graph):
+            continue
+        reps = [gamma.vertex_of(0, i) for i in range(gamma.m)]
+        auts = [p for p in permutations(range(graph.nv)) if autgroup._preserves_arcs(graph, p)]
+        keeps_blocks = all(p[v] // n == v // n for p in auts for v in range(graph.nv))
+        fixes_out = all(
+            p[w] == w for u in reps for p in auts if p[u] == u for w in graph.out_adj[u]
+        )
+        aut = automorphism_group(graph)
+        assert check_prop21_hypotheses(gamma, aut, reps) == (keeps_blocks and fixes_out)
+        seen.add((keeps_blocks, fixes_out))
+    # the blocks hold while the stabilizer moves an out-neighbour, so the
+    # verdict rests on the Schreier generators
+    assert {(True, True), (True, False)} <= seen
 
 
 def test_hypothesis_check_input_validation() -> None:

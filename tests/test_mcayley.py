@@ -132,9 +132,14 @@ def test_right_translation_is_automorphism_and_regular_on_blocks() -> None:
         for h in range(n):
             for i in range(2):
                 assert perm[gamma.vertex_of(h, i)] == gamma.vertex_of(group.mult[h][g], i)
+    # semiregular: the |G| translations are distinct and only the identity's
+    # fixes a point (the action group's order is |G| by construction)
+    translations = [right_translation(gamma, g) for g in range(n)]
+    assert len(set(translations)) == n
+    assert translations[0] == tuple(range(2 * n))
+    assert all(p[v] != v for p in translations[1:] for v in range(2 * n))
     action = regular_action_group(gamma)
     assert action.order() == n
-    assert action.is_semiregular()
     assert {frozenset(o) for o in action.orbits()} == {
         frozenset(range(n)),
         frozenset(range(n, 2 * n)),

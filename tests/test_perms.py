@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from omsr.perms import PermGroup, _compose, _invert, check_permutation, cycle_string
+from omsr.perms import PermGroup, _Chain, _compose, _invert, check_permutation, cycle_string
 
 
 def test_permutation_composition_order() -> None:
@@ -43,51 +43,70 @@ def test_cycle_string() -> None:
     assert cycle_string(tuple(range(3))) == "()"
 
 
+def _chain(degree: int, gens) -> _Chain:
+    """The reference Schreier-Sims chain closed over the generators."""
+    chain = _Chain(degree)
+    for p in gens:
+        chain.extend(tuple(p))
+    return chain
+
+
 def test_perm_group_symmetric() -> None:
-    group = PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
-    assert group.order() == 24
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    assert PermGroup(4, gens, order=24).order() == 24
+    chain = _chain(4, gens)
+    assert chain.order() == 24
     for images in itertools.permutations(range(4)):
-        assert group.is_member(images)
+        assert chain.contains(images)
 
 
 def test_perm_group_membership_rejects_outsiders() -> None:
-    rotations = PermGroup(4, [(1, 2, 3, 0)])
+    rotations = _chain(4, [(1, 2, 3, 0)])
     assert rotations.order() == 4
-    assert rotations.is_member((2, 3, 0, 1))
-    assert not rotations.is_member((1, 0, 3, 2))
-    assert not rotations.is_member((0, 2, 1, 3))
-    # the first two would sift to the identity through the rotations' chain
-    for malformed in ((1, 2, 3, -4), (True, 2, 3, 0), (1, 2, 3, 0, 4)):
-        with pytest.raises(ValueError):
-            rotations.is_member(malformed)
+    assert rotations.contains((2, 3, 0, 1))
+    assert not rotations.contains((1, 0, 3, 2))
+    assert not rotations.contains((0, 2, 1, 3))
 
 
 def test_perm_group_trivial() -> None:
-    trivial = PermGroup(5)
+    trivial = PermGroup(5, (), order=1)
     assert trivial.order() == 1
     assert trivial.orbits() == [[v] for v in range(5)]
+    assert trivial.schreier_generators(3) == []
 
 
 def test_orbits_partition_points() -> None:
-    group = PermGroup(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5)])
+    group = PermGroup(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5)], order=6)
     orbits = {frozenset(o) for o in group.orbits()}
     assert orbits == {frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5})}
     assert [orb for orb in group.orbits() if 4 in orb] == [[3, 4]]
 
 
 def test_stabilizer_orders_satisfy_orbit_relation() -> None:
-    group = PermGroup(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
-    for v in range(4):
-        stab = group.stabilizer(v)
-        (orbit,) = [orb for orb in group.orbits() if v in orb]
-        assert stab.order() * len(orbit) == group.order()
-        assert all(p[v] == v for p in stab.generators)
+    # Schreier's lemma: the Schreier generators of v generate its stabilizer,
+    # whose order times v's orbit length is the group's order
+    rng = random.Random(5)
+    cases = [[(1, 2, 3, 0), (1, 0, 2, 3)], [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5)]]
+    for _ in range(20):
+        degree = rng.randrange(2, 8)
+        cases.append([tuple(rng.sample(range(degree), degree)) for _ in range(2)])
+    for gens in cases:
+        degree = len(gens[0])
+        order = _chain(degree, gens).order()
+        group = PermGroup(degree, gens, order=order)
+        for v in range(degree):
+            stab = group.schreier_generators(v)
+            (orbit,) = [orb for orb in group.orbits() if v in orb]
+            assert _chain(degree, stab).order() * len(orbit) == order
+            assert all(p[v] == v for p in stab)
+    with pytest.raises(ValueError):
+        PermGroup(3, [(1, 2, 0)], order=3).schreier_generators(3)
 
 
 def test_semiregular_detection() -> None:
-    rotations = PermGroup(4, [(1, 2, 3, 0)])
+    rotations = PermGroup(4, [(1, 2, 3, 0)], order=4)
     assert rotations.is_semiregular()
-    with_fixed_point = PermGroup(4, [(0, 2, 1, 3)])
+    with_fixed_point = PermGroup(4, [(0, 2, 1, 3)], order=2)
     assert not with_fixed_point.is_semiregular()
 
 
@@ -101,7 +120,7 @@ def test_group_order_via_random_closure() -> None:
             images = list(range(degree))
             rng.shuffle(images)
             gens.append(tuple(images))
-        group = PermGroup(degree, gens)
+        chain = _chain(degree, gens)
         seen = {tuple(range(degree))}
         frontier = list(seen)
         while frontier:
@@ -111,58 +130,46 @@ def test_group_order_via_random_closure() -> None:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        assert group.order() == len(seen)
-        assert all(group.is_member(p) for p in seen)
+        assert chain.order() == len(seen)
+        assert all(chain.contains(p) for p in seen)
+        outside = [p for p in itertools.permutations(range(degree)) if p not in seen]
+        assert not any(chain.contains(p) for p in outside)
 
 
 def test_add_adjoins_only_new_permutations() -> None:
+    # entering a member leaves the reference chain's tables as they were
     r = (1, 2, 3, 0)
-    group = PermGroup(4)
-    assert not group.add((0, 1, 2, 3))
-    assert group.generators == () and group.order() == 1
-    assert group.add(r)
-    assert group.generators == (r,) and group.order() == 4
+    chain = _Chain(4)
+    chain.extend((0, 1, 2, 3))
+    assert chain.strong_generators() == [] and chain.order() == 1
+    chain.extend(r)
+    tables = chain.strong_generators()
+    assert chain.order() == 4
     for member in ((0, 1, 2, 3), r, _compose(r, r), _invert(r)):
-        assert not group.add(member)
-        assert group.generators == (r,) and group.order() == 4
-    assert group.add((1, 0, 2, 3))
-    assert group.order() == 24
-
-
-def test_redundant_generators_are_dropped() -> None:
-    r = (1, 2, 3, 0)
-    group = PermGroup(4, [r, r, _compose(r, r), range(4)])
-    assert group.generators == (r,)
-    assert group.order() == 4
+        chain.extend(member)
+        assert chain.strong_generators() == tables and chain.order() == 4
+    chain.extend((1, 0, 2, 3))
+    assert chain.order() == 24
 
 
 def test_add_rejects_bad_images() -> None:
-    group = PermGroup(3)
-    with pytest.raises(ValueError):
-        group.add((1, 0))
-    with pytest.raises(ValueError):
-        group.add((1, 1, 0))
-    with pytest.raises(ValueError):
-        PermGroup(3, [(1, 0)])
-    assert group.generators == () and group.order() == 1
-    # a negative image would wrap in the chain's sift and read as a member,
-    # and True would index as 1
-    s3 = PermGroup(3, [(1, 2, 0), (1, 0, 2)])
-    for images in ((1, -1, 0), (1, 7, 0), (1, 1, 0), (True, 2, 0), (1.0, 2, 0)):
+    # a group takes its generators once, at construction, and checks each;
+    # a negative image would wrap in an index, and True would index as 1
+    for images in ((1, 0), (1, -1, 0), (1, 7, 0), (1, 1, 0), (True, 2, 0), (1.0, 2, 0)):
         with pytest.raises(ValueError):
-            s3.add(images)
-    assert len(s3.generators) == 2 and s3.order() == 6
+            PermGroup(3, [(1, 2, 0), images], order=6)
+    with pytest.raises(ValueError):
+        PermGroup(0, [], order=1)
 
 
-def test_known_order_group_closes_its_chain_on_first_add() -> None:
+def test_perm_group_keeps_its_generators_and_the_order_given() -> None:
+    # redundant generators stay, and the order is the caller's to vouch for
     r = (1, 2, 3, 0)
-    group = PermGroup(4, [r], order=4)
-    assert group.generators == (r,) and group.order() == 4
-    assert not group.add(_compose(r, r))
-    assert group.add((1, 0, 2, 3))
-    assert group.generators == (r, (1, 0, 2, 3)) and group.order() == 24
-    for bad in (0, -4, 4.0, True):
+    group = PermGroup(4, [r, r, _compose(r, r), range(4)], order=4)
+    assert group.generators == (r, r, _compose(r, r), (0, 1, 2, 3))
+    assert group.order() == 4
+    for bad in (0, -4, 4.0, True, None):
         with pytest.raises(ValueError):
             PermGroup(4, [r], order=bad)
-    with pytest.raises(ValueError):
-        PermGroup(4, [(1, 0)], order=2)
+    with pytest.raises(TypeError):
+        PermGroup(4, [r])
