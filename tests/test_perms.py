@@ -162,14 +162,23 @@ def test_add_rejects_bad_images() -> None:
         PermGroup(0, [], order=1)
 
 
-def test_perm_group_keeps_its_generators_and_the_order_given() -> None:
-    # redundant generators stay, and the order is the caller's to vouch for
+def test_redundant_generators_are_kept() -> None:
+    # a group keeps its generators as given, repeats and identity included
     r = (1, 2, 3, 0)
     group = PermGroup(4, [r, r, _compose(r, r), range(4)], order=4)
     assert group.generators == (r, r, _compose(r, r), (0, 1, 2, 3))
     assert group.order() == 4
+
+
+def test_perm_group_keeps_the_order_given() -> None:
+    # the order is the caller's to vouch for, and it must be given
+    r = (1, 2, 3, 0)
+    group = PermGroup(4, [r], order=4)
+    assert group.generators == (r,) and group.order() == 4
     for bad in (0, -4, 4.0, True, None):
         with pytest.raises(ValueError):
             PermGroup(4, [r], order=bad)
+    with pytest.raises(ValueError):
+        PermGroup(4, [(1, 0)], order=2)
     with pytest.raises(TypeError):
         PermGroup(4, [r])
