@@ -32,6 +32,7 @@ def refine(
     graph: Digraph,
     cells: Iterable[Iterable[int]],
     *,
+    new_cell: int | None = None,
     record: list[Event] | None = None,
     expect: Sequence[Event] | None = None,
 ) -> Cells | None:
@@ -39,9 +40,21 @@ def refine(
 
     Every cell is scored against a worklist of splitter cells by the pair
     (out-arcs into splitter, in-arcs from splitter); cells splitting are
-    replaced in position by their fragments in ascending score order, and
-    all fragments join the worklist. The result does not depend on anything
-    except the graph and the input cell order, so repeated calls are stable.
+    replaced in position by their fragments in ascending score order. The
+    result does not depend on anything except the graph, the input cell
+    order and new_cell, so repeated calls are stable.
+
+    The worklist follows McKay's rule (McKay 1981). A cell that splits while
+    still waiting on the worklist queues every piece. Any other cell was
+    split against already, or vouched for, so every cell has fixed counts
+    into it; the counts into one of its pieces are the whole cell's less the
+    other pieces', for out-arcs and in-arcs alike. Such a cell queues every
+    piece but the first largest, in piece order: the piece left in place,
+    then the fragments. The choice reads only sizes and order. The worklist
+    starts as every cell. With new_cell, the caller vouches that cells is an
+    equitable partition with the cell at offset new_cell split off one of
+    its cells, and the worklist starts as that cell alone; the engine passes
+    the offset of the vertex it individualizes.
 
     Only the vertices a splitter's arcs reach are scored, so a splitter costs
     the arcs it touches, not the size of the cells it touches. The untouched
@@ -83,7 +96,15 @@ def refine(
         offset += len(members)
     if offset != nv:
         raise ValueError(f"cells do not partition 0..{nv - 1}")
-    queue: deque[tuple[int, int]] = deque((off, len(c)) for off, c in cell_at.items())
+    if new_cell is None:
+        pending = {off: len(c) for off, c in cell_at.items()}
+    elif new_cell in cell_at:
+        pending = {new_cell: len(cell_at[new_cell])}
+    else:
+        raise ValueError(f"no cell starts at offset {new_cell}")
+    # the worklist entries not yet popped, offset -> size; a split re-queues
+    # or drops its cell's offset, so a key always holds the cell's own size
+    queue: deque[tuple[int, int]] = deque(pending.items())
     # one int per score: the in-count is at most |splitter| <= nv, so
     # out * (nv + 1) + in sorts like the pair (out, in)
     step = nv + 1
@@ -94,6 +115,7 @@ def refine(
         members_w = cell_at[woff]
         if len(members_w) != size:
             continue
+        del pending[woff]
         score: dict[int, int] = {}
         for w in members_w:
             for u in graph.in_adj[w]:
@@ -125,14 +147,18 @@ def refine(
                 elif splits == len(expect) or expect[splits] != event:
                     return None
                 splits += 1
-            queue.append((coff, len(members)))
-            coff += len(members)
-            for _, frag in frags:
-                cell_at[coff] = set(frag)
-                for v in frag:
-                    cell_of[v] = coff
-                queue.append((coff, len(frag)))
-                coff += len(frag)
+            sizes = [len(members), *(len(f) for _, f in frags)]
+            skip = -1 if coff in pending else sizes.index(max(sizes))
+            for piece, size in enumerate(sizes):
+                if piece:
+                    frag = frags[piece - 1][1]
+                    cell_at[coff] = set(frag)
+                    for v in frag:
+                        cell_of[v] = coff
+                if piece != skip:
+                    queue.append((coff, size))
+                    pending[coff] = size
+                coff += size
     if expect is not None and splits != len(expect):
         return None
     return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
@@ -258,17 +284,19 @@ def automorphism_group(
                     queue.append(w)
         return seen
 
-    def descend(part: Cells, depth: int) -> bool:
+    def descend(part: Cells, depth: int, new_cell: int | None = None) -> bool:
         """Refine a node's partition and search below it. True off the first
         path: a leaf below preserved arcs, and every ancestor off the path
-        returns at once. True on the first path: the search aborted."""
+        returns at once. True on the first path: the search aborted.
+        new_cell is the offset of the vertex individualized in part, whose
+        parent partition refine left equitable; None at the root."""
         nonlocal first_leaf, order
         on_path = first_leaf is None
         if on_path:
             traces.append([])
-            cells = refine(graph, part, record=traces[depth])
+            cells = refine(graph, part, new_cell=new_cell, record=traces[depth])
         else:
-            cells = refine(graph, part, expect=traces[depth])
+            cells = refine(graph, part, new_cell=new_cell, expect=traces[depth])
             if cells is None:
                 return False
         target = -1
@@ -291,11 +319,12 @@ def automorphism_group(
             gens.append(cand)
             return True
         cell = cells[target]
+        offset = sum(map(len, cells[:target]))
         processed: set[int] = set()
         for v in cell:
             if on_path and processed and orbit(v, processed) is None:
                 continue
-            if descend(_individualize(cells, target, v), depth + 1):
+            if descend(_individualize(cells, target, v), depth + 1, offset):
                 if not on_path:
                     return True
                 # a generator was found below v, or the search aborted there;

@@ -150,11 +150,6 @@ class PermGroup:
             out.append(sorted(orb))
         return out
 
-    def is_semiregular(self) -> bool:
-        """True when every point stabilizer is trivial (all orbits full length)."""
-        n = self.order()
-        return all(len(orb) == n for orb in self.orbits())
-
     def schreier_generators(self, v: int) -> list[tuple[int, ...]]:
         """Generators of the stabilizer of v (Schreier's lemma): t_x * s *
         t_(x^s)^-1 for each point x of v's orbit and each generator s, where

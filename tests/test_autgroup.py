@@ -249,9 +249,9 @@ def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
     pruned: list[tuple[tuple, tuple]] = []
     plain = autgroup.refine
 
-    def watched(graph, cells, *, record=None, expect=None):
+    def watched(graph, cells, *, new_cell=None, record=None, expect=None):
         cells = tuple(tuple(c) for c in cells)
-        fine = plain(graph, cells, record=record, expect=expect)
+        fine = plain(graph, cells, new_cell=new_cell, record=record, expect=expect)
         if record is not None:
             # the list is kept too, so its id is not reused while looked up
             recorded[id(record)] = (record, cells)
@@ -320,8 +320,8 @@ def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
     roots = []
     plain = autgroup.refine
 
-    def counted(graph, cells, *, record=None, expect=None):
-        roots.append(plain(graph, cells, record=record, expect=expect))
+    def counted(graph, cells, *, new_cell=None, record=None, expect=None):
+        roots.append(plain(graph, cells, new_cell=new_cell, record=record, expect=expect))
         return roots[-1]
 
     monkeypatch.setattr(autgroup, "refine", counted)
@@ -727,11 +727,13 @@ def test_refine_commutes_with_relabelling() -> None:
         assert refine(graph, start, expect=trace + [(0, 1, ((1, 1),))]) is None
 
 
-def _refine_full_scan(graph: Digraph, cells) -> tuple[tuple[int, ...], ...]:
+def _refine_full_scan(graph: Digraph, cells, new_cell=None) -> tuple[tuple[int, ...], ...]:
     """Reference refinement that scores every member of each touched cell.
 
-    The same splitter order and fragment order as ``refine``, so the two must
-    return the same ordered cells.
+    The same splitter order, fragment order and worklist rule as ``refine``,
+    so the two must return the same ordered cells: the worklist starts as
+    every cell, or as the cell at offset new_cell alone, and a cell split
+    after it left the worklist queues all its pieces but the first largest.
     """
     cell_at: dict[int, list[int]] = {}
     cell_of = [0] * graph.nv
@@ -744,12 +746,14 @@ def _refine_full_scan(graph: Digraph, cells) -> tuple[tuple[int, ...], ...]:
         for v in members:
             cell_of[v] = offset
         offset += len(members)
-    queue: deque[tuple[int, list[int]]] = deque(cell_at.items())
+    pending = dict(cell_at) if new_cell is None else {new_cell: cell_at[new_cell]}
+    queue: deque[tuple[int, list[int]]] = deque(pending.items())
 
     while queue:
         woff, members_w = queue.popleft()
         if cell_at[woff] is not members_w:
             continue
+        del pending[woff]
         cnt_out: dict[int, int] = {}
         cnt_in: dict[int, int] = {}
         for w in members_w:
@@ -768,29 +772,40 @@ def _refine_full_scan(graph: Digraph, cells) -> tuple[tuple[int, ...], ...]:
                 buckets.setdefault((cnt_out.get(v, 0), cnt_in.get(v, 0)), []).append(v)
             if len(buckets) == 1:
                 continue
-            for _, frag in sorted(buckets.items()):
+            pieces = [frag for _, frag in sorted(buckets.items())]
+            largest = max(pieces, key=len)
+            was_pending = pending.get(coff) is members
+            for frag in pieces:
                 cell_at[coff] = frag
                 for v in frag:
                     cell_of[v] = coff
-                queue.append((coff, frag))
+                if was_pending or frag is not largest:
+                    queue.append((coff, frag))
+                    pending[coff] = frag
                 coff += len(frag)
     return tuple(tuple(cell_at[k]) for k in sorted(cell_at))
+
+
+def _large_family_graphs() -> list[Digraph]:
+    """Family digraphs past the family grid's 80 vertices."""
+    graphs = []
+    for (group, spec), m in (
+        (make_cyclic(2), 60),
+        (klein_four(), 30),
+        (standard_two_generated("A4"), 9),
+    ):
+        graphs.append(build(group, construct_omsr(group, spec, m)).graph)
+        assert graphs[-1].nv >= 100
+    return graphs
 
 
 def test_refine_matches_full_scan_cell_for_cell() -> None:
     for graph, start in _refine_cases():
         assert refine(graph, start) == _refine_full_scan(graph, start)
 
-    # family digraphs past the grid's 80 vertices, refined after one and
-    # after two vertices individualized in the unit partition, which stays
-    # one cell on these digraphs
-    for (group, spec), m in (
-        (make_cyclic(2), 60),
-        (klein_four(), 30),
-        (standard_two_generated("A4"), 9),
-    ):
-        graph = build(group, construct_omsr(group, spec, m)).graph
-        assert graph.nv >= 100
+    # refined after one and after two vertices individualized in the unit
+    # partition, which stays one cell on these digraphs
+    for graph in _large_family_graphs():
         unit = (tuple(range(graph.nv)),)
         root = refine(graph, unit)
         assert root == _refine_full_scan(graph, unit) == unit
@@ -800,3 +815,37 @@ def test_refine_matches_full_scan_cell_for_cell() -> None:
             for w in (one[1][0], one[1][-1]):
                 two = autgroup._individualize(one, 1, w)
                 assert refine(graph, two) == _refine_full_scan(graph, two)
+
+
+def test_refine_from_the_new_singleton_alone() -> None:
+    # individualizing a vertex of an equitable partition leaves every other
+    # cell equitable, so refining from the new singleton alone reaches the
+    # same cells; its events stay free of labels
+    rng = random.Random(30)
+    cases = _refine_cases() + [(g, (tuple(range(g.nv)),)) for g in _large_family_graphs()]
+    children = 0
+    for graph, start in cases:
+        fine = refine(graph, start)
+        idx = next((i for i, cell in enumerate(fine) if len(cell) > 1), None)
+        if idx is None:
+            continue
+        offset = sum(map(len, fine[:idx]))
+        sigma = list(range(graph.nv))
+        rng.shuffle(sigma)
+        moved_graph = _relabel(graph, sigma)
+        for v in fine[idx]:
+            child = autgroup._individualize(fine, idx, v)
+            trace: list = []
+            fast = refine(graph, child, new_cell=offset, record=trace)
+            assert set(fast) == set(refine(graph, child))
+            assert _is_equitable(graph, fast)
+            assert fast == _refine_full_scan(graph, child, offset)
+            moved_child = tuple(tuple(sigma[u] for u in cell) for cell in child)
+            moved_trace: list = []
+            moved = refine(moved_graph, moved_child, new_cell=offset, record=moved_trace)
+            assert moved_trace == trace
+            assert [set(cell) for cell in moved] == [{sigma[u] for u in cell} for cell in fast]
+            children += 1
+    assert children > 500
+    with pytest.raises(ValueError):
+        refine(Digraph.from_arcs(3, [(0, 1)]), ((0, 1), (2,)), new_cell=1)

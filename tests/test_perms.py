@@ -103,13 +103,6 @@ def test_stabilizer_orders_satisfy_orbit_relation() -> None:
         PermGroup(3, [(1, 2, 0)], order=3).schreier_generators(3)
 
 
-def test_semiregular_detection() -> None:
-    rotations = PermGroup(4, [(1, 2, 3, 0)], order=4)
-    assert rotations.is_semiregular()
-    with_fixed_point = PermGroup(4, [(0, 2, 1, 3)], order=2)
-    assert not with_fixed_point.is_semiregular()
-
-
 def test_group_order_via_random_closure() -> None:
     # the chain's order must agree with a plain closure count
     rng = random.Random(11)
