@@ -144,12 +144,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     space = SearchSpace(
         group=group, m=args.m, require_oriented=True, require_connected=args.connected
     )
-    outcome = exhaustive_search(
-        space,
-        budget=args.budget,
-        checkpoint_path=args.checkpoint,
-        jobs=args.jobs,
-    )
+    outcome = exhaustive_search(space, budget=args.budget, checkpoint_path=args.checkpoint)
     _emit(outcome.to_json(), args.out)
     return EXIT_OK
 
@@ -214,7 +209,6 @@ def build_parser() -> _Parser:
     p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes; same outcome as one job")
     p.add_argument("--checkpoint", help="JSON checkpoint file for resumable runs")
     p.add_argument("--connected", action="store_true", help="accept only connected witnesses")
     p.add_argument("--out")

@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, compress
-from multiprocessing import Pipe, Process
-from multiprocessing.connection import Connection
 from operator import add, or_
 from pathlib import Path
 
@@ -350,45 +348,6 @@ def _search_branch(
     return status, witness, tested, histogram, steps + tested
 
 
-def _run_share(
-    space: SearchSpace, tables: list[_RowTable], exact_histogram: bool, budget: int, tasks: list
-):
-    """Yield the result of each ``(branch, evaluate)`` task in order, each run
-    under ``budget`` less the work of the earlier ones."""
-    for task in tasks:
-        result = _search_branch(space, tables, exact_histogram, budget, *task)
-        budget -= result[-1]
-        yield result
-
-
-def _worker(
-    pipe: Connection, space: SearchSpace, exact_histogram: bool, budget: int, tasks: list
-) -> None:
-    """Process entry point: run one share on tables built here and send each
-    result, or the first exception, down ``pipe``."""
-    try:
-        for result in _run_share(space, _matrix_tables(space), exact_histogram, budget, tasks):
-            pipe.send(result)
-    except Exception as exc:
-        pipe.send(exc)
-
-
-def _received(pipe: Connection, worker: Process, tasks: list):
-    """The results ``worker`` sends for its share ``tasks``, in order; its
-    exception is raised where its result would be."""
-    for branch, _ in tasks:
-        try:
-            result = pipe.recv()
-        except EOFError:
-            worker.join()
-            raise ChildProcessError(
-                f"the worker searching branch {branch} exited with code {worker.exitcode}"
-            ) from None
-        if isinstance(result, Exception):
-            raise result
-        yield result
-
-
 def _write_checkpoint(
     path: str,
     space: SearchSpace,
@@ -463,15 +422,10 @@ def exhaustive_search(
     branch merged before the stop, so a run with a larger budget resumes
     there.
 
-    The depth-1 subtrees, the branches, are dealt round-robin into J shares,
-    J being ``jobs`` or the number of branches if smaller.  This process runs
-    share 0 as the merge reaches it; each other share runs on a worker of its
-    own, which builds its own row tables and sends its results down its own
-    pipe.  A branch runs under the budget less the work of its share's
-    earlier branches, never less than one job gives it, so merging in branch
-    order gives the outcome, budget stop and checkpoints of one job.  At a
-    witness, a budget stop or an error the workers are killed; a worker that
-    dies raises ChildProcessError naming the branch the merge waited for.
+    The depth-1 subtrees, the branches, are searched one after another in
+    branch order, each under the budget less the work of the earlier ones,
+    and a checkpoint is written after each branch.  ``jobs`` is kept only for
+    callers of the old signature (perfbench/workloads.py) and must be 1.
 
     Once the search has scanned a row table in full twice, the table keeps
     masks that pick each node's fitting rows for the later branches (see
@@ -491,13 +445,13 @@ def exhaustive_search(
     |G|; a twin's candidates are isomorphic to its leader's, so the leader's
     lower bounds hold for the twin too.
 
-    Raises ValueError when ``jobs < 1`` or ``budget < 0``, when the
+    Raises ValueError when ``jobs != 1`` or ``budget < 0``, when the
     checkpoint's directory does not exist, and when the checkpoint is
     malformed, belongs to another space or completed a branch the space does
     not have.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs != 1:
+        raise ValueError(f"the search runs in one process: jobs must be 1, got {jobs}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     start, tested, histogram = -1, 0, {}
@@ -524,52 +478,35 @@ def exhaustive_search(
     last_twin = {leaders[branch]: branch for branch, evaluate in tasks if not evaluate}
     kept: dict[int, tuple[int, dict[int, int]]] = {}
     work = 0
-    # task i belongs to share i mod n_shares; share 0 runs here, lazily
-    n_shares = max(1, min(jobs, len(tasks)))
-    shares = [_run_share(space, tables, exact_histogram, budget, tasks[0::n_shares])]
-    workers: list[tuple[Process, Connection]] = []
-    try:
-        for w in range(1, n_shares):
-            ours, theirs = Pipe(duplex=False)
-            args = theirs, space, exact_histogram, budget, tasks[w::n_shares]
-            worker = Process(target=_worker, args=args, daemon=True)
-            worker.start()
-            theirs.close()
-            workers.append((worker, ours))
-            shares.append(_received(ours, worker, tasks[w::n_shares]))
-        results = (next(shares[i % n_shares]) for i in range(len(tasks)))
-        for (branch, evaluate), (status, witness, count, found, done) in zip(tasks, results):
-            work += done
-            if status == "BUDGET" or work > budget:
-                raise BudgetExceeded(
-                    f"the rows tried and candidates completed passed the budget"
-                    f" of {budget} in branch {branch}"
+    for branch, evaluate in tasks:
+        status, witness, count, found, done = _search_branch(
+            space, tables, exact_histogram, budget - work, branch, evaluate
+        )
+        work += done
+        # a branch's last candidate completes after its last check, so a
+        # branch that did not stop can still end one unit past its budget
+        if status == "BUDGET" or work > budget:
+            raise BudgetExceeded(
+                f"the rows tried and candidates completed passed the budget"
+                f" of {budget} in branch {branch}"
+            )
+        if not evaluate:
+            leader = leaders[branch]
+            leader_count, found = kept.pop(leader) if last_twin[leader] == branch else kept[leader]
+            if count != leader_count:
+                raise RuntimeError(
+                    f"branch {branch} completed {count} candidates, but its"
+                    f" orbit leader {leader} completed {leader_count}"
                 )
-            if not evaluate:
-                leader = leaders[branch]
-                leader_count, found = (
-                    kept.pop(leader) if last_twin[leader] == branch else kept[leader]
-                )
-                if count != leader_count:
-                    raise RuntimeError(
-                        f"branch {branch} completed {count} candidates, but its"
-                        f" orbit leader {leader} completed {leader_count}"
-                    )
-            if branch in last_twin:
-                kept[branch] = count, found
-            tested += count
-            for order, c in found.items():
-                histogram[order] = histogram.get(order, 0) + c
-            if witness is not None:
-                return SearchOutcome("FOUND", witness, tested, histogram)
-            if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
-    finally:
-        # kill, not await, the workers still running; none holds a shared lock
-        for worker, pipe in workers:
-            worker.kill()
-            worker.join()
-            pipe.close()
+        if branch in last_twin:
+            kept[branch] = count, found
+        tested += count
+        for order, c in found.items():
+            histogram[order] = histogram.get(order, 0) + c
+        if witness is not None:
+            return SearchOutcome("FOUND", witness, tested, histogram)
+        if checkpoint_path is not None:
+            _write_checkpoint(checkpoint_path, space, branch, tested, histogram)
     return SearchOutcome("EXHAUSTED", None, tested, histogram)
 
 
@@ -684,7 +621,7 @@ def search_trivial_aut_digraph(
     candidates completed pass ``budget``.  Randomized mode runs a
     degree-preserving arc-switch chain from a circulant seed and tests every
     ``switches`` swaps (default 3nk), at most ``budget`` samples.  Raises
-    ValueError when ``budget < 0``.
+    ValueError when ``budget < 0`` or ``mode`` is neither of the two.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -694,6 +631,8 @@ def search_trivial_aut_digraph(
         raise ValueError(f"need at least one switch between samples, got {switches}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    if mode not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}")
     if k >= n:
         return RigidSearchOutcome("EXHAUSTED", None, 0)
     if oriented and n < 2 * k + 1:
@@ -702,8 +641,6 @@ def search_trivial_aut_digraph(
     if mode == "exhaustive" or k == 0:
         # k = 0 admits a single digraph, so the chain has nothing to walk
         return _exhaustive_rigid(n, k, oriented, budget)
-    if mode == "randomized":
-        return _randomized_rigid(
-            n, k, oriented, budget, seed, 3 * n * k if switches is None else switches
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _randomized_rigid(
+        n, k, oriented, budget, seed, 3 * n * k if switches is None else switches
+    )

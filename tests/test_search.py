@@ -2,19 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
-import os
-import pickle
 import random
-import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from omsr.autgroup import automorphism_group
-from omsr.cli import main
 from omsr.digraphs import is_k_regular, is_oriented, is_weakly_connected
 from omsr.groups import direct_product, klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import ConnectionMatrix, build
@@ -33,7 +26,6 @@ Z2 = make_cyclic(2)[0]
 Z3 = make_cyclic(3)[0]
 Z4 = make_cyclic(4)[0]
 Z5 = make_cyclic(5)[0]
-Z7 = make_cyclic(7)[0]
 Z24 = make_cyclic(24)[0]
 
 
@@ -240,9 +232,8 @@ def test_small_budget_raises_budget_exceeded(group, m) -> None:
 
 
 def test_negative_budget_raises_value_error() -> None:
-    for jobs in (1, 2):
-        with pytest.raises(ValueError, match="budget must be nonnegative, got -3"):
-            exhaustive_search(SearchSpace(Z4, 2), budget=-3, jobs=jobs)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -3"):
+        exhaustive_search(SearchSpace(Z4, 2), budget=-3)
     for mode in ("exhaustive", "randomized"):
         with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
             search_trivial_aut_digraph(8, 3, mode=mode, budget=-1)
@@ -250,6 +241,15 @@ def test_negative_budget_raises_value_error() -> None:
     with pytest.raises(BudgetExceeded, match="budget of 0 in branch 0"):
         exhaustive_search(SearchSpace(Z4, 2), budget=0)
     assert search_trivial_aut_digraph(8, 3, mode="randomized", budget=0).status == "BUDGET"
+
+
+def test_the_search_runs_in_one_process() -> None:
+    # ``jobs`` stays for callers that pass jobs=1; any other value is refused
+    space = SearchSpace(Z4, 2)
+    assert exhaustive_search(space, jobs=1).to_json() == exhaustive_search(space).to_json()
+    for jobs in (0, 2):
+        with pytest.raises(ValueError, match=f"jobs must be 1, got {jobs}"):
+            exhaustive_search(space, jobs=jobs)
 
 
 @pytest.mark.parametrize(
@@ -264,26 +264,39 @@ def test_default_budget_decides_small_spaces(group, m, candidates) -> None:
     assert (outcome.status, outcome.candidates_tested) == ("FOUND", candidates)
 
 
+_Z2_M4_OUTCOME = {
+    "schema": 1,
+    "status": "EXHAUSTED",
+    "witness": None,
+    "candidates_tested": 152,
+    "aut_order_histogram": {"6": 64, "8": 48, "16": 24, "24": 16},
+}
+
+
 @pytest.mark.parametrize(
-    "group,m,budgets",
+    "group,m,stops",
     [
         # branch 0 of Z2 m=4 does 467 units of work, the whole space 7,372
-        (Z2, 4, (0, 466, 467, 468, 2000, 4000, 7371, 7372)),
+        (Z2, 4, {0: 0, 466: 0, 467: 1, 468: 1, 2000: 4, 4000: 9, 7371: 19, 7372: _Z2_M4_OUTCOME}),
         # branch 0 of Z1 m=7 does 52,693 units, branches 0 and 1 88,846
-        (Z1, 7, (1, 52692, 52693, 88846)),
+        (Z1, 7, {1: 0, 52692: 0, 52693: 1, 88846: 2}),
     ],
     ids=["z2-m4", "z1-m7"],
 )
-def test_budget_stop_is_the_same_for_any_job_count(group, m, budgets) -> None:
+def test_budget_stops_are_frozen(group, m, stops) -> None:
+    # each budget maps to the branch the search stops in, or to its outcome
     space = SearchSpace(group, m)
-    for budget in budgets:
-        results = []
-        for jobs in (1, 2, 3):
-            try:
-                results.append(exhaustive_search(space, budget, jobs=jobs).to_json())
-            except BudgetExceeded as exc:
-                results.append(str(exc))
-        assert results[0] == results[1] == results[2], budget
+    for budget, stop in stops.items():
+        if isinstance(stop, dict):
+            assert exhaustive_search(space, budget).to_json() == stop, budget
+            continue
+        message = (
+            "the rows tried and candidates completed passed the budget"
+            f" of {budget} in branch {stop}"
+        )
+        with pytest.raises(BudgetExceeded) as stopped:
+            exhaustive_search(space, budget)
+        assert str(stopped.value) == message
 
 
 @pytest.fixture
@@ -526,11 +539,10 @@ def test_reuse_gives_the_outputs_of_evaluating_every_branch(monkeypatch, space, 
     def outcomes() -> list:
         results = []
         for budget in budgets:
-            for jobs in (1, 2):
-                try:
-                    results.append(exhaustive_search(space, budget, jobs=jobs).to_json())
-                except BudgetExceeded as exc:
-                    results.append(str(exc))
+            try:
+                results.append(exhaustive_search(space, budget).to_json())
+            except BudgetExceeded as exc:
+                results.append(str(exc))
         return results
 
     reduced = outcomes()
@@ -558,11 +570,10 @@ def test_a_twin_whose_count_differs_from_its_leader_raises(monkeypatch, tmp_path
     # branches 0..3 of Z4 m=2 complete no candidate and branch 4 completes
     # two, so a map naming branch 0 as every leader fails at branch 4
     monkeypatch.setattr(search, "_twins", lambda group, rows: [0] * len(rows))
-    for jobs in (1, 2):
-        path = tmp_path / f"ckpt{jobs}.json"
-        with pytest.raises(RuntimeError, match="branch 4 completed 2 .* leader 0 completed 0"):
-            exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path), jobs=jobs)
-        assert json.loads(path.read_text())["last_completed_branch"] == 3
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(RuntimeError, match="branch 4 completed 2 .* leader 0 completed 0"):
+        exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path))
+    assert json.loads(path.read_text())["last_completed_branch"] == 3
 
 
 @pytest.mark.parametrize(
@@ -600,24 +611,23 @@ def test_outcome_json_shape() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing and parallel runs.
+# Checkpointing.
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_resume_matches_clean_run(tmp_path) -> None:
     space = SearchSpace(Z4, 2)
     clean = exhaustive_search(space)
-    for jobs in (1, 2):
-        path = str(tmp_path / f"ckpt{jobs}.json")
+    path = str(tmp_path / "ckpt.json")
 
-        # branches 0..7 of Z4 m=2 do 144 units of work, so the stop is in branch 8
-        with pytest.raises(BudgetExceeded, match="budget of 150 in branch 8"):
-            exhaustive_search(space, budget=150, checkpoint_path=path, jobs=jobs)
-        assert json.loads(Path(path).read_text())["last_completed_branch"] == 7
+    # branches 0..7 of Z4 m=2 do 144 units of work, so the stop is in branch 8
+    with pytest.raises(BudgetExceeded, match="budget of 150 in branch 8"):
+        exhaustive_search(space, budget=150, checkpoint_path=path)
+    assert json.loads(Path(path).read_text())["last_completed_branch"] == 7
 
-        resumed = exhaustive_search(space, checkpoint_path=path, jobs=jobs)
-        assert resumed.to_json() == clean.to_json()
-        # the resumed run checkpoints every branch it merges, on any job count
-        assert json.loads(Path(path).read_text())["last_completed_branch"] == 15
+    resumed = exhaustive_search(space, checkpoint_path=path)
+    assert resumed.to_json() == clean.to_json()
+    # the resumed run checkpoints every branch it merges
+    assert json.loads(Path(path).read_text())["last_completed_branch"] == 15
 
 
 def test_checkpoint_for_other_space_raises(tmp_path) -> None:
@@ -703,128 +713,8 @@ def test_checkpoint_write_replaces_the_file_atomically(tmp_path, monkeypatch) ->
     assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
 
 
-def test_parallel_jobs_match_single_job() -> None:
-    space = SearchSpace(Z4, 2)
-    single = exhaustive_search(space)
-    parallel = exhaustive_search(space, jobs=2)
-    assert parallel.status == single.status
-    assert parallel.candidates_tested == single.candidates_tested
-    assert parallel.aut_order_histogram == single.aut_order_histogram
-
-
-class _RecordedProcess(multiprocessing.Process):
-    """``search.Process`` that records the arguments of each process started."""
-
-    started: list[tuple] = []
-
-    def start(self) -> None:
-        self.started.append(self._args)
-        super().start()
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """Start workers by fork, so they inherit this test's patches, and record
-    each start in ``_RecordedProcess.started``."""
-    monkeypatch.setattr(search, "Process", _RecordedProcess)
-    monkeypatch.setattr(_RecordedProcess, "started", [])
-    method = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
-    yield _RecordedProcess.started
-    multiprocessing.set_start_method(method, force=True)
-
-
-def test_pool_never_outnumbers_the_branches(forked) -> None:
-    # this process runs one share itself, so a job count at or above the 16
-    # branches of Z4 m=2 starts one worker fewer than there are branches
-    space = SearchSpace(Z4, 2)
-    assert len(enumerate_rows(Z4, 2, 3, 0, True)) == 16
-    single = exhaustive_search(space).to_json()
-    assert forked == []
-    for jobs, started in ((5000, 15), (3, 2)):
-        forked.clear()
-        assert exhaustive_search(space, jobs=jobs).to_json() == single
-        assert len(forked) == started
-    for jobs in (0, -2):
-        with pytest.raises(ValueError):
-            exhaustive_search(space, jobs=jobs)
-
-
-def test_worker_arguments_carry_no_tables(forked) -> None:
-    # the two row tables of Z24 m=2 pickle to about 1 MB; a worker gets the
-    # space, the histogram switch, the budget and its share of the branches
-    # and builds its own tables
-    space = SearchSpace(Z24, 2)
-    assert len(pickle.dumps(search._matrix_tables(space))) > 900_000
-    assert exhaustive_search(space, jobs=2).to_json() == exhaustive_search(space).to_json()
-    (args,) = forked
-    # the first argument is the worker's pipe, which spawn passes by handle
-    assert len(pickle.dumps(args[1:])) < 100_000
-
-
-def test_a_share_runs_each_branch_under_the_budget_its_earlier_branches_left(
-    monkeypatch,
-) -> None:
-    space = SearchSpace(Z2, 4)
-    tables = search._matrix_tables(space)
-    tasks = [(branch, True) for branch in range(len(tables[0]))][1::2]
-    real = search._search_branch
-    budgets = []
-
-    def recording(space, tables, exact_histogram, budget, branch, evaluate):
-        budgets.append(budget)
-        return real(space, tables, exact_histogram, budget, branch, evaluate)
-
-    monkeypatch.setattr(search, "_search_branch", recording)
-    # the share's 10 branches do 3,686 units of work, so at 2,000 its fifth
-    # branch runs out and the later ones stop at their first row
-    last = {}
-    for budget in (2000, search.DEFAULT_BUDGET):
-        budgets.clear()
-        results = list(search._run_share(space, tables, True, budget, tasks))
-        work = [result[-1] for result in results]
-        assert budgets == [budget - sum(work[:i]) for i in range(len(tasks))]
-        last[budget] = results[-1][0]
-    assert last == {2000: "BUDGET", search.DEFAULT_BUDGET: "EXHAUSTED"}
-
-
-@pytest.mark.parametrize(
-    "space,budget",
-    [(SearchSpace(Z7, 2), search.DEFAULT_BUDGET), (SearchSpace(Z2, 4), 466)],
-    ids=["witness-z7-m2", "budget-z2-m4"],
-)
-def test_pool_terminates_the_branches_still_running(monkeypatch, space, budget) -> None:
-    # Z7 m=2 has its witness in branch 0, and branch 0 of Z2 m=4 does 467
-    # units of work; every later branch stalls, so only a terminated pool
-    # lets the search return in time
-    def outcome(jobs: int):
-        try:
-            return exhaustive_search(space, budget, jobs=jobs).to_json()
-        except BudgetExceeded as exc:
-            return str(exc)
-
-    single = outcome(1)
-    real = search._search_branch
-
-    def stalled(space, tables, exact_histogram, budget, branch, evaluate):
-        if branch > 0:
-            time.sleep(60)
-        return real(space, tables, exact_histogram, budget, branch, evaluate)
-
-    # forked workers inherit the stalled branch search
-    monkeypatch.setattr(search, "_search_branch", stalled)
-    method = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
-    try:
-        start = time.perf_counter()
-        assert outcome(2) == single
-        assert time.perf_counter() - start < 20
-    finally:
-        multiprocessing.set_start_method(method, force=True)
-
-
-def test_worker_error_reaches_the_caller_at_its_branch(monkeypatch, forked, tmp_path) -> None:
-    # with two jobs branch 3 of Z4 m=2 runs on the worker, with three here
+def test_a_branch_error_reaches_the_caller_at_its_branch(monkeypatch, tmp_path) -> None:
+    # the error stops the merge at branch 3, so the checkpoint holds branch 2
     real = search._search_branch
 
     def failing(space, tables, exact_histogram, budget, branch, evaluate):
@@ -833,88 +723,13 @@ def test_worker_error_reaches_the_caller_at_its_branch(monkeypatch, forked, tmp_
         return real(space, tables, exact_histogram, budget, branch, evaluate)
 
     monkeypatch.setattr(search, "_search_branch", failing)
-    for jobs in (2, 3):
-        path = tmp_path / f"ckpt-{jobs}.json"
-        with pytest.raises(ArithmeticError, match="branch 3 failed"):
-            exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path), jobs=jobs)
-        assert json.loads(path.read_text())["last_completed_branch"] == 2
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ArithmeticError, match="branch 3 failed"):
+        exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path))
+    assert json.loads(path.read_text())["last_completed_branch"] == 2
 
 
-def test_a_dead_worker_raises_child_process_error(monkeypatch, forked, capsys) -> None:
-    # a worker killed from outside, say by the OOM killer, closes its pipe
-    # without a word; the merge names the branch it waited for
-    real = search._search_branch
-
-    def dying(space, tables, exact_histogram, budget, branch, evaluate):
-        if branch == 3:
-            os._exit(9)
-        return real(space, tables, exact_histogram, budget, branch, evaluate)
-
-    monkeypatch.setattr(search, "_search_branch", dying)
-    message = "the worker searching branch 3 exited with code 9"
-    with pytest.raises(ChildProcessError, match=message):
-        exhaustive_search(SearchSpace(Z4, 2), jobs=2)
-    assert main(["search", "--group", "cyclic:4", "--m", "2", "--jobs", "2"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_pool_stops_while_workers_send_large_results() -> None:
-    # every branch after 0 returns a large result, so at each budget stop the
-    # workers are mid-send; multiprocessing.Pool.terminate hung on its shared
-    # result queue's lock within these 30 stops in 7 of 13 runs.  A child
-    # process bounds the time, and forked workers inherit the patch.
-    code = """
-import multiprocessing
-from omsr import search
-from omsr.groups import make_cyclic
-
-real = search._search_branch
-
-def bulky(*args):
-    status, witness, count, histogram, work = real(*args)
-    return status, witness, count, histogram if args[4] == 0 else dict.fromkeys(range(20000), 1), work
-
-search._search_branch = bulky
-multiprocessing.set_start_method("fork", force=True)
-for _ in range(30):
-    try:
-        search.exhaustive_search(search.SearchSpace(make_cyclic(2)[0], 4), 4000, jobs=2)
-    except search.BudgetExceeded:
-        pass
-"""
-    src = str(Path(search.__file__).parent.parent)
-    subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True
-    )
-
-
-def test_spawned_workers_give_the_one_job_outcome() -> None:
-    # spawned workers share no memory with this process: each rebuilds the
-    # tables from the pickled space
-    space = SearchSpace(Z5, 2)
-    single = exhaustive_search(space).to_json()
-    method = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
-    try:
-        assert exhaustive_search(space, jobs=2).to_json() == single
-    finally:
-        multiprocessing.set_start_method(method, force=True)
-
-
-def test_parallel_found_space_returns_a_valid_witness() -> None:
-    outcome = exhaustive_search(SearchSpace(Z5, 2), jobs=2)
-    assert outcome.status == "FOUND"
-    gamma = build(Z5, outcome.witness)
-    assert automorphism_group(gamma.graph).order() == 5
-    # the parallel run returns the depth-first-first witness and its counts
-    for group in (Z5, make_cyclic(6)[0]):
-        space = SearchSpace(group, 2)
-        single = exhaustive_search(space).to_json()
-        assert exhaustive_search(space, jobs=2).to_json() == single
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_inexact_histograms_keep_the_verdicts_and_counts(engine_calls, jobs) -> None:
+def test_inexact_histograms_keep_the_verdicts_and_counts(engine_calls) -> None:
     # without exact histograms the engine may stop once the order passes |G|,
     # so the histogram holds lower bounds whose values follow the engine's
     # order; the verdict, the witness and the counts do not move
@@ -922,13 +737,13 @@ def test_inexact_histograms_keep_the_verdicts_and_counts(engine_calls, jobs) -> 
                      (standard_two_generated("Q8")[0], 2), (Z1, 8)):
         space = SearchSpace(group, m)
         exact = exhaustive_search(space).to_json()
-        inexact = exhaustive_search(space, exact_histogram=False, jobs=jobs).to_json()
+        inexact = exhaustive_search(space, exact_histogram=False).to_json()
         for key in ("status", "witness", "candidates_tested"):
             assert inexact[key] == exact[key], (group.name, key)
     for group, m in ((Z4, 2), (Z2, 4)):
         space = SearchSpace(group, m)
         exact = exhaustive_search(space)
-        inexact = exhaustive_search(space, exact_histogram=False, jobs=jobs)
+        inexact = exhaustive_search(space, exact_histogram=False)
         assert inexact.status == exact.status == "EXHAUSTED"
         assert inexact.candidates_tested == exact.candidates_tested
         counts = inexact.aut_order_histogram
@@ -1018,6 +833,11 @@ def test_rigid_input_validation() -> None:
         search_trivial_aut_digraph(0, 1)
     with pytest.raises(ValueError):
         search_trivial_aut_digraph(8, 2, mode="simulated-annealing")
+    # an unknown mode is rejected before the early answers for k >= n and
+    # for k = 0, which used to return EXHAUSTED for it
+    for n, k in ((3, 3), (5, 0)):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            search_trivial_aut_digraph(n, k, mode="bogus")
 
 
 def test_nine_vertex_circulant_admits_no_oriented_switch() -> None:
