@@ -14,6 +14,7 @@ from omsr.mcayley import ConnectionMatrix, build
 from omsr import search
 from omsr.search import (
     BudgetExceeded,
+    SearchOutcome,
     SearchSpace,
     enumerate_rows,
     exhaustive_search,
@@ -729,26 +730,43 @@ def test_a_branch_error_reaches_the_caller_at_its_branch(monkeypatch, tmp_path) 
     assert json.loads(path.read_text())["last_completed_branch"] == 2
 
 
-def test_inexact_histograms_keep_the_verdicts_and_counts(engine_calls) -> None:
+@pytest.mark.parametrize("legs", [1, 2])
+def test_inexact_histograms_keep_the_verdicts_and_counts(engine_calls, tmp_path, legs) -> None:
     # without exact histograms the engine may stop once the order passes |G|,
     # so the histogram holds lower bounds whose values follow the engine's
-    # order; the verdict, the witness and the counts do not move
+    # order; the verdict, the witness and the counts do not move.  With two
+    # legs the search first stops at a budget of 500 and then resumes from
+    # its checkpoint, which carries the lower bounds of the branches merged
+    stopped = []
+
+    def inexact(space: SearchSpace, name: str) -> SearchOutcome:
+        if legs == 1:
+            return exhaustive_search(space, exact_histogram=False)
+        path = str(tmp_path / f"{name}.json")
+        try:
+            exhaustive_search(space, 500, exact_histogram=False, checkpoint_path=path)
+        except BudgetExceeded:
+            stopped.append(name)
+        return exhaustive_search(space, exact_histogram=False, checkpoint_path=path)
+
     for group, m in ((Z5, 2), (standard_two_generated("S3")[0], 2),
                      (standard_two_generated("Q8")[0], 2), (Z1, 8)):
         space = SearchSpace(group, m)
         exact = exhaustive_search(space).to_json()
-        inexact = exhaustive_search(space, exact_histogram=False).to_json()
+        found = inexact(space, f"{group.name}-{m}").to_json()
         for key in ("status", "witness", "candidates_tested"):
-            assert inexact[key] == exact[key], (group.name, key)
+            assert found[key] == exact[key], (group.name, key)
     for group, m in ((Z4, 2), (Z2, 4)):
         space = SearchSpace(group, m)
         exact = exhaustive_search(space)
-        inexact = exhaustive_search(space, exact_histogram=False)
-        assert inexact.status == exact.status == "EXHAUSTED"
-        assert inexact.candidates_tested == exact.candidates_tested
-        counts = inexact.aut_order_histogram
+        outcome = inexact(space, f"{group.name}-{m}")
+        assert outcome.status == exact.status == "EXHAUSTED"
+        assert outcome.candidates_tested == exact.candidates_tested
+        counts = outcome.aut_order_histogram
         assert sum(counts.values()) == sum(exact.aut_order_histogram.values())
         assert group.n < min(counts) and max(counts) <= max(exact.aut_order_histogram)
+    # Z4 m=2 finishes within 500; every other space resumes from a stop
+    assert len(stopped) == (0 if legs == 1 else 5)
     # a twin takes its leader's lower bounds, so inexact runs reuse first rows
     # too: only the 16 leaders' candidates of Z2 m=4's 152 reach the engine
     before = len(engine_calls)
