@@ -184,48 +184,30 @@ def _individualize(cells: Cells, idx: int, v: int) -> Cells:
     return cells[:idx] + ((v,), rest) + cells[idx + 1 :]
 
 
-def _split_by_triangles(graph: Digraph, cells: Cells) -> Cells:
-    """Each cell split by the pair (transitive triangles with v as source,
-    directed 3-cycles through v), its fragments in place in ascending order.
-    An empty cell or a vertex outside 0..nv-1 is left for refine to reject."""
-    nv, masks = graph.nv, graph.out_masks
-    keys = []
+def _split_by_triangles(graph: Digraph) -> Cells:
+    """The vertices grouped by the pair (transitive triangles with v as
+    source, directed 3-cycles through v), the groups in ascending key order."""
+    masks = graph.out_masks
+    groups: dict[tuple[int, int], list[int]] = {}
     for v, row in enumerate(graph.out_adj):
-        back = 0
-        for u in graph.in_adj[v]:
-            back |= 1 << u
+        back = sum(1 << u for u in graph.in_adj[v])
         src = cyc = 0
         for a in row:
             src += (masks[a] & masks[v]).bit_count()
             cyc += (masks[a] & back).bit_count()
-        keys.append((src, cyc))
-    split: list[tuple[int, ...]] = []
-    for cell in cells:
-        frags: dict[tuple[int, ...], list[int]] = {}
-        for v in cell:
-            frags.setdefault(keys[v] if 0 <= v < nv else (), []).append(v)
-        split.extend([tuple(frags[k]) for k in sorted(frags)] or [()])
-    return tuple(split)
+        groups.setdefault((src, cyc), []).append(v)
+    return tuple(tuple(groups[k]) for k in sorted(groups))
 
 
-def automorphism_group(
-    graph: Digraph,
-    colors: Iterable[Iterable[int]] | None = None,
-    *,
-    stop_order_above: int | None = None,
-) -> PermGroup:
-    """Automorphism group of the digraph, optionally respecting an initial coloring.
+def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -> PermGroup:
+    """Automorphism group of the digraph.
 
-    The coloring, when given, is an ordered sequence of non-empty cells that
-    partition 0..nv-1; automorphisms must map every cell onto itself.
-
-    Before the search, each cell is split once by a vertex invariant (McKay
-    1981): the transitive triangles with v as their source and the directed
-    3-cycles through v, counted from the out-masks. Every automorphism
-    preserves both counts, so the split colouring has the same group, and the
-    fragments stand in ascending count order, so the first path's traces
-    stay free of labels. A regular digraph's unit partition is already
-    equitable; on the family digraphs this split reaches the blocks instead.
+    The search starts from the unit partition split by a vertex invariant
+    (McKay 1981), the triangle counts of _split_by_triangles. Automorphisms
+    preserve them, so the split has the same group; its cells stand in
+    ascending key order, so the first path's traces stay free of labels. On
+    the family digraphs, whose unit partition is already equitable, it
+    reaches the blocks.
 
     Individualization-refinement search: the first (leftmost) leaf of the tree
     fixes a reference labeling, every other discrete leaf proposes the bijection
@@ -258,11 +240,6 @@ def automorphism_group(
     generator fixes the first path above it.
     """
     nv = graph.nv
-    if colors is None:
-        start: Cells = (tuple(range(nv)),)
-    else:
-        # refine raises ValueError unless the cells partition 0..nv-1
-        start = tuple(tuple(c) for c in colors)
     gens: list[tuple[int, ...]] = []
     first_leaf: list[int] | None = None
     # traces[d]: the split events of the first path's refinement at depth d
@@ -339,7 +316,7 @@ def automorphism_group(
             order *= len(orbit(cell[0]))
         return False
 
-    descend(_split_by_triangles(graph, start), 0)
+    descend(_split_by_triangles(graph), 0)
     return PermGroup(nv, gens, order=order)
 
 

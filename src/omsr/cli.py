@@ -22,6 +22,7 @@ from .constructions import (
 from .groups import (
     FiniteGroup,
     GeneratorSpec,
+    _unique_keys,
     group_from_json,
     load_group_file,
     standard_two_generated,
@@ -116,7 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     group, spec = parse_group_spec(args.group)
     if args.matrix:
         with open(args.matrix, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         # accept both a bare matrix and a construct/verify report wrapping one
         matrix = obj.get("matrix", obj) if isinstance(obj, dict) else obj
         if not isinstance(matrix, dict):

@@ -63,16 +63,11 @@ def claims_to_matrix(m: int, claims: tuple[Claim, ...]) -> ConnectionMatrix:
     return ConnectionMatrix.from_entries(m, cells)
 
 
-def validate_claims(
-    group: FiniteGroup,
-    m: int,
-    claims: tuple[Claim, ...],
-    k: int = 3,
-) -> list[str]:
+def validate_claims(group: FiniteGroup, m: int, claims: tuple[Claim, ...]) -> list[str]:
     """Report every defect that stops ``claims`` from being a valid table.
 
     Checks, in order: contradictory cell assignments, row and column sums
-    different from ``k`` (each claim counts with its full set size, so
+    different from 3 (each claim counts with its full set size, so
     claims contradicting each other still inflate the sums), violations of the
     oriented condition, and weak disconnectedness of the built digraph.  The
     last two checks run only once the earlier ones pass, since they need an
@@ -93,10 +88,10 @@ def validate_claims(
         rows[i] += len(elems)
         cols[j] += len(elems)
     for i in range(m):
-        if rows[i] != k:
-            violations.append(f"row {i} places {rows[i]} elements, expected {k}")
-        if cols[i] != k:
-            violations.append(f"column {i} receives {cols[i]} elements, expected {k}")
+        if rows[i] != 3:
+            violations.append(f"row {i} places {rows[i]} elements, expected 3")
+        if cols[i] != 3:
+            violations.append(f"column {i} receives {cols[i]} elements, expected 3")
     if violations:
         return violations
     conn = claims_to_matrix(m, claims)
@@ -189,18 +184,14 @@ def apply_repairs(
     return tuple(fixed)
 
 
-def z2_table_claims(
-    group: FiniteGroup, spec: GeneratorSpec, m: int, repaired: bool = True
-) -> tuple[Claim, ...]:
-    """Stored table for the order-two group, 5 <= m <= 10, misprints fixed."""
+def z2_table_claims(group: FiniteGroup, spec: GeneratorSpec, m: int) -> tuple[Claim, ...]:
+    """Stored table for the order-two group, 5 <= m <= 10, misprints fixed;
+    the literal tables are ``Z2_UNREPAIRED_CLAIMS``."""
     if group.n != 2:
         raise FamilyError("z2-table applies to the order-two group only")
     if m not in Z2_UNREPAIRED_CLAIMS:
         raise FamilyError(f"no stored order-two table for m={m}; tables cover 5..10")
-    claims = Z2_UNREPAIRED_CLAIMS[m]
-    if repaired:
-        claims = apply_repairs(claims, Z2_TABLE_REPAIRS.get(m, ()))
-    return claims
+    return apply_repairs(Z2_UNREPAIRED_CLAIMS[m], Z2_TABLE_REPAIRS.get(m, ()))
 
 
 def z2_general_claims(group: FiniteGroup, spec: GeneratorSpec, m: int) -> tuple[Claim, ...]:

@@ -71,7 +71,8 @@ class ConnectionMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "ConnectionMatrix":
         """Inverse of to_json; ValueError when ``m``, ``sets``, a key or an entry
-        is missing or malformed, or when a top-level key is neither of those two."""
+        is missing or malformed, or when a top-level key is neither of those two.
+        A key is "i,j" in canonical decimals, so no two name one cell."""
         extra = sorted(set(obj) - {"m", "sets"})
         if extra:
             raise ValueError(f"matrix has keys other than 'm' and 'sets': {extra}")
@@ -85,11 +86,14 @@ class ConnectionMatrix:
             raise ValueError("matrix 'sets' must be an object of \"i,j\" keys")
         entries: dict[tuple[int, int], list[int]] = {}
         for key, elems in sets.items():
-            i_s, sep, j_s = key.partition(",")
-            if not (sep and key.isascii() and i_s.isdigit() and j_s.isdigit()):
+            i_s, _, j_s = key.partition(",")
+            decimal = key.isascii() and i_s.isdigit() and j_s.isdigit()
+            if not (decimal and key == f"{int(i_s)},{int(j_s)}"):
                 raise ValueError(f"matrix key {key!r} is not of the form \"i,j\"")
             if not (isinstance(elems, list) and all(_is_int(e) for e in elems)):
                 raise ValueError(f"matrix entry {key!r} is not a list of integers")
+            if len(set(elems)) != len(elems):
+                raise ValueError(f"matrix entry {key!r} lists an element twice")
             entries[(int(i_s), int(j_s))] = elems
         return cls.from_entries(m, entries)
 

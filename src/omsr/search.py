@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .autgroup import automorphism_group
 from .digraphs import Digraph, is_weakly_connected
-from .groups import FiniteGroup, make_cyclic
+from .groups import FiniteGroup, _unique_keys, make_cyclic
 from .mcayley import ConnectionMatrix, block_rows, build
 
 DEFAULT_BUDGET = 10**8
@@ -371,11 +371,12 @@ def _write_checkpoint(
 def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int, int]]:
     """Resume point for ``space``; ValueError when the checkpoint is malformed,
     counts more histogram entries than candidates, or belongs to another
-    search space, so that no run overwrites it."""
+    search space, so that no run overwrites it. A histogram key must be the
+    canonical decimal of its order, so no two keys name one order."""
     file = Path(path)
     if not file.exists():
         return -1, 0, {}
-    payload = json.loads(file.read_text())
+    payload = json.loads(file.read_text(), object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path} is not a JSON object")
     if payload.get("space") != space.descriptor():
@@ -390,7 +391,8 @@ def _read_checkpoint(path: str, space: SearchSpace) -> tuple[int, int, dict[int,
         _is_count(branch)
         and _is_count(tested)
         and isinstance(histogram, dict)
-        and all(k.isascii() and k.isdigit() and _is_count(c) for k, c in histogram.items())
+        and all(k.isascii() and k.isdigit() and k[0] != "0" and _is_count(c)
+                for k, c in histogram.items())
     ):
         raise ValueError(f"checkpoint {path} for this search space is malformed")
     counted = sum(histogram.values())

@@ -103,15 +103,9 @@ def test_tree_order_matches_a_chain_rebuilt_from_the_generators() -> None:
             graph = Digraph.from_arcs(
                 2 * half.nv, [(u + s, v + s) for u, v in half.arcs() for s in (0, half.nv)]
             )
-        colors = None
-        if trial % 2 and graph.nv >= 2:
-            verts = list(range(graph.nv))
-            rng.shuffle(verts)
-            cut = rng.randrange(1, graph.nv)
-            colors = [verts[:cut], verts[cut:]]
-        exact = automorphism_group(graph, colors).order()
+        exact = automorphism_group(graph).order()
         for stop in (None, 1, 2, 5):
-            aut = automorphism_group(graph, colors, stop_order_above=stop)
+            aut = automorphism_group(graph, stop_order_above=stop)
             assert aut.order() == _chain_order(graph.nv, aut.generators)
             if stop is None or exact <= stop:
                 assert aut.order() == exact
@@ -148,9 +142,9 @@ def test_generators_returned_are_automorphisms() -> None:
 
 
 def test_engine_matches_brute_force_random() -> None:
-    # random and near-regular digraphs, on whose start partition the split
-    # by triangle counts differs most, each also two-coloured and stopped
-    # below, at and above its order
+    # random and near-regular digraphs, on whose unit partition the split
+    # by triangle counts differs most, each stopped below, at and above its
+    # order
     rng = random.Random(22)
     for trial in range(80):
         nv = rng.randrange(1, 9 if trial % 8 == 0 else 8)
@@ -159,18 +153,14 @@ def test_engine_matches_brute_force_random() -> None:
         else:
             graph = _random_digraph(rng, nv, rng.uniform(0.15, 0.6))
         auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
-        assert brute_force_order(graph) == len(auts)
-        verts = list(range(nv))
-        rng.shuffle(verts)
-        cut = rng.randrange(nv)
-        for colors in (None, [verts[:cut], verts[cut:]] if cut else None):
-            order = sum(all({p[v] for v in c} == set(c) for c in colors or ()) for p in auts)
-            assert automorphism_group(graph, colors).order() == order
-            for stop in {1, 2, order // 2, order - 1, order, rng.randrange(1, 30)}:
-                bounded = automorphism_group(graph, colors, stop_order_above=stop).order()
-                assert order % bounded == 0
-                assert (bounded > stop) == (order > stop), (nv, order, stop)
-                assert order > stop or bounded == order
+        order = len(auts)
+        assert brute_force_order(graph) == order
+        assert automorphism_group(graph).order() == order
+        for stop in {1, 2, order // 2, order - 1, order, rng.randrange(1, 30)}:
+            bounded = automorphism_group(graph, stop_order_above=stop).order()
+            assert order % bounded == 0
+            assert (bounded > stop) == (order > stop), (nv, order, stop)
+            assert order > stop or bounded == order
 
 
 def _disjoint_cycles(lengths: list[int]) -> Digraph:
@@ -264,29 +254,24 @@ def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
     graphs_pruned = 0
     # the root split by triangle counts leaves few of these digraphs a
     # pruned node, so the pool is wide enough to find 20 that have one
-    for trial in range(1500):
+    for trial in range(2000):
         nv = rng.randrange(2, 8)
         if trial % 3:
             graph = _permutation_union(rng, nv, rng.randrange(1, 4))
         else:
             graph = _random_digraph(rng, nv, rng.uniform(0.15, 0.6))
-        verts = list(range(nv))
-        rng.shuffle(verts)
-        cut = rng.randrange(1, nv)
-        for colors in (None, [verts[:cut], verts[cut:]]):
-            recorded.clear()
-            pruned.clear()
-            order = automorphism_group(graph, colors).order()
-            if not pruned:
-                continue
-            graphs_pruned += 1
-            auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
-            for first, node in pruned:
-                assert [len(c) for c in first] == [len(c) for c in node]
-                for p in auts:
-                    assert any({p[v] for v in a} != set(b) for a, b in zip(first, node))
-            if colors is None:
-                assert order == len(auts)
+        recorded.clear()
+        pruned.clear()
+        order = automorphism_group(graph).order()
+        if not pruned:
+            continue
+        graphs_pruned += 1
+        auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
+        for first, node in pruned:
+            assert [len(c) for c in first] == [len(c) for c in node]
+            for p in auts:
+                assert any({p[v] for v in a} != set(b) for a, b in zip(first, node))
+        assert order == len(auts)
     assert graphs_pruned >= 20
 
 
@@ -347,50 +332,36 @@ def _triangle_key(graph: Digraph, v: int) -> tuple[int, int]:
     return source, cycles
 
 
-def _split_cases() -> list[tuple[Digraph, tuple[tuple[int, ...], ...]]]:
-    """Near-regular and random digraphs, each uncoloured and two-coloured,
-    and family digraphs from the unit partition."""
+def _split_cases() -> list[Digraph]:
+    """Near-regular and random digraphs, and family digraphs."""
     rng = random.Random(29)
     cases = []
     for trial in range(60):
         nv = rng.randrange(2, 14)
         if trial % 2:
-            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+            cases.append(_permutation_union(rng, nv, rng.randrange(1, 4)))
         else:
-            graph = _random_digraph(rng, nv, rng.uniform(0.1, 0.6))
-        verts = list(range(nv))
-        rng.shuffle(verts)
-        cut = rng.randrange(1, nv)
-        cases.append((graph, (tuple(range(nv)),)))
-        cases.append((graph, (tuple(verts[:cut]), tuple(verts[cut:]))))
+            cases.append(_random_digraph(rng, nv, rng.uniform(0.1, 0.6)))
     for group, spec, m in list(family_grid())[::22]:
-        graph = build(group, construct_omsr(group, spec, m)).graph
-        cases.append((graph, (tuple(range(graph.nv)),)))
+        cases.append(build(group, construct_omsr(group, spec, m)).graph)
     return cases
 
 
 def test_root_split_is_by_triangle_counts_and_commutes_with_relabelling() -> None:
     rng = random.Random(30)
-    for graph, start in _split_cases():
-        split = autgroup._split_by_triangles(graph, start)
-        assert _refines_in_order(split, start)
-        assert sorted(v for cell in split for v in cell) == list(range(graph.nv))
-        keys = []
-        for cell in split:
-            (key,) = {_triangle_key(graph, v) for v in cell}
-            keys.append(key)
-        # within each input cell the fragments stand in ascending key order
-        owner = {v: idx for idx, cell in enumerate(start) for v in cell}
-        for (a, ka), (b, kb) in zip(zip(split, keys), zip(split[1:], keys[1:])):
-            assert owner[a[0]] != owner[b[0]] or ka < kb
+    for graph in _split_cases():
+        # the vertices grouped by their key, the groups in ascending key order
+        groups: dict[tuple[int, int], list[int]] = {}
+        for v in range(graph.nv):
+            groups.setdefault(_triangle_key(graph, v), []).append(v)
+        keys = sorted(groups)
+        split = autgroup._split_by_triangles(graph)
+        assert split == tuple(tuple(groups[k]) for k in keys)
 
         sigma = list(range(graph.nv))
         rng.shuffle(sigma)
         moved = _relabel(graph, sigma)
-        moved_split = autgroup._split_by_triangles(
-            moved, tuple(tuple(sigma[v] for v in cell) for cell in start)
-        )
-        assert [len(c) for c in moved_split] == [len(c) for c in split]
+        moved_split = autgroup._split_by_triangles(moved)
         assert [_triangle_key(moved, c[0]) for c in moved_split] == keys
         assert [{sigma[v] for v in c} for c in split] == [set(c) for c in moved_split]
 
@@ -526,17 +497,6 @@ def test_brute_force_holds_no_list_of_automorphisms() -> None:
         assert peak < 1 << 20
 
 
-def test_initial_coloring_restricts_automorphisms() -> None:
-    # two disjoint directed 3-cycles: swapping them is allowed only when
-    # they share a color class
-    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    graph = Digraph.from_arcs(6, arcs)
-    free = automorphism_group(graph)
-    assert free.order() == 18
-    pinned = automorphism_group(graph, colors=[(0, 1, 2), (3, 4, 5)])
-    assert pinned.order() == 9
-
-
 def test_colors_must_partition_the_vertices() -> None:
     graph = _directed_cycle(4)
     for colors in (
@@ -547,12 +507,8 @@ def test_colors_must_partition_the_vertices() -> None:
         [(0, 1, 2, 3, 4)],
         [(0, 0, 1), (2, 3)],
     ):
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(ValueError):
             refine(graph, colors)
-        # the root split leaves every check to refine, so the error is its own
-        with pytest.raises(ValueError) as engine:
-            automorphism_group(graph, colors=colors)
-        assert str(engine.value) == str(raised.value)
 
 
 def test_hypothesis_check_true_on_translation_only_instance() -> None:

@@ -8,7 +8,7 @@ import pytest
 from omsr import search
 from omsr.cli import GROUP_HELP, main, parse_group_spec
 from omsr.constructions import family_matrix
-from omsr.groups import make_cyclic, standard_two_generated
+from omsr.groups import MAX_GROUP_ORDER, make_cyclic, standard_two_generated
 
 
 def _stdout_json(capsys) -> dict:
@@ -203,6 +203,30 @@ def test_verify_malformed_matrix_exits_1(tmp_path, capsys) -> None:
         path.write_text(json.dumps(payload))
         assert main(["verify", "--group", "cyclic:5", "--matrix", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_matrix_naming_a_cell_twice_exits_1(tmp_path, capsys) -> None:
+    # "0,1" and "00,1" name one cell, and "1,0" lists x twice; each was once
+    # merged silently, so the file verified as another matrix
+    for sets, key in (
+        ({"0,1": [1], "00,1": [0], "1,0": [1]}, "'00,1'"),
+        ({"0,1": [1], "1,0": [1, 1]}, "'1,0'"),
+    ):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"m": 2, "sets": sets}))
+        assert main(["verify", "--group", "cyclic:5", "--matrix", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+    # one key spelt the same twice, which json would read as its last value
+    path.write_text('{"m": 2, "sets": {"0,1": [1], "0,1": [0], "1,0": [1]}}')
+    assert main(["verify", "--group", "cyclic:5", "--matrix", str(path)]) == 1
+    assert "'0,1' twice" in capsys.readouterr().err
+
+
+def test_construct_past_the_group_order_limit_exits_1(capsys) -> None:
+    for group in (f"cyclic:{MAX_GROUP_ORDER + 1}", "cyclic:100000", "product:40,40"):
+        assert main(["construct", "--group", group, "--m", "2"]) == 1
+        assert "exceeds the limit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

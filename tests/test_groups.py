@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from omsr.groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GeneratorSpec,
     direct_product,
@@ -121,6 +123,46 @@ def test_from_permutation_generators_rejects_non_permutation() -> None:
         from_permutation_generators(3, [[0, 0, 1]])
 
 
+def test_from_permutation_generators_table_is_the_composition_table() -> None:
+    # the elements in the documented order: breadth-first over left
+    # multiplication by the generators, the identity first; p*q applies p first
+    gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    group, spec = from_permutation_generators(5, gens)
+    elems = [tuple(range(5))]
+    for e in elems:
+        for g in gens:
+            w = tuple(e[v] for v in g)
+            if w not in elems:
+                elems.append(w)
+    index = {e: a for a, e in enumerate(elems)}
+    assert group.n == len(elems) == 120
+    assert (spec.x, spec.y) == (index[gens[0]], index[gens[1]])
+    for a, p in enumerate(elems):
+        assert group.mult[a] == tuple(index[tuple(q[v] for v in p)] for q in elems)
+
+
+def test_group_order_limit_is_checked_before_any_table() -> None:
+    # Z_1001's table alone would take about 80 MB; every kind of group
+    # refuses an order past the limit before it builds one
+    z40 = make_cyclic(40)[0]
+    s7 = [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]
+    for build in (
+        lambda: make_cyclic(MAX_GROUP_ORDER + 1),
+        lambda: direct_product(z40, z40),
+        lambda: from_permutation_generators(7, s7),
+        lambda: group_from_json({"kind": "product", "factors": [2, 40, 40]}),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert make_cyclic(MAX_GROUP_ORDER)[0].n == MAX_GROUP_ORDER
+
+
 def test_standard_catalog_orders_and_generators() -> None:
     for name, order in CATALOG_ORDERS.items():
         group, spec = standard_two_generated(name)
@@ -182,6 +224,10 @@ def test_load_group_file(tmp_path) -> None:
     group, spec = load_group_file(path)
     assert group.n == 8
     assert element_order(group, spec.x) == 4
+    # a key given twice is refused, not read as its last value
+    path.write_text('{"kind": "cyclic", "n": 3, "n": 5}', encoding="utf-8")
+    with pytest.raises(ValueError, match="'n' twice"):
+        load_group_file(path)
 
 
 def test_finite_group_validation_rejects_broken_tables() -> None:

@@ -671,16 +671,23 @@ def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
         # more automorphism orders than candidates
         {**good, "aut_order_histogram": {"8": 11}},
         {**good, "aut_order_histogram": {"8": 6, "16": 5}},
+        # "8" and "08" name one order; read as ints they merged into {8: 3}
+        {**good, "aut_order_histogram": {"8": 2, "08": 3}},
     ]
     for payload in bad:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             exhaustive_search(space, checkpoint_path=str(path))
-    # "²".isdigit() holds, but int("²") fails: only ASCII decimal keys count
-    for key in ("²", "８", ""):
+    # "²".isdigit() holds, but int("²") fails: only ASCII decimal keys count,
+    # and only the canonical decimal of an order, so no two keys name one
+    for key in ("²", "８", "", "08", "0"):
         path.write_text(json.dumps({**good, "aut_order_histogram": {key: 2}}))
         with pytest.raises(ValueError, match="for this search space is malformed"):
             exhaustive_search(space, checkpoint_path=str(path))
+    # one key spelt the same twice, which json would read as its last value
+    path.write_text(json.dumps(good).replace('"8": 2', '"8": 2, "8": 3'))
+    with pytest.raises(ValueError, match="'8' twice"):
+        exhaustive_search(space, checkpoint_path=str(path))
     # the checkpoint of a finished search is valid and resumes to its outcome
     finished = {**good, "last_completed_branch": rows - 1, "candidates_tested": 24,
                 "aut_order_histogram": {"8": 8, "16": 8, "24": 8}}
