@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from functools import partial
 from itertools import permutations
@@ -20,6 +21,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX = 10
+# frames the deepest level of the search may open past descend's own
+_SPARE_FRAMES = 20
 
 
 Cells = tuple[tuple[int, ...], ...]
@@ -179,9 +182,90 @@ def _preserves_arcs(graph: Digraph, img: tuple[int, ...]) -> bool:
     return True
 
 
+def _stack_depth() -> int:
+    """The number of frames on the interpreter's stack, this one included."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
 def _individualize(cells: Cells, idx: int, v: int) -> Cells:
     rest = tuple(u for u in cells[idx] if u != v)
     return cells[:idx] + ((v,), rest) + cells[idx + 1 :]
+
+
+def _forced_image(graph: Digraph, cells: Cells, a: int, b: int) -> tuple[int, ...] | bool | None:
+    """The automorphism that fixes every cell setwise and every singleton and
+    maps a to b, a vertex of a's cell, when the arcs force each image; False
+    when none exists; None when the arcs leave it undecided.
+
+    Each singleton is fixed and a goes to b. Each vertex a mapped vertex
+    reaches keeps the images that its mapped neighbours leave it: the
+    same-direction neighbours of their images, in its own cell, not yet
+    used. A vertex left one image takes it, and one left none proves that no
+    such automorphism exists. When the mapped vertices force no more and
+    some are unmapped, the map is undecided. A complete map is returned when
+    it preserves arcs, else False. Mapping a onto itself leaves every vertex
+    its own image among its possible ones, so a complete map is then the
+    identity, returned unchecked.
+
+    Only a and the vertices mapped after it narrow the sets: in an equitable
+    partition, as the engine's are, a singleton's arcs reach all of a cell
+    or none of it.
+    """
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    if not (out_adj[a] or in_adj[a]):
+        # a shares its cell with a vertex that nothing will reach
+        return None
+    nv = graph.nv
+    # cell_of[v] is -1 for a singleton, so a singleton is never a possible image
+    cell_of = [-1] * nv
+    img = [-1] * nv
+    unmapped = -1
+    for idx, cell in enumerate(cells):
+        if len(cell) > 1:
+            unmapped += len(cell)
+            for v in cell:
+                cell_of[v] = idx
+        else:
+            img[cell[0]] = cell[0]
+    img[a] = b
+    used = {b}
+    possible: dict[int, set[int]] = {}
+    stack = [a]
+    both = (out_adj, in_adj)
+    while stack:
+        w = stack.pop()
+        x = img[w]
+        for adj in both:
+            allowed = adj[x]
+            for u in adj[w]:
+                if img[u] >= 0:
+                    continue
+                old = possible.get(u)
+                if old is None:
+                    home = cell_of[u]
+                    left = {y for y in allowed if cell_of[y] == home and y not in used}
+                else:
+                    left = old.intersection(allowed)
+                    left -= used
+                if len(left) > 1:
+                    possible[u] = left
+                    continue
+                if not left:
+                    return False
+                (y,) = left
+                img[u] = y
+                used.add(y)
+                stack.append(u)
+                unmapped -= 1
+    if unmapped:
+        return None
+    perm = tuple(img)
+    return perm if a == b or _preserves_arcs(graph, perm) else False
 
 
 def _split_by_triangles(graph: Digraph) -> Cells:
@@ -227,6 +311,20 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     products with the stabilizer already found below the node's first child.
     That own vertex lies outside the orbit of the children explored before
     it, so every such leaf enlarges the group and is kept as a generator.
+    At each node of the first path, before any child is refined, the search
+    tries the map of the first vertex u of the node's target cell onto
+    itself (_forced_image). When the arcs force every vertex, only the
+    identity fixes the path and u, and refinement after u is discrete: each
+    vertex the map forces is adjacent to mapped vertices that nothing else
+    in its cell is adjacent to, so refinement splits it off too. The first
+    path's leaf below u is then put off, and built only before a node off
+    the first path is refined. Every other child v takes the forced map of u
+    onto v instead of a refinement. A permutation is the one automorphism
+    that fixes the path and maps u to v, which the leaf below v would give,
+    so it is kept as the generator; a proof that none exists skips v; only
+    an undecided v is searched as before. The generators and the order are
+    those of the search without forced maps, and on the family digraphs the
+    root's refinement is the only one.
     The group's order is read off the tree (McKay 1981): with u_d the vertex
     individualized at depth d of the first path and K_d the group generated
     by the automorphisms found at or below that node, |Aut| is the product
@@ -238,6 +336,9 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     finds true automorphisms). That order is exact at every moment: every
     level below the current first-path node is complete, and every
     generator fixes the first path above it.
+    The search recurses once per level of the first path; a tree deeper
+    than the interpreter's recursion limit allows raises ValueError, which
+    names the depth.
     """
     nv = graph.nv
     gens: list[tuple[int, ...]] = []
@@ -245,6 +346,12 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     # traces[d]: the split events of the first path's refinement at depth d
     traces: list[list[Event]] = []
     order = 1
+    # the first path's child put off by a forced node, built before any
+    # node off the first path is refined
+    deferred: list[tuple[Cells, int, int]] = []
+    # descend takes one frame a level; stop short of the interpreter's limit
+    limit = sys.getrecursionlimit()
+    max_depth = limit - _stack_depth() - _SPARE_FRAMES
 
     def orbit(v: int, targets: Container[int] = ()) -> set[int] | None:
         """The orbit of v under the generators so far; None once it meets targets."""
@@ -268,6 +375,10 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
         new_cell is the offset of the vertex individualized in part, whose
         parent partition refine left equitable; None at the root."""
         nonlocal first_leaf, order
+        if depth > max_depth:
+            raise ValueError(
+                f"search tree depth {depth} would pass the recursion limit of {limit}"
+            )
         on_path = first_leaf is None
         if on_path:
             traces.append([])
@@ -297,23 +408,43 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
             return True
         cell = cells[target]
         offset = sum(map(len, cells[:target]))
+        first = cell[0]
+        # when the arcs force the identity, refinement after `first` is
+        # discrete: its leaf is put off, and each other child takes the map
+        # of `first` onto it that the arcs force, if they do
+        forced = on_path and _forced_image(graph, cells, first, first) is not None
+        if forced:
+            deferred.append((_individualize(cells, target, first), depth + 1, offset))
         processed: set[int] = set()
         for v in cell:
             if on_path and processed and orbit(v, processed) is None:
                 continue
-            if descend(_individualize(cells, target, v), depth + 1, offset):
+            if forced and v == first:
+                processed.add(v)
+                continue
+            image = _forced_image(graph, cells, first, v) if forced else None
+            if image is None:
+                if deferred:
+                    # the first path's leaf, put off, before any node off it
+                    descend(*deferred.pop())
+                hit = descend(_individualize(cells, target, v), depth + 1, offset)
+            else:
+                hit = bool(image)
+                if hit:
+                    gens.append(image)
+            if hit:
                 if not on_path:
                     return True
-                # a generator was found below v, or the search aborted there;
+                # a generator was found at or below v, or the search aborted there;
                 # either way the group found so far has order `found`
                 if stop_order_above is not None:
-                    found = order * len(orbit(cell[0]))
+                    found = order * len(orbit(first))
                     if found > stop_order_above:
                         order = found
                         return True
             processed.add(v)
         if on_path:
-            order *= len(orbit(cell[0]))
+            order *= len(orbit(first))
         return False
 
     descend(_split_by_triangles(graph), 0)

@@ -47,7 +47,10 @@ class ConnectionMatrix:
     def from_entries(
         cls, m: int, entries: Mapping[tuple[int, int], Iterable[int]]
     ) -> "ConnectionMatrix":
-        rows = [[frozenset() for _ in range(m)] for _ in range(m)]
+        # one shared empty set; m * m calls of frozenset() cost more than the
+        # rest of a large family build
+        empty: frozenset[int] = frozenset()
+        rows = [[empty] * m for _ in range(m)]
         for (i, j), elems in entries.items():
             if not (0 <= i < m and 0 <= j < m):
                 raise ValueError(f"cell ({i},{j}) out of range for m={m}")
@@ -129,8 +132,9 @@ def block_rows(group: FiniteGroup, row: Iterable[Iterable[int]]) -> list[list[in
     row is ``row``: the arcs (g_i, (t*g)_j) for t in T[i][j], unchecked."""
     n = group.n
     mult = group.mult
-    # (first vertex of block j, the products t*g) for each t in T[i][j]
-    arcs = [(j * n, mult[t]) for j, cell in enumerate(row) for t in sorted(cell)]
+    # (first vertex of block j, the products t*g) for each t in T[i][j]; a
+    # row has m cells but only k elements, so empty cells are not sorted
+    arcs = [(j * n, mult[t]) for j, cell in enumerate(row) if cell for t in sorted(cell)]
     return [[offset + col[g] for offset, col in arcs] for g in range(n)]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from collections import deque
 from itertools import permutations
@@ -300,8 +301,9 @@ def test_family_instances_check_one_leaf_per_generator(monkeypatch) -> None:
 
 def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
     # the unit partition of these regular digraphs is equitable; split by
-    # triangle counts, the root refines to cells of |G| vertices, so the
-    # search refines the root, one path and the leaves of the generators
+    # triangle counts, the root refines to cells of |G| vertices, and there
+    # the arcs force the map of the first vertex onto each other one, so
+    # the search refines the root alone
     roots = []
     plain = autgroup.refine
 
@@ -311,16 +313,141 @@ def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
 
     monkeypatch.setattr(autgroup, "refine", counted)
     for (group, spec), m, calls in (
-        (make_cyclic(2), 120, 3),
-        (make_cyclic(40), 20, 3),
-        (klein_four(), 40, 4),
-        (standard_two_generated("A4"), 12, 4),
+        (make_cyclic(2), 120, 1),
+        (make_cyclic(40), 20, 1),
+        (klein_four(), 40, 1),
+        (standard_two_generated("A4"), 12, 1),
     ):
         roots.clear()
         aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
         assert aut.order() == group.n
         assert len(roots) == calls
         assert max(map(len, roots[0])) == group.n
+
+
+def _circulant(rng: random.Random, nv: int) -> Digraph:
+    jumps = [s for s in range(1, nv) if rng.random() < 0.3] or [1 % nv]
+    return Digraph.from_arcs(nv, {(v, (v + s) % nv) for v in range(nv) for s in jumps if s % nv})
+
+
+def _copies(half: Digraph, k: int) -> Digraph:
+    return Digraph.from_arcs(
+        half.nv * k, [(u + c * half.nv, v + c * half.nv) for u, v in half.arcs() for c in range(k)]
+    )
+
+
+def test_forced_maps_leave_the_search_unchanged(monkeypatch) -> None:
+    # with _forced_image always undecided the engine refines every child, as
+    # it did before the forced maps; both must find the same generators in
+    # the same order, and the same order, stopped early or not
+    forced = autgroup._forced_image
+    results = []
+
+    def watched(graph, cells, a, b):
+        results.append(forced(graph, cells, a, b))
+        return results[-1]
+
+    rng = random.Random(32)
+    # a 2-regular digraph on which a forced map proves that a child of a
+    # forced node has no automorphism onto it
+    graphs = [Digraph.from_arcs(8, [
+        (0, 6), (0, 7), (1, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 5),
+        (4, 0), (4, 1), (5, 1), (5, 3), (6, 2), (6, 3), (7, 0), (7, 2),
+    ])]
+    for trial in range(2100):
+        nv = rng.randrange(1, 17)
+        if trial % 4 == 0:
+            graphs.append(_random_digraph(rng, nv, rng.uniform(0.05, 0.6)))
+        elif trial % 4 == 1:
+            k = rng.randrange(2, 4)
+            graphs.append(_copies(_random_digraph(rng, max(1, nv // k), rng.uniform(0.1, 0.6)), k))
+        elif trial % 4 == 2:
+            graphs.append(_circulant(rng, nv))
+        else:
+            graphs.append(_permutation_union(rng, nv, rng.randrange(1, 4)))
+    for graph in graphs:
+        for stop in (None, rng.choice((1, 2, 3, 6, 24))):
+            monkeypatch.setattr(autgroup, "_forced_image", watched)
+            fast = automorphism_group(graph, stop_order_above=stop)
+            monkeypatch.setattr(autgroup, "_forced_image", lambda graph, cells, a, b: None)
+            plain = automorphism_group(graph, stop_order_above=stop)
+            assert (fast.order(), fast.generators) == (plain.order(), plain.generators)
+    # forced nodes, and below them undecided children, children proved to
+    # have no automorphism and generators found by forced maps all occurred
+    assert None in results and False in results
+    identity = sum(1 for r in results if r and r == tuple(range(len(r))))
+    assert identity > 500
+    assert sum(1 for r in results if r) - identity > 500
+
+
+def _partitions(rng: random.Random, graph: Digraph) -> list[tuple[tuple[int, ...], ...]]:
+    """The engine's root partition and its nodes along a random path, and a
+    random colouring, which need not be equitable."""
+    cells = refine(graph, autgroup._split_by_triangles(graph))
+    found = [cells]
+    while len(cells) < graph.nv:
+        idx = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
+        cells = refine(graph, autgroup._individualize(cells, idx, rng.choice(cells[idx])))
+        found.append(cells)
+    colours = [rng.randrange(3) for _ in range(graph.nv)]
+    found.append(tuple(c for c in (tuple(v for v in range(graph.nv) if colours[v] == k)
+                                   for k in range(3)) if c))
+    return found
+
+
+def test_forced_image_is_sound() -> None:
+    # against every arc-preserving permutation: False means none fixes the
+    # cells setwise and maps a to b, a map is the only one that does, and a
+    # map of a onto itself is the identity after which refine is discrete
+    rng = random.Random(33)
+    outcomes = set()
+    for trial in range(400):
+        nv = rng.randrange(2, 9 if trial % 10 == 0 else 8)
+        if trial % 3 == 0:
+            graph = _random_digraph(rng, nv, rng.uniform(0.1, 0.6))
+        elif trial % 3 == 1:
+            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+        else:
+            graph = _circulant(rng, nv)
+        auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
+        for cells in _partitions(rng, graph):
+            cell_of = {v: set(c) for c in cells for v in c}
+            keep = [p for p in auts if all(p[v] in cell_of[v] for v in range(nv))]
+            for idx, cell in enumerate(cells):
+                for a in cell if len(cell) > 1 else ():
+                    for b in cell:
+                        image = autgroup._forced_image(graph, cells, a, b)
+                        if image is None:
+                            outcomes.add("undecided")
+                            continue
+                        maps = [p for p in keep if p[a] == b]
+                        if image is False:
+                            outcomes.add("none")
+                            assert maps == []
+                            continue
+                        assert maps == [image]
+                        if a != b:
+                            outcomes.add("map")
+                            continue
+                        outcomes.add("identity")
+                        assert image == tuple(range(nv))
+                        below = refine(graph, autgroup._individualize(cells, idx, a))
+                        assert len(below) == nv
+    assert outcomes == {"undecided", "none", "map", "identity"}
+
+
+def test_a_search_deeper_than_the_recursion_limit_raises_value_error() -> None:
+    # the search recurses once per level of its first path, and the arcless
+    # digraph on 200 vertices has 199; under a limit of 150 it once died with
+    # a RecursionError
+    arcless = Digraph.from_arcs(200, [])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        with pytest.raises(ValueError, match="search tree depth"):
+            automorphism_group(arcless)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _triangle_key(graph: Digraph, v: int) -> tuple[int, int]:

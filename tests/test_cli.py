@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,19 @@ def test_verify_matrix_naming_a_cell_twice_exits_1(tmp_path, capsys) -> None:
     path.write_text('{"m": 2, "sets": {"0,1": [1], "0,1": [0], "1,0": [1]}}')
     assert main(["verify", "--group", "cyclic:5", "--matrix", str(path)]) == 1
     assert "'0,1' twice" in capsys.readouterr().err
+
+
+def test_verify_a_search_past_the_recursion_limit_exits_1(tmp_path, capsys) -> None:
+    # 100 empty blocks of Z2: the search descends 199 levels, past the limit
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"m": 100, "sets": {}}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert main(["verify", "--group", "cyclic:2", "--matrix", str(path)]) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().err.startswith("error: search tree depth")
 
 
 def test_construct_past_the_group_order_limit_exits_1(capsys) -> None:
