@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
-from typing import Container, Iterable, Iterator, Sequence
+from itertools import compress, permutations
+from typing import Iterable, Iterator, Sequence
 
 from .digraphs import Digraph, is_weakly_connected
 # _Chain is unused here; perfbench/spans.py patches it in this module too
@@ -31,14 +32,69 @@ Cells = tuple[tuple[int, ...], ...]
 Event = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
+@dataclass(slots=True, eq=False)
+class _Partition:
+    """An ordered partition of 0..nv-1 into non-empty cells, each keyed by
+    its offset in the concatenated cell order.
+
+    cell_of[v] is the offset of v's cell and cell_at[offset] the set of its
+    members. A child copies its parent's list and dict, so it shares the
+    parent's sets; own holds the offsets whose sets the partition made
+    itself, and refine copies any other set before it writes to it.
+    """
+
+    cell_of: list[int]
+    cell_at: dict[int, set[int]]
+    own: set[int]
+
+    @classmethod
+    def from_cells(cls, nv: int, cells: Iterable[Iterable[int]]) -> _Partition:
+        """The partition of the cells in order; ValueError on an empty cell
+        or on cells that do not partition 0..nv-1."""
+        cell_at: dict[int, set[int]] = {}
+        cell_of = [-1] * nv
+        offset = 0
+        for cell in cells:
+            members: set[int] = set()
+            for v in cell:
+                if not 0 <= v < nv or cell_of[v] >= 0:
+                    raise ValueError(f"cells do not partition 0..{nv - 1}")
+                cell_of[v] = offset
+                members.add(v)
+            if not members:
+                raise ValueError("empty cell")
+            cell_at[offset] = members
+            offset += len(members)
+        if offset != nv:
+            raise ValueError(f"cells do not partition 0..{nv - 1}")
+        return cls(cell_of, cell_at, set(cell_at))
+
+    def child(self, offset: int, v: int) -> _Partition:
+        """v, a member of the cell at offset, alone there, and the rest of
+        that cell at offset + 1; every other set is shared."""
+        cell_of = self.cell_of[:]
+        cell_at = self.cell_at.copy()
+        rest = cell_at[offset] - {v}
+        cell_at[offset] = {v}
+        cell_at[offset + 1] = rest
+        for u in rest:
+            cell_of[u] = offset + 1
+        return _Partition(cell_of, cell_at, {offset, offset + 1})
+
+    def cells(self) -> Cells:
+        """The cells in offset order, each in ascending order."""
+        cell_at = self.cell_at
+        return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
+
+
 def refine(
     graph: Digraph,
-    cells: Iterable[Iterable[int]],
+    cells: Iterable[Iterable[int]] | _Partition,
     *,
     new_cell: int | None = None,
     record: list[Event] | None = None,
     expect: Sequence[Event] | None = None,
-) -> Cells | None:
+) -> Cells | _Partition | None:
     """Coarsest equitable refinement of an ordered partition into non-empty cells.
 
     Every cell is scored against a worklist of splitter cells by the pair
@@ -65,12 +121,18 @@ def refine(
     offset with its members unmoved. Once every cell is a singleton nothing
     can split, and the worklist is dropped.
 
-    A cell is keyed by its offset in the concatenated cell order, which a
-    split of any other cell never moves. The cell at an offset only ever
-    shrinks, so a worklist entry (offset, size) whose size is no longer the
-    cell's belongs to a cell split since. An empty cell would share its
-    offset with the next one, so it raises ValueError, and so do cells that
-    do not partition 0..nv-1.
+    The partition is the pair of a _Partition: cell_of, the offset of each
+    vertex's cell, and cell_at, the members of the cell at each offset. A
+    split of any other cell never moves an offset, and the cell at an offset
+    only ever shrinks, so a worklist entry (offset, size) whose size is no
+    longer the cell's belongs to a cell split since. A _Partition is refined
+    in place and returned, at a cost that follows the splits, not nv. It
+    may share sets with the partition it was copied from, as the engine's
+    children share their parent's; such a set is copied before its first
+    write, so the parent never changes. Any other cells are the tuple
+    boundary: they are read into a new _Partition, an empty cell or cells
+    that do not partition 0..nv-1 raise ValueError, and the result is a
+    tuple of cells in offset order, each in ascending order.
 
     Every split is an event: the cell's offset, the size of the piece left
     there, and the (score, size) of each fragment split off, in score order.
@@ -83,22 +145,9 @@ def refine(
     together leaves the events unchanged.
     """
     nv = graph.nv
-    cell_at: dict[int, set[int]] = {}
-    cell_of = [-1] * nv
-    offset = 0
-    for cell in cells:
-        members: set[int] = set()
-        for v in cell:
-            if not 0 <= v < nv or cell_of[v] >= 0:
-                raise ValueError(f"cells do not partition 0..{nv - 1}")
-            cell_of[v] = offset
-            members.add(v)
-        if not members:
-            raise ValueError("empty cell")
-        cell_at[offset] = members
-        offset += len(members)
-    if offset != nv:
-        raise ValueError(f"cells do not partition 0..{nv - 1}")
+    boundary = not isinstance(cells, _Partition)
+    part = _Partition.from_cells(nv, cells) if boundary else cells
+    cell_of, cell_at, own = part.cell_of, part.cell_at, part.own
     if new_cell is None:
         pending = {off: len(c) for off, c in cell_at.items()}
     elif new_cell in cell_at:
@@ -137,11 +186,15 @@ def refine(
             for v in touched:
                 buckets.setdefault(score[v], []).append(v)
             if len(touched) < len(members):
-                members.difference_update(touched)
+                if coff in own:
+                    members.difference_update(touched)
+                else:
+                    members = cell_at[coff] = members.difference(touched)
             elif len(buckets) == 1:
                 continue
             else:
                 members = cell_at[coff] = set(buckets.pop(min(buckets)))
+            own.add(coff)
             frags = sorted(buckets.items())
             if record is not None or expect is not None:
                 event = (coff, len(members), tuple((s, len(f)) for s, f in frags))
@@ -156,6 +209,7 @@ def refine(
                 if piece:
                     frag = frags[piece - 1][1]
                     cell_at[coff] = set(frag)
+                    own.add(coff)
                     for v in frag:
                         cell_of[v] = coff
                 if piece != skip:
@@ -164,7 +218,7 @@ def refine(
                 coff += size
     if expect is not None and splits != len(expect):
         return None
-    return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
+    return part.cells() if boundary else part
 
 
 def is_automorphism(graph: Digraph, images: Sequence[int]) -> bool:
@@ -192,12 +246,7 @@ def _stack_depth() -> int:
     return depth
 
 
-def _individualize(cells: Cells, idx: int, v: int) -> Cells:
-    rest = tuple(u for u in cells[idx] if u != v)
-    return cells[:idx] + ((v,), rest) + cells[idx + 1 :]
-
-
-def _forced_image(graph: Digraph, cells: Cells, a: int, b: int) -> tuple[int, ...] | bool | None:
+def _forced_image(graph: Digraph, part: _Partition, a: int, b: int) -> tuple[int, ...] | bool | None:
     """The automorphism that fixes every cell setwise and every singleton and
     maps a to b, a vertex of a's cell, when the arcs force each image; False
     when none exists; None when the arcs leave it undecided.
@@ -214,25 +263,20 @@ def _forced_image(graph: Digraph, cells: Cells, a: int, b: int) -> tuple[int, ..
 
     Only a and the vertices mapped after it narrow the sets: in an equitable
     partition, as the engine's are, a singleton's arcs reach all of a cell
-    or none of it.
+    or none of it. The partition is read only where the propagation reaches
+    it, so past one image list allocated at C speed a try costs the reach
+    of a and a count of the singleton cells.
     """
     out_adj, in_adj = graph.out_adj, graph.in_adj
     if not (out_adj[a] or in_adj[a]):
         # a shares its cell with a vertex that nothing will reach
         return None
     nv = graph.nv
-    # cell_of[v] is -1 for a singleton, so a singleton is never a possible image
-    cell_of = [-1] * nv
+    cell_of, cell_at = part.cell_of, part.cell_at
+    # -1 until mapped; a singleton stays -1 and is its own image
     img = [-1] * nv
-    unmapped = -1
-    for idx, cell in enumerate(cells):
-        if len(cell) > 1:
-            unmapped += len(cell)
-            for v in cell:
-                cell_of[v] = idx
-        else:
-            img[cell[0]] = cell[0]
     img[a] = b
+    mapped = 1
     used = {b}
     possible: dict[int, set[int]] = {}
     stack = [a]
@@ -247,11 +291,11 @@ def _forced_image(graph: Digraph, cells: Cells, a: int, b: int) -> tuple[int, ..
                     continue
                 old = possible.get(u)
                 if old is None:
-                    home = cell_of[u]
-                    left = {y for y in allowed if cell_of[y] == home and y not in used}
-                else:
-                    left = old.intersection(allowed)
-                    left -= used
+                    old = cell_at[cell_of[u]]
+                    if len(old) == 1:
+                        continue
+                # `-` walks the smaller side; `-=` would walk all of used
+                left = old.intersection(allowed) - used
                 if len(left) > 1:
                     possible[u] = left
                     continue
@@ -261,10 +305,11 @@ def _forced_image(graph: Digraph, cells: Cells, a: int, b: int) -> tuple[int, ..
                 img[u] = y
                 used.add(y)
                 stack.append(u)
-                unmapped -= 1
-    if unmapped:
+                mapped += 1
+    singletons = list(map(len, cell_at.values())).count(1)
+    if mapped + singletons < nv:
         return None
-    perm = tuple(img)
+    perm = tuple([v if w < 0 else w for v, w in enumerate(img)] if singletons else img)
     return perm if a == b or _preserves_arcs(graph, perm) else False
 
 
@@ -329,7 +374,19 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     individualized at depth d of the first path and K_d the group generated
     by the automorphisms found at or below that node, |Aut| is the product
     of the orbit sizes |u_d^K_d|, each taken when its node's children are
-    done. No Schreier-Sims chain is built.
+    done. No Schreier-Sims chain is built. Every generator found so far
+    fixes the path down to the current first-path node, so it maps that
+    node's target cell onto itself. The orbits are kept as one union-find
+    over the members of the first path's target cells, merged as each
+    generator is found: a child is skipped when its class holds an explored
+    child, and |u_d^K_d| is the size of u_d's class.
+    Each node's partition is a _Partition (see refine). A child copies its
+    parent's cell_of list and cell_at dict, puts its vertex alone at the
+    target cell's offset and the rest of that cell at the next offset, and
+    is refined in place; the sets it shares are copied before their first
+    write, so a parent is never changed by its children. The target is the
+    first largest cell in offset order, and its members are tried in
+    ascending order. A leaf's labelling is the offset of each vertex's cell.
     With stop_order_above set, the search aborts once the order of the
     subgroup found so far exceeds the bound and returns that subgroup (a
     certified lower bound, sound for threshold tests because it only ever
@@ -342,33 +399,42 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     """
     nv = graph.nv
     gens: list[tuple[int, ...]] = []
+    # first_leaf[v]: the position of v in the first leaf's labelling
     first_leaf: list[int] | None = None
     # traces[d]: the split events of the first path's refinement at depth d
     traces: list[list[Event]] = []
     order = 1
-    # the first path's child put off by a forced node, built before any
-    # node off the first path is refined
-    deferred: list[tuple[Cells, int, int]] = []
+    # the first path's child put off by a forced node, as its parent, the
+    # target offset, the vertex and the depth; built before any node off the
+    # first path is refined
+    deferred: list[tuple[_Partition, int, int, int]] = []
     # descend takes one frame a level; stop short of the interpreter's limit
     limit = sys.getrecursionlimit()
     max_depth = limit - _stack_depth() - _SPARE_FRAMES
+    # the orbits of the generators found so far, as a union-find that
+    # relabels the smaller class on a merge: v's class is orbits[cls[v]]
+    cls = list(range(nv))
+    orbits = [[v] for v in range(nv)]
+    # the members of the first path's target cells. The classes asked about
+    # at a node are of its target cell T, which every generator found so far
+    # maps onto itself, so no pair (v, gen[v]) joins T to a vertex outside
+    # it, and merging over these members alone keeps them orbits
+    support: set[int] = set()
 
-    def orbit(v: int, targets: Container[int] = ()) -> set[int] | None:
-        """The orbit of v under the generators so far; None once it meets targets."""
-        seen = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            if u in targets:
-                return None
-            for g in gens:
-                w = g[u]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def add(gen: tuple[int, ...]) -> None:
+        gens.append(gen)
+        for v in support:
+            big, small = cls[v], cls[gen[v]]
+            if big == small:
+                continue
+            if len(orbits[big]) < len(orbits[small]):
+                big, small = small, big
+            for u in orbits[small]:
+                cls[u] = big
+            orbits[big] += orbits[small]
+            orbits[small] = []
 
-    def descend(part: Cells, depth: int, new_cell: int | None = None) -> bool:
+    def descend(part: _Partition, depth: int, new_cell: int | None = None) -> bool:
         """Refine a node's partition and search below it. True off the first
         path: a leaf below preserved arcs, and every ancestor off the path
         returns at once. True on the first path: the search aborted.
@@ -382,72 +448,77 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
         on_path = first_leaf is None
         if on_path:
             traces.append([])
-            cells = refine(graph, part, new_cell=new_cell, record=traces[depth])
-        else:
-            cells = refine(graph, part, new_cell=new_cell, expect=traces[depth])
-            if cells is None:
-                return False
-        target = -1
-        best = 1
-        for idx, c in enumerate(cells):
-            if len(c) > best:
-                best = len(c)
-                target = idx
-        if target < 0:
-            seq = [c[0] for c in cells]
+            refine(graph, part, new_cell=new_cell, record=traces[depth])
+        elif refine(graph, part, new_cell=new_cell, expect=traces[depth]) is None:
+            return False
+        cell_of, cell_at = part.cell_of, part.cell_at
+        if len(cell_at) == nv:
             if on_path:
-                first_leaf = seq
+                first_leaf = cell_of
                 return False
-            img = [0] * nv
-            for a, b in zip(first_leaf, seq):
-                img[a] = b
-            cand = tuple(img)
+            seq = [0] * nv
+            for v, k in enumerate(cell_of):
+                seq[k] = v
+            cand = tuple([seq[k] for k in first_leaf])
             if not _preserves_arcs(graph, cand):
                 return False
-            gens.append(cand)
+            add(cand)
             return True
-        cell = cells[target]
-        offset = sum(map(len, cells[:target]))
+        sizes = list(map(len, cell_at.values()))
+        best = max(sizes)
+        # the first largest cell in offset order
+        target = min(compress(cell_at, map(best.__eq__, sizes)))
+        cell = sorted(cell_at[target])
         first = cell[0]
+        if on_path:
+            support.update(cell)
         # when the arcs force the identity, refinement after `first` is
         # discrete: its leaf is put off, and each other child takes the map
         # of `first` onto it that the arcs force, if they do
-        forced = on_path and _forced_image(graph, cells, first, first) is not None
+        forced = on_path and _forced_image(graph, part, first, first) is not None
         if forced:
-            deferred.append((_individualize(cells, target, first), depth + 1, offset))
-        processed: set[int] = set()
+            deferred.append((part, target, first, depth + 1))
+        # the explored children, and their classes as of `known` generators
+        explored: list[int] = []
+        done: set[int] = set()
+        known = len(gens)
         for v in cell:
-            if on_path and processed and orbit(v, processed) is None:
-                continue
-            if forced and v == first:
-                processed.add(v)
-                continue
-            image = _forced_image(graph, cells, first, v) if forced else None
+            if on_path:
+                if known != len(gens):
+                    known = len(gens)
+                    done = {cls[u] for u in explored}
+                if cls[v] in done:
+                    continue
+                explored.append(v)
+                done.add(cls[v])
+                if forced and v == first:
+                    continue
+            image = _forced_image(graph, part, first, v) if forced else None
             if image is None:
                 if deferred:
                     # the first path's leaf, put off, before any node off it
-                    descend(*deferred.pop())
-                hit = descend(_individualize(cells, target, v), depth + 1, offset)
+                    below, offset, u, level = deferred.pop()
+                    descend(below.child(offset, u), level, offset)
+                hit = descend(part.child(target, v), depth + 1, target)
             else:
                 hit = bool(image)
                 if hit:
-                    gens.append(image)
+                    add(image)
             if hit:
                 if not on_path:
                     return True
                 # a generator was found at or below v, or the search aborted there;
                 # either way the group found so far has order `found`
                 if stop_order_above is not None:
-                    found = order * len(orbit(first))
+                    found = order * len(orbits[cls[first]])
                     if found > stop_order_above:
                         order = found
                         return True
-            processed.add(v)
         if on_path:
-            order *= len(orbit(first))
+            order *= len(orbits[cls[first]])
         return False
 
-    descend(_split_by_triangles(graph), 0)
+    descend(_Partition.from_cells(nv, _split_by_triangles(graph)), 0)
     return PermGroup(nv, gens, order=order)
 
 

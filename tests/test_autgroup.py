@@ -41,10 +41,13 @@ def test_directed_cycle_has_cyclic_symmetry() -> None:
 
 def test_arcless_and_complete_digraphs_have_full_symmetric_group() -> None:
     for n in (2, 4, 5):
-        empty = Digraph.from_arcs(n, [])
         full = Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
-        assert automorphism_group(empty).order() == math.factorial(n)
         assert automorphism_group(full).order() == math.factorial(n)
+    # every leaf of an arcless digraph preserves arcs, so the search finds
+    # about one generator per level and tests each child of a first-path node
+    # against their orbits
+    for n in range(1, 61):
+        assert automorphism_group(Digraph.from_arcs(n, [])).order() == math.factorial(n)
 
 
 def test_directed_path_is_rigid() -> None:
@@ -240,9 +243,10 @@ def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
     pruned: list[tuple[tuple, tuple]] = []
     plain = autgroup.refine
 
-    def watched(graph, cells, *, new_cell=None, record=None, expect=None):
-        cells = tuple(tuple(c) for c in cells)
-        fine = plain(graph, cells, new_cell=new_cell, record=record, expect=expect)
+    def watched(graph, part, *, new_cell=None, record=None, expect=None):
+        # the engine's partition is refined in place, so it is read first
+        cells = part.cells()
+        fine = plain(graph, part, new_cell=new_cell, record=record, expect=expect)
         if record is not None:
             # the list is kept too, so its id is not reused while looked up
             recorded[id(record)] = (record, cells)
@@ -322,7 +326,7 @@ def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
         aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
         assert aut.order() == group.n
         assert len(roots) == calls
-        assert max(map(len, roots[0])) == group.n
+        assert max(map(len, roots[0].cells())) == group.n
 
 
 def _circulant(rng: random.Random, nv: int) -> Digraph:
@@ -380,6 +384,12 @@ def test_forced_maps_leave_the_search_unchanged(monkeypatch) -> None:
     assert sum(1 for r in results if r) - identity > 500
 
 
+def _individualize(cells: tuple[tuple[int, ...], ...], idx: int, v: int) -> tuple[tuple[int, ...], ...]:
+    """The cells with v alone in place of its cell idx, the rest of that cell after it."""
+    rest = tuple(u for u in cells[idx] if u != v)
+    return cells[:idx] + ((v,), rest) + cells[idx + 1 :]
+
+
 def _partitions(rng: random.Random, graph: Digraph) -> list[tuple[tuple[int, ...], ...]]:
     """The engine's root partition and its nodes along a random path, and a
     random colouring, which need not be equitable."""
@@ -387,7 +397,7 @@ def _partitions(rng: random.Random, graph: Digraph) -> list[tuple[tuple[int, ...
     found = [cells]
     while len(cells) < graph.nv:
         idx = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
-        cells = refine(graph, autgroup._individualize(cells, idx, rng.choice(cells[idx])))
+        cells = refine(graph, _individualize(cells, idx, rng.choice(cells[idx])))
         found.append(cells)
     colours = [rng.randrange(3) for _ in range(graph.nv)]
     found.append(tuple(c for c in (tuple(v for v in range(graph.nv) if colours[v] == k)
@@ -411,12 +421,13 @@ def test_forced_image_is_sound() -> None:
             graph = _circulant(rng, nv)
         auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
         for cells in _partitions(rng, graph):
+            part = autgroup._Partition.from_cells(nv, cells)
             cell_of = {v: set(c) for c in cells for v in c}
             keep = [p for p in auts if all(p[v] in cell_of[v] for v in range(nv))]
             for idx, cell in enumerate(cells):
                 for a in cell if len(cell) > 1 else ():
                     for b in cell:
-                        image = autgroup._forced_image(graph, cells, a, b)
+                        image = autgroup._forced_image(graph, part, a, b)
                         if image is None:
                             outcomes.add("undecided")
                             continue
@@ -431,7 +442,7 @@ def test_forced_image_is_sound() -> None:
                             continue
                         outcomes.add("identity")
                         assert image == tuple(range(nv))
-                        below = refine(graph, autgroup._individualize(cells, idx, a))
+                        below = refine(graph, _individualize(cells, idx, a))
                         assert len(below) == nv
     assert outcomes == {"undecided", "none", "map", "identity"}
 
@@ -893,10 +904,10 @@ def test_refine_matches_full_scan_cell_for_cell() -> None:
         root = refine(graph, unit)
         assert root == _refine_full_scan(graph, unit) == unit
         for v in (0, graph.nv // 2, graph.nv - 1):
-            one = autgroup._individualize(root, 0, v)
+            one = _individualize(root, 0, v)
             assert refine(graph, one) == _refine_full_scan(graph, one)
             for w in (one[1][0], one[1][-1]):
-                two = autgroup._individualize(one, 1, w)
+                two = _individualize(one, 1, w)
                 assert refine(graph, two) == _refine_full_scan(graph, two)
 
 
@@ -917,7 +928,7 @@ def test_refine_from_the_new_singleton_alone() -> None:
         rng.shuffle(sigma)
         moved_graph = _relabel(graph, sigma)
         for v in fine[idx]:
-            child = autgroup._individualize(fine, idx, v)
+            child = _individualize(fine, idx, v)
             trace: list = []
             fast = refine(graph, child, new_cell=offset, record=trace)
             assert set(fast) == set(refine(graph, child))
@@ -932,3 +943,48 @@ def test_refine_from_the_new_singleton_alone() -> None:
     assert children > 500
     with pytest.raises(ValueError):
         refine(Digraph.from_arcs(3, [(0, 1)]), ((0, 1), (2,)), new_cell=1)
+
+
+def test_a_child_never_disturbs_its_parent() -> None:
+    # a child shares its parent's cell sets and is refined in place; the
+    # sets it writes to are copied first, so the parent reads the same after
+    # every child, and each child refines as its cells do in tuple form
+    rng = random.Random(34)
+    children = pruned = 0
+    for trial in range(500):
+        nv = rng.randrange(2, 17)
+        if trial % 2:
+            graph = _permutation_union(rng, nv, rng.randrange(1, 4))
+        else:
+            graph = _random_digraph(rng, nv, rng.uniform(0.05, 0.6))
+        parent = autgroup._Partition.from_cells(nv, autgroup._split_by_triangles(graph))
+        assert refine(graph, parent) is parent
+        cells = parent.cells()
+        best = max(map(len, cells))
+        if best == 1:
+            continue
+        idx = next(i for i, cell in enumerate(cells) if len(cell) == best)
+        offset = sum(map(len, cells[:idx]))
+        first_trace = None
+        for v in cells[idx]:
+            tuples = _individualize(cells, idx, v)
+            trace: list = []
+            child = refine(graph, parent.child(offset, v), new_cell=offset, record=trace)
+            assert parent.cells() == cells
+            plain: list = []
+            assert child.cells() == refine(graph, tuples, new_cell=offset, record=plain)
+            assert trace == plain
+            if first_trace is None:
+                first_trace = trace
+            # against the first child's events, as the search refines a node
+            # off its first path
+            matched = refine(graph, parent.child(offset, v), new_cell=offset, expect=first_trace)
+            assert parent.cells() == cells
+            expected = refine(graph, tuples, new_cell=offset, expect=first_trace)
+            if expected is None:
+                assert matched is None
+                pruned += 1
+            else:
+                assert matched.cells() == expected
+            children += 1
+    assert children > 800 and pruned > 100
