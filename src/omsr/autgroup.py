@@ -22,8 +22,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX = 10
-# frames the deepest level of the search may open past descend's own
-_SPARE_FRAMES = 20
 
 
 Cells = tuple[tuple[int, ...], ...]
@@ -236,16 +234,6 @@ def _preserves_arcs(graph: Digraph, img: tuple[int, ...]) -> bool:
     return True
 
 
-def _stack_depth() -> int:
-    """The number of frames on the interpreter's stack, this one included."""
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def _forced_image(graph: Digraph, part: _Partition, a: int, b: int) -> tuple[int, ...] | bool | None:
     """The automorphism that fixes every cell setwise and every singleton and
     maps a to b, a vertex of a's cell, when the arcs force each image; False
@@ -393,9 +381,9 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     finds true automorphisms). That order is exact at every moment: every
     level below the current first-path node is complete, and every
     generator fixes the first path above it.
-    The search recurses once per level of the first path; a tree deeper
-    than the interpreter's recursion limit allows raises ValueError, which
-    names the depth.
+    The search recurses once per level of the first path; the RecursionError
+    of a tree deeper than the interpreter's recursion limit allows is raised
+    again as a ValueError that names the limit.
     """
     nv = graph.nv
     gens: list[tuple[int, ...]] = []
@@ -408,9 +396,6 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
     # target offset, the vertex and the depth; built before any node off the
     # first path is refined
     deferred: list[tuple[_Partition, int, int, int]] = []
-    # descend takes one frame a level; stop short of the interpreter's limit
-    limit = sys.getrecursionlimit()
-    max_depth = limit - _stack_depth() - _SPARE_FRAMES
     # the orbits of the generators found so far, as a union-find that
     # relabels the smaller class on a merge: v's class is orbits[cls[v]]
     cls = list(range(nv))
@@ -441,10 +426,6 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
         new_cell is the offset of the vertex individualized in part, whose
         parent partition refine left equitable; None at the root."""
         nonlocal first_leaf, order
-        if depth > max_depth:
-            raise ValueError(
-                f"search tree depth {depth} would pass the recursion limit of {limit}"
-            )
         on_path = first_leaf is None
         if on_path:
             traces.append([])
@@ -518,7 +499,11 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
             order *= len(orbits[cls[first]])
         return False
 
-    descend(_Partition.from_cells(nv, _split_by_triangles(graph)), 0)
+    try:
+        descend(_Partition.from_cells(nv, _split_by_triangles(graph)), 0)
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ValueError(f"search tree depth passes the recursion limit of {limit}") from None
     return PermGroup(nv, gens, order=order)
 
 

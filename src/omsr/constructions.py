@@ -27,7 +27,7 @@ from .groups import (
     element_order,
     generated_subgroup,
 )
-from .mcayley import ConnectionMatrix, build
+from .mcayley import ConnectionMatrix, build, oriented_breaks
 
 # A claim asserts that one cell of the connection matrix equals one set of
 # group elements.  Two claims on the same cell contradict each other.
@@ -95,13 +95,10 @@ def validate_claims(group: FiniteGroup, m: int, claims: tuple[Claim, ...]) -> li
     if violations:
         return violations
     conn = claims_to_matrix(m, claims)
-    for i in range(m):
-        for j in range(m):
-            back = conn.entry(j, i)
-            if any(group.inv[t] in back for t in conn.entry(i, j)):
-                violations.append(
-                    f"cells ({i},{j}) and ({j},{i}) break the oriented condition"
-                )
+    violations = [
+        f"cells ({i},{j}) and ({j},{i}) break the oriented condition"
+        for i, j in oriented_breaks(group, conn)
+    ]
     if violations:
         return violations
     if not is_weakly_connected(build(group, conn).graph):

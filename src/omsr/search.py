@@ -201,26 +201,23 @@ def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
     return tables
 
 
-def _twins(group: FiniteGroup, rows: list[tuple[int, ...]]) -> list[int]:
-    """The index in the sorted first rows ``rows`` of each row's orbit leader.
+def _leader(group: FiniteGroup, row: tuple[int, ...], least: dict[int, int]) -> tuple[int, ...]:
+    """The leader of first row ``row``'s orbit, itself a first row.
 
     Permuting blocks 1..m-1, and relabelling block j >= 1 by g -> a*g, which
     sends T(0, j) to a*T(0, j), map the matrices under one first row one to
     one onto those under its image, with isomorphic digraphs.  The leader
     keeps T(0, 0) and sorts the least a*T(0, j) of each cell, so it is the
-    least row of its orbit and no later in ``rows`` than any other.
+    least row of its orbit and no later in table 0 than any other.
+    ``least`` maps each cell met so far to its least image; one search
+    keeps one.
     """
-    least: dict[int, int] = {}
-
-    def least_image(mask: int) -> int:
+    for mask in row[1:]:
         if mask not in least:
             elements = _elements(mask)
             orbit = [sum(1 << product[t] for t in elements) for product in group.mult]
             least.update(dict.fromkeys(orbit, min(orbit)))
-        return least[mask]
-
-    index = {row: i for i, row in enumerate(rows)}
-    return [index[(row[0], *sorted(map(least_image, row[1:])))] for row in rows]
+    return (row[0], *sorted(least[mask] for mask in row[1:]))
 
 
 def _search_branch(
@@ -426,7 +423,7 @@ def exhaustive_search(
 
     The depth-1 subtrees, the branches, are searched one after another in
     branch order, each under the budget less the work of the earlier ones,
-    and a checkpoint is written after each branch.  ``jobs`` is kept only for
+    and a checkpoint is written after each branch.  ``jobs`` remains only for
     callers of the old signature (perfbench/workloads.py) and must be 1.
 
     Once the search has scanned a row table in full twice, the table keeps
@@ -435,14 +432,16 @@ def exhaustive_search(
     checkpoint stays that of testing each row in turn.
 
     Relabelling blocks maps the subtrees of first rows in one orbit onto
-    each other (see ``_twins``), so only the first branch of each orbit, its
-    leader, goes to the automorphism engine.  A twin, a branch whose leader
-    was merged earlier in the same run, still walks its rows: it counts the
-    same rows tried and candidates completed, against the budget too, and
-    takes the leader's histogram, so counts, histograms, budget stops and
-    checkpoints stay those of the labelled search.  A twin whose candidate
-    count differs from its leader's raises RuntimeError.  A branch whose
-    leader was merged before a resumed checkpoint is evaluated in full.
+    each other, so only the first branch of each orbit, its leader, goes to
+    the automorphism engine; a branch finds its leader row (``_leader``)
+    when it is reached.  A twin, a branch whose leader row was merged earlier
+    in the same run, still walks its rows: it counts the same rows tried and
+    candidates completed, against the budget too, and takes the leader's
+    histogram, so counts, histograms, budget stops and checkpoints stay those
+    of the labelled search.  A twin whose candidate count differs from its
+    leader's raises RuntimeError.  A branch whose leader was merged before a
+    resumed checkpoint is evaluated in full.  The run keeps each leader it
+    merges, one entry per orbit, so never more entries than table 0 has rows.
     Without ``exact_histogram`` the engine may stop once the order passes
     |G|; a twin's candidates are isomorphic to its leader's, so the leader's
     lower bounds hold for the twin too.
@@ -466,23 +465,23 @@ def exhaustive_search(
             )
         start, tested, histogram = _read_checkpoint(checkpoint_path, space)
     tables = _matrix_tables(space)
-    first_rows = [cells for cells, *_ in tables[0]]
-    rows = len(first_rows)
+    rows = len(tables[0])
     if start >= rows:
         # resuming past the end would report EXHAUSTED without a search
         raise ValueError(
             f"checkpoint {checkpoint_path} completed branch {start},"
             f" but the search space has {rows} branches"
         )
-    leaders = _twins(space.group, first_rows)
-    tasks = [(branch, not start < leaders[branch] < branch) for branch in range(start + 1, rows)]
-    # a leader's (count, histogram) is kept until its last twin is merged
-    last_twin = {leaders[branch]: branch for branch, evaluate in tasks if not evaluate}
-    kept: dict[int, tuple[int, dict[int, int]]] = {}
+    least: dict[int, int] = {}
+    # each leader row merged in this run: its branch, count and histogram
+    merged: dict[tuple[int, ...], tuple[int, int, dict[int, int]]] = {}
     work = 0
-    for branch, evaluate in tasks:
+    for branch in range(start + 1, rows):
+        row = tables[0][branch][0]
+        leader = _leader(space.group, row, least)
+        twin = leader in merged
         status, witness, count, found, done = _search_branch(
-            space, tables, exact_histogram, budget - work, branch, evaluate
+            space, tables, exact_histogram, budget - work, branch, not twin
         )
         work += done
         # a branch's last candidate completes after its last check, so a
@@ -492,16 +491,15 @@ def exhaustive_search(
                 f"the rows tried and candidates completed passed the budget"
                 f" of {budget} in branch {branch}"
             )
-        if not evaluate:
-            leader = leaders[branch]
-            leader_count, found = kept.pop(leader) if last_twin[leader] == branch else kept[leader]
+        if twin:
+            first, leader_count, found = merged[leader]
             if count != leader_count:
                 raise RuntimeError(
                     f"branch {branch} completed {count} candidates, but its"
-                    f" orbit leader {leader} completed {leader_count}"
+                    f" orbit leader {first} completed {leader_count}"
                 )
-        if branch in last_twin:
-            kept[branch] = count, found
+        elif leader == row:
+            merged[row] = branch, count, found
         tested += count
         for order, c in found.items():
             histogram[order] = histogram.get(order, 0) + c

@@ -10,6 +10,7 @@ from omsr import search
 from omsr.cli import GROUP_HELP, main, parse_group_spec
 from omsr.constructions import family_matrix
 from omsr.groups import MAX_GROUP_ORDER, make_cyclic, standard_two_generated
+from omsr.mcayley import MAX_BLOCKS
 
 
 def _stdout_json(capsys) -> dict:
@@ -235,6 +236,15 @@ def test_verify_a_search_past_the_recursion_limit_exits_1(tmp_path, capsys) -> N
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().err.startswith("error: search tree depth")
+
+
+def test_past_the_block_count_limit_exits_1(tmp_path, capsys) -> None:
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"m": MAX_BLOCKS + 1, "sets": {}}))
+    assert main(["verify", "--group", "cyclic:2", "--matrix", str(path)]) == 1
+    assert f"block count {MAX_BLOCKS + 1} exceeds the limit" in capsys.readouterr().err
+    assert main(["construct", "--group", "cyclic:2", "--m", str(MAX_BLOCKS + 1)]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_construct_past_the_group_order_limit_exits_1(capsys) -> None:

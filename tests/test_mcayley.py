@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from omsr.digraphs import is_k_regular, is_oriented
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import (
+    MAX_BLOCKS,
     ConnectionMatrix,
     build,
     connection_is_oriented,
+    oriented_breaks,
     regular_action_group,
     right_translation,
     valency_profile,
@@ -86,6 +89,31 @@ def test_connection_is_oriented_all_pairs() -> None:
     assert not connection_is_oriented(group, conn)
     conn = ConnectionMatrix.from_entries(2, {(0, 0): {1}, (0, 1): {0}, (1, 1): {4}})
     assert connection_is_oriented(group, conn)
+    assert oriented_breaks(group, conn) == []
+    # every breaking pair, both orders of a cross-block pair, in row order
+    conn = ConnectionMatrix.from_entries(
+        3, {(0, 2): {1}, (2, 0): {4}, (1, 1): {2, 3}, (1, 0): {0}, (2, 2): {1}}
+    )
+    assert oriented_breaks(group, conn) == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_block_count_limit_is_checked_before_any_matrix() -> None:
+    # an empty matrix one past the limit would take over 270 MB; both ways in
+    # refuse it before they allocate a cell
+    for make in (
+        lambda: ConnectionMatrix.from_entries(MAX_BLOCKS + 1, {}),
+        lambda: ConnectionMatrix.from_json({"m": MAX_BLOCKS + 1, "sets": {}}),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # z2-general is quoted at m = 2560
+    assert MAX_BLOCKS >= 2560
 
 
 def test_connection_oriented_matches_graph_oriented_random() -> None:

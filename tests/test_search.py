@@ -413,9 +413,9 @@ def test_mask_filtering_matches_the_row_by_row_walk(space) -> None:
     # one job runs them, so a table is scanned row by row until two full
     # scans build its masks
     tables = search._matrix_tables(space)
-    leaders = search._twins(space.group, [cells for cells, *_ in tables[0]])
-    for branch, leader in enumerate(leaders):
-        args = search.DEFAULT_BUDGET, branch, leader == branch
+    least: dict = {}
+    for branch, (row, *_) in enumerate(tables[0]):
+        args = search.DEFAULT_BUDGET, branch, search._leader(space.group, row, least) == row
         got = search._search_branch(space, tables, True, *args)
         assert got == _row_by_row(space, tables, *args), branch
         if got[0] == "FOUND":
@@ -428,13 +428,15 @@ def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -
     # one job does, each under the budget its earlier branches left, up to
     # the first stop.  Only a stopped branch's work may differ.
     space = SearchSpace(Z4, 2)
-    leaders = search._twins(Z4, enumerate_rows(Z4, 2, 3, 0))
+    least: dict = {}
+    rows = enumerate_rows(Z4, 2, 3, 0)
+    leads = [search._leader(Z4, row, least) == row for row in rows]
     total = 296
     for budget in range(total + 1):
         tables = search._matrix_tables(space)
         left = budget
-        for branch, leader in enumerate(leaders):
-            args = left, branch, leader == branch
+        for branch, evaluate in enumerate(leads):
+            args = left, branch, evaluate
             got = search._search_branch(space, tables, True, *args)
             want = _row_by_row(space, tables, *args)
             assert got[:4] == want[:4], (budget, branch)
@@ -514,14 +516,16 @@ def test_only_orbit_leaders_reach_the_engine(
 
 def test_leaders_are_the_least_rows_of_their_orbits() -> None:
     rows = enumerate_rows(Z4, 2, 3, 0)
-    leaders = search._twins(Z4, rows)
+    least: dict = {}
+    leaders = [rows.index(search._leader(Z4, row, least)) for row in rows]
     assert leaders == [0, 0, 0, 0, 4, 5, 4, 4, 5, 4, 10, 11, 10, 10, 11, 10]
     for row, leader in zip(rows, leaders):
         # the leader keeps T(0,0) and its T(0,1) is a*T(0,1) for some a
         images = {sum(1 << Z4.mult[a][t] for t in _mask_elements(row[1])) for a in range(4)}
         assert rows[leader][0] == row[0] and rows[leader][1] == min(images)
     # Z1 m=7: permuting blocks 1..6 joins all 20 first rows
-    assert set(search._twins(Z1, enumerate_rows(Z1, 7, 3, 0))) == {0}
+    rows = enumerate_rows(Z1, 7, 3, 0)
+    assert {search._leader(Z1, row, {}) for row in rows} == {rows[0]}
 
 
 @pytest.mark.parametrize(
@@ -548,7 +552,7 @@ def test_reuse_gives_the_outputs_of_evaluating_every_branch(monkeypatch, space, 
 
     reduced = outcomes()
     # every branch its own leader: the search without reuse
-    monkeypatch.setattr(search, "_twins", lambda group, rows: list(range(len(rows))))
+    monkeypatch.setattr(search, "_leader", lambda group, row, least: row)
     assert outcomes() == reduced
 
 
@@ -569,12 +573,36 @@ def test_a_resumed_run_evaluates_twins_of_earlier_leaders(engine_calls, tmp_path
 
 def test_a_twin_whose_count_differs_from_its_leader_raises(monkeypatch, tmp_path) -> None:
     # branches 0..3 of Z4 m=2 complete no candidate and branch 4 completes
-    # two, so a map naming branch 0 as every leader fails at branch 4
-    monkeypatch.setattr(search, "_twins", lambda group, rows: [0] * len(rows))
+    # two, so naming branch 0's row as every leader fails at branch 4
+    first = enumerate_rows(Z4, 2, 3, 0)[0]
+    monkeypatch.setattr(search, "_leader", lambda group, row, least: first)
     path = tmp_path / "ckpt.json"
     with pytest.raises(RuntimeError, match="branch 4 completed 2 .* leader 0 completed 0"):
         exhaustive_search(SearchSpace(Z4, 2), checkpoint_path=str(path))
     assert json.loads(path.read_text())["last_completed_branch"] == 3
+
+
+def test_a_first_witness_search_finds_the_leader_of_each_branch_it_runs(monkeypatch) -> None:
+    # Z5 m=2 connected is FOUND after 2 candidates, long before the last of
+    # table 0's rows: only the branches it reaches ask for their leaders
+    leader, search_branch = search._leader, search._search_branch
+    asked, ran = [], []
+
+    def counting_leader(group, row, least):
+        asked.append(row)
+        return leader(group, row, least)
+
+    def counting_branch(*args):
+        ran.append(args[4])
+        return search_branch(*args)
+
+    monkeypatch.setattr(search, "_leader", counting_leader)
+    monkeypatch.setattr(search, "_search_branch", counting_branch)
+    outcome = exhaustive_search(SearchSpace(Z5, 2, require_connected=True))
+    assert (outcome.status, outcome.candidates_tested) == ("FOUND", 2)
+    rows = enumerate_rows(Z5, 2, 3, 0)
+    assert asked == [rows[branch] for branch in ran]
+    assert len(asked) < len(rows)
 
 
 @pytest.mark.parametrize(
