@@ -7,14 +7,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .digraphs import Digraph, is_weakly_connected
 # _Chain is unused here; perfbench/spans.py patches it in this module too
 from .perms import PermGroup, _Chain, check_permutation  # noqa: F401
 
 __all__ = [
-    "refine",
     "automorphism_group",
     "brute_force_order",
     "is_automorphism",
@@ -24,7 +23,6 @@ __all__ = [
 BRUTE_FORCE_MAX = 10
 
 
-Cells = tuple[tuple[int, ...], ...]
 # a split: the cell's offset, the size left there, then (score, size) of
 # every fragment split off it, in score order
 Event = tuple[int, int, tuple[tuple[int, int], ...]]
@@ -45,28 +43,6 @@ class _Partition:
     cell_at: dict[int, set[int]]
     own: set[int]
 
-    @classmethod
-    def from_cells(cls, nv: int, cells: Iterable[Iterable[int]]) -> _Partition:
-        """The partition of the cells in order; ValueError on an empty cell
-        or on cells that do not partition 0..nv-1."""
-        cell_at: dict[int, set[int]] = {}
-        cell_of = [-1] * nv
-        offset = 0
-        for cell in cells:
-            members: set[int] = set()
-            for v in cell:
-                if not 0 <= v < nv or cell_of[v] >= 0:
-                    raise ValueError(f"cells do not partition 0..{nv - 1}")
-                cell_of[v] = offset
-                members.add(v)
-            if not members:
-                raise ValueError("empty cell")
-            cell_at[offset] = members
-            offset += len(members)
-        if offset != nv:
-            raise ValueError(f"cells do not partition 0..{nv - 1}")
-        return cls(cell_of, cell_at, set(cell_at))
-
     def child(self, offset: int, v: int) -> _Partition:
         """v, a member of the cell at offset, alone there, and the rest of
         that cell at offset + 1; every other set is shared."""
@@ -79,20 +55,15 @@ class _Partition:
             cell_of[u] = offset + 1
         return _Partition(cell_of, cell_at, {offset, offset + 1})
 
-    def cells(self) -> Cells:
-        """The cells in offset order, each in ascending order."""
-        cell_at = self.cell_at
-        return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
-
 
 def refine(
     graph: Digraph,
-    cells: Iterable[Iterable[int]] | _Partition,
+    part: _Partition,
     *,
     new_cell: int | None = None,
     record: list[Event] | None = None,
     expect: Sequence[Event] | None = None,
-) -> Cells | _Partition | None:
+) -> _Partition | None:
     """Coarsest equitable refinement of an ordered partition into non-empty cells.
 
     Every cell is scored against a worklist of splitter cells by the pair
@@ -108,7 +79,7 @@ def refine(
     other pieces', for out-arcs and in-arcs alike. Such a cell queues every
     piece but the first largest, in piece order: the piece left in place,
     then the fragments. The choice reads only sizes and order. The worklist
-    starts as every cell. With new_cell, the caller vouches that cells is an
+    starts as every cell. With new_cell, the caller vouches that part is an
     equitable partition with the cell at offset new_cell split off one of
     its cells, and the worklist starts as that cell alone; the engine passes
     the offset of the vertex it individualizes.
@@ -119,18 +90,15 @@ def refine(
     offset with its members unmoved. Once every cell is a singleton nothing
     can split, and the worklist is dropped.
 
-    The partition is the pair of a _Partition: cell_of, the offset of each
-    vertex's cell, and cell_at, the members of the cell at each offset. A
-    split of any other cell never moves an offset, and the cell at an offset
-    only ever shrinks, so a worklist entry (offset, size) whose size is no
-    longer the cell's belongs to a cell split since. A _Partition is refined
-    in place and returned, at a cost that follows the splits, not nv. It
-    may share sets with the partition it was copied from, as the engine's
+    The partition is a _Partition: cell_of, the offset of each vertex's
+    cell, and cell_at, the members of the cell at each offset. A split of
+    any other cell never moves an offset, and the cell at an offset only
+    ever shrinks, so a worklist entry (offset, size) whose size is no longer
+    the cell's belongs to a cell split since. The partition is refined in
+    place and returned, at a cost that follows the splits, not nv. It may
+    share sets with the partition it was copied from, as the engine's
     children share their parent's; such a set is copied before its first
-    write, so the parent never changes. Any other cells are the tuple
-    boundary: they are read into a new _Partition, an empty cell or cells
-    that do not partition 0..nv-1 raise ValueError, and the result is a
-    tuple of cells in offset order, each in ascending order.
+    write, so the parent never changes.
 
     Every split is an event: the cell's offset, the size of the piece left
     there, and the (score, size) of each fragment split off, in score order.
@@ -139,12 +107,10 @@ def refine(
     None at the first that differs, or at the end if any are left unmatched;
     otherwise it returns what a call without it returns. Events hold only
     offsets, sizes and scores, and splitters, touched cells and fragments are
-    taken in an order fixed by those, so relabelling the graph and the cells
-    together leaves the events unchanged.
+    taken in an order fixed by those, so relabelling the graph and the
+    partition together leaves the events unchanged.
     """
     nv = graph.nv
-    boundary = not isinstance(cells, _Partition)
-    part = _Partition.from_cells(nv, cells) if boundary else cells
     cell_of, cell_at, own = part.cell_of, part.cell_at, part.own
     if new_cell is None:
         pending = {off: len(c) for off, c in cell_at.items()}
@@ -216,7 +182,7 @@ def refine(
                 coff += size
     if expect is not None and splits != len(expect):
         return None
-    return part.cells() if boundary else part
+    return part
 
 
 def is_automorphism(graph: Digraph, images: Sequence[int]) -> bool:
@@ -301,9 +267,10 @@ def _forced_image(graph: Digraph, part: _Partition, a: int, b: int) -> tuple[int
     return perm if a == b or _preserves_arcs(graph, perm) else False
 
 
-def _split_by_triangles(graph: Digraph) -> Cells:
+def _split_by_triangles(graph: Digraph) -> _Partition:
     """The vertices grouped by the pair (transitive triangles with v as
-    source, directed 3-cycles through v), the groups in ascending key order."""
+    source, directed 3-cycles through v), the groups in ascending key order:
+    the search's root partition."""
     masks = graph.out_masks
     groups: dict[tuple[int, int], list[int]] = {}
     for v, row in enumerate(graph.out_adj):
@@ -313,7 +280,16 @@ def _split_by_triangles(graph: Digraph) -> Cells:
             src += (masks[a] & masks[v]).bit_count()
             cyc += (masks[a] & back).bit_count()
         groups.setdefault((src, cyc), []).append(v)
-    return tuple(tuple(groups[k]) for k in sorted(groups))
+    cell_of = [0] * graph.nv
+    cell_at: dict[int, set[int]] = {}
+    offset = 0
+    for key in sorted(groups):
+        members = groups[key]
+        cell_at[offset] = set(members)
+        for v in members:
+            cell_of[v] = offset
+        offset += len(members)
+    return _Partition(cell_of, cell_at, set(cell_at))
 
 
 def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -> PermGroup:
@@ -500,7 +476,7 @@ def automorphism_group(graph: Digraph, *, stop_order_above: int | None = None) -
         return False
 
     try:
-        descend(_Partition.from_cells(nv, _split_by_triangles(graph)), 0)
+        descend(_split_by_triangles(graph), 0)
     except RecursionError:
         limit = sys.getrecursionlimit()
         raise ValueError(f"search tree depth passes the recursion limit of {limit}") from None

@@ -134,9 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_connection(group, conn, family=family)
     print(report.human_table())
     print()
-    print(json.dumps(report.to_json(), indent=2))
-    if args.out:
-        report.save(args.out)
+    _emit(report.to_json(), args.out)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .groups import (
     element_order,
     generated_subgroup,
 )
-from .mcayley import ConnectionMatrix, build, oriented_breaks
+from .mcayley import ConnectionMatrix, build, check_block_count, oriented_breaks
 
 # A claim asserts that one cell of the connection matrix equals one set of
 # group elements.  Two claims on the same cell contradict each other.
@@ -452,6 +452,10 @@ def applicable_family(
             " takes x from its first factor and y from its second); give any other"
             " generating pair as perm:file.json"
         )
+    # no family covers the trivial group, whose exception holds at every m;
+    # any other group is refused past the limit before a family builds claims
+    if group.n > 1:
+        check_block_count(m)
     for name, claims in FAMILIES.items():
         try:
             claims(group, spec, m)
@@ -482,4 +486,5 @@ def family_matrix(
     name: str, group: FiniteGroup, spec: GeneratorSpec, m: int
 ) -> ConnectionMatrix:
     """Connection matrix of family ``name``; FamilyError outside its domain."""
+    check_block_count(m)
     return claims_to_matrix(m, FAMILIES[name](group, spec, m))

@@ -34,6 +34,13 @@ __all__ = [
 MAX_BLOCKS = 4096
 
 
+def check_block_count(m: int) -> None:
+    """ValueError when m passes MAX_BLOCKS; callers check before they build
+    an m x m matrix or the claims that fill one."""
+    if m > MAX_BLOCKS:
+        raise ValueError(f"block count {m} exceeds the limit of {MAX_BLOCKS}")
+
+
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """m x m matrix of subsets of group element indices."""
@@ -55,8 +62,7 @@ class ConnectionMatrix:
     def from_entries(
         cls, m: int, entries: Mapping[tuple[int, int], Iterable[int]]
     ) -> "ConnectionMatrix":
-        if m > MAX_BLOCKS:
-            raise ValueError(f"block count {m} exceeds the limit of {MAX_BLOCKS}")
+        check_block_count(m)
         # one shared empty set; m * m calls of frozenset() cost more than the
         # rest of a large family build
         empty: frozenset[int] = frozenset()
@@ -66,9 +72,6 @@ class ConnectionMatrix:
                 raise ValueError(f"cell ({i},{j}) out of range for m={m}")
             rows[i][j] = frozenset(elems)
         return cls(m, tuple(tuple(r) for r in rows))
-
-    def entry(self, i: int, j: int) -> frozenset[int]:
-        return self.sets[i][j]
 
     def max_element(self) -> int:
         return max(map(max, filter(None, chain.from_iterable(self.sets))), default=-1)

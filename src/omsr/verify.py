@@ -8,10 +8,8 @@ group order; connectivity is reported but does not enter the verdict.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .autgroup import automorphism_group
 from .digraphs import is_k_regular, is_oriented, is_weakly_connected
@@ -61,11 +59,6 @@ class VerificationReport:
             "elapsed_seconds": self.elapsed_seconds,
             "matrix": self.matrix.to_json(),
         }
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
 
     def human_table(self) -> str:
         rows = [

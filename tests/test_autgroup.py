@@ -16,7 +16,6 @@ from omsr.autgroup import (
     brute_force_order,
     check_prop21_hypotheses,
     is_automorphism,
-    refine,
 )
 from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph, is_weakly_connected
@@ -32,6 +31,44 @@ def _directed_cycle(n: int) -> Digraph:
 def _random_digraph(rng: random.Random, nv: int, p: float) -> Digraph:
     arcs = [(u, v) for u in range(nv) for v in range(nv) if u != v and rng.random() < p]
     return Digraph.from_arcs(nv, arcs)
+
+
+Cells = tuple[tuple[int, ...], ...]
+
+
+def _partition(nv: int, cells) -> autgroup._Partition:
+    """The engine's partition of the cells in order; ValueError on an empty
+    cell or on cells that do not partition 0..nv-1."""
+    cell_at: dict[int, set[int]] = {}
+    cell_of = [-1] * nv
+    offset = 0
+    for cell in cells:
+        members: set[int] = set()
+        for v in cell:
+            if not 0 <= v < nv or cell_of[v] >= 0:
+                raise ValueError(f"cells do not partition 0..{nv - 1}")
+            cell_of[v] = offset
+            members.add(v)
+        if not members:
+            raise ValueError("empty cell")
+        cell_at[offset] = members
+        offset += len(members)
+    if offset != nv:
+        raise ValueError(f"cells do not partition 0..{nv - 1}")
+    return autgroup._Partition(cell_of, cell_at, set(cell_at))
+
+
+def _cells(part: autgroup._Partition) -> Cells:
+    """The cells in offset order, each in ascending order."""
+    cell_at = part.cell_at
+    return tuple(tuple(sorted(cell_at[k])) for k in sorted(cell_at))
+
+
+def _refine(graph: Digraph, cells, **keywords) -> Cells | None:
+    """refine on cells given as tuples, its result read back as tuples; the
+    keywords are refine's own."""
+    fine = autgroup.refine(graph, _partition(graph.nv, cells), **keywords)
+    return None if fine is None else _cells(fine)
 
 
 def test_directed_cycle_has_cyclic_symmetry() -> None:
@@ -245,7 +282,7 @@ def test_pruned_nodes_have_no_automorphism_onto_them(monkeypatch) -> None:
 
     def watched(graph, part, *, new_cell=None, record=None, expect=None):
         # the engine's partition is refined in place, so it is read first
-        cells = part.cells()
+        cells = _cells(part)
         fine = plain(graph, part, new_cell=new_cell, record=record, expect=expect)
         if record is not None:
             # the list is kept too, so its id is not reused while looked up
@@ -311,8 +348,8 @@ def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
     roots = []
     plain = autgroup.refine
 
-    def counted(graph, cells, *, new_cell=None, record=None, expect=None):
-        roots.append(plain(graph, cells, new_cell=new_cell, record=record, expect=expect))
+    def counted(graph, part, *, new_cell=None, record=None, expect=None):
+        roots.append(plain(graph, part, new_cell=new_cell, record=record, expect=expect))
         return roots[-1]
 
     monkeypatch.setattr(autgroup, "refine", counted)
@@ -326,7 +363,7 @@ def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
         aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
         assert aut.order() == group.n
         assert len(roots) == calls
-        assert max(map(len, roots[0].cells())) == group.n
+        assert max(map(len, _cells(roots[0]))) == group.n
 
 
 def _circulant(rng: random.Random, nv: int) -> Digraph:
@@ -347,8 +384,8 @@ def test_forced_maps_leave_the_search_unchanged(monkeypatch) -> None:
     forced = autgroup._forced_image
     results = []
 
-    def watched(graph, cells, a, b):
-        results.append(forced(graph, cells, a, b))
+    def watched(graph, part, a, b):
+        results.append(forced(graph, part, a, b))
         return results[-1]
 
     rng = random.Random(32)
@@ -373,7 +410,7 @@ def test_forced_maps_leave_the_search_unchanged(monkeypatch) -> None:
         for stop in (None, rng.choice((1, 2, 3, 6, 24))):
             monkeypatch.setattr(autgroup, "_forced_image", watched)
             fast = automorphism_group(graph, stop_order_above=stop)
-            monkeypatch.setattr(autgroup, "_forced_image", lambda graph, cells, a, b: None)
+            monkeypatch.setattr(autgroup, "_forced_image", lambda graph, part, a, b: None)
             plain = automorphism_group(graph, stop_order_above=stop)
             assert (fast.order(), fast.generators) == (plain.order(), plain.generators)
     # forced nodes, and below them undecided children, children proved to
@@ -384,20 +421,20 @@ def test_forced_maps_leave_the_search_unchanged(monkeypatch) -> None:
     assert sum(1 for r in results if r) - identity > 500
 
 
-def _individualize(cells: tuple[tuple[int, ...], ...], idx: int, v: int) -> tuple[tuple[int, ...], ...]:
+def _individualize(cells: Cells, idx: int, v: int) -> Cells:
     """The cells with v alone in place of its cell idx, the rest of that cell after it."""
     rest = tuple(u for u in cells[idx] if u != v)
     return cells[:idx] + ((v,), rest) + cells[idx + 1 :]
 
 
-def _partitions(rng: random.Random, graph: Digraph) -> list[tuple[tuple[int, ...], ...]]:
+def _partitions(rng: random.Random, graph: Digraph) -> list[Cells]:
     """The engine's root partition and its nodes along a random path, and a
     random colouring, which need not be equitable."""
-    cells = refine(graph, autgroup._split_by_triangles(graph))
+    cells = _cells(autgroup.refine(graph, autgroup._split_by_triangles(graph)))
     found = [cells]
     while len(cells) < graph.nv:
         idx = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
-        cells = refine(graph, _individualize(cells, idx, rng.choice(cells[idx])))
+        cells = _refine(graph, _individualize(cells, idx, rng.choice(cells[idx])))
         found.append(cells)
     colours = [rng.randrange(3) for _ in range(graph.nv)]
     found.append(tuple(c for c in (tuple(v for v in range(graph.nv) if colours[v] == k)
@@ -421,7 +458,7 @@ def test_forced_image_is_sound() -> None:
             graph = _circulant(rng, nv)
         auts = [p for p in permutations(range(nv)) if autgroup._preserves_arcs(graph, p)]
         for cells in _partitions(rng, graph):
-            part = autgroup._Partition.from_cells(nv, cells)
+            part = _partition(nv, cells)
             cell_of = {v: set(c) for c in cells for v in c}
             keep = [p for p in auts if all(p[v] in cell_of[v] for v in range(nv))]
             for idx, cell in enumerate(cells):
@@ -442,7 +479,7 @@ def test_forced_image_is_sound() -> None:
                             continue
                         outcomes.add("identity")
                         assert image == tuple(range(nv))
-                        below = refine(graph, _individualize(cells, idx, a))
+                        below = _refine(graph, _individualize(cells, idx, a))
                         assert len(below) == nv
     assert outcomes == {"undecided", "none", "map", "identity"}
 
@@ -493,13 +530,13 @@ def test_root_split_is_by_triangle_counts_and_commutes_with_relabelling() -> Non
         for v in range(graph.nv):
             groups.setdefault(_triangle_key(graph, v), []).append(v)
         keys = sorted(groups)
-        split = autgroup._split_by_triangles(graph)
+        split = _cells(autgroup._split_by_triangles(graph))
         assert split == tuple(tuple(groups[k]) for k in keys)
 
         sigma = list(range(graph.nv))
         rng.shuffle(sigma)
         moved = _relabel(graph, sigma)
-        moved_split = autgroup._split_by_triangles(moved)
+        moved_split = _cells(autgroup._split_by_triangles(moved))
         assert [_triangle_key(moved, c[0]) for c in moved_split] == keys
         assert [{sigma[v] for v in c} for c in split] == [set(c) for c in moved_split]
 
@@ -636,6 +673,8 @@ def test_brute_force_holds_no_list_of_automorphisms() -> None:
 
 
 def test_colors_must_partition_the_vertices() -> None:
+    # the tuple form every refine test goes through refuses cells that are
+    # not a partition, so a malformed case fails rather than refining
     graph = _directed_cycle(4)
     for colors in (
         [(0, 1), (), (2, 3)],
@@ -646,7 +685,7 @@ def test_colors_must_partition_the_vertices() -> None:
         [(0, 0, 1), (2, 3)],
     ):
         with pytest.raises(ValueError):
-            refine(graph, colors)
+            _refine(graph, colors)
 
 
 def test_hypothesis_check_true_on_translation_only_instance() -> None:
@@ -725,7 +764,7 @@ def test_hypothesis_check_input_validation() -> None:
         )
 
 
-def _is_equitable(graph: Digraph, cells: tuple[tuple[int, ...], ...]) -> bool:
+def _is_equitable(graph: Digraph, cells: Cells) -> bool:
     """Direct count check: within a cell, all vertices agree on per-cell arc counts."""
     cell_of = {v: idx for idx, cell in enumerate(cells) for v in cell}
     for cell in cells:
@@ -742,7 +781,7 @@ def _is_equitable(graph: Digraph, cells: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
-def _refines_in_order(fine: tuple[tuple[int, ...], ...], coarse: tuple[tuple[int, ...], ...]) -> bool:
+def _refines_in_order(fine: Cells, coarse: Cells) -> bool:
     """Each cell of ``fine`` lies in one cell of ``coarse``, in the same cell order."""
     cell_of = {v: idx for idx, cell in enumerate(coarse) for v in cell}
     owners = []
@@ -753,7 +792,7 @@ def _refines_in_order(fine: tuple[tuple[int, ...], ...], coarse: tuple[tuple[int
     return owners == sorted(owners)
 
 
-def _refine_cases() -> list[tuple[Digraph, tuple[tuple[int, ...], ...]]]:
+def _refine_cases() -> list[tuple[Digraph, Cells]]:
     """Seeded random and family-grid digraphs, each from the unit partition
     and from a coloured or block partition."""
     cases = []
@@ -778,7 +817,7 @@ def test_refine_output_is_equitable_and_refines_input() -> None:
     assert not _is_equitable(path, ((0, 1, 2),))  # the check can fail
 
     for graph, start in _refine_cases():
-        fine = refine(graph, start)
+        fine = _refine(graph, start)
         assert sorted(v for cell in fine for v in cell) == list(range(graph.nv))
         assert _is_equitable(graph, fine)
         assert _refines_in_order(fine, start)
@@ -794,18 +833,18 @@ def test_refine_commutes_with_relabelling() -> None:
         sigma = list(range(graph.nv))
         rng.shuffle(sigma)
         moved_start = tuple(tuple(sigma[v] for v in cell) for cell in start)
-        fine = refine(graph, start)
+        fine = _refine(graph, start)
         expected = [{sigma[v] for v in cell} for cell in fine]
-        assert [set(cell) for cell in refine(_relabel(graph, sigma), moved_start)] == expected
+        assert [set(cell) for cell in _refine(_relabel(graph, sigma), moved_start)] == expected
 
         # the split events are the same after relabelling, and matching them
         # leaves the result as it is
         trace: list = []
         moved_trace: list = []
-        assert refine(graph, start, record=trace) == fine
-        refine(_relabel(graph, sigma), moved_start, record=moved_trace)
+        assert _refine(graph, start, record=trace) == fine
+        _refine(_relabel(graph, sigma), moved_start, record=moved_trace)
         assert moved_trace == trace
-        assert refine(graph, start, expect=trace) == fine
+        assert _refine(graph, start, expect=trace) == fine
         # one event altered, one missing, or one left over: no match
         for i, (offset, stay, frags) in enumerate(trace):
             (score, size), *rest = frags
@@ -815,13 +854,13 @@ def test_refine_commutes_with_relabelling() -> None:
                 (offset, stay, ((score + 1, size), *rest)),
                 (offset, stay, ((score, size + 1), *rest)),
             ):
-                assert refine(graph, start, expect=trace[:i] + [event] + trace[i + 1 :]) is None
+                assert _refine(graph, start, expect=trace[:i] + [event] + trace[i + 1 :]) is None
         if trace:
-            assert refine(graph, start, expect=trace[:-1]) is None
-        assert refine(graph, start, expect=trace + [(0, 1, ((1, 1),))]) is None
+            assert _refine(graph, start, expect=trace[:-1]) is None
+        assert _refine(graph, start, expect=trace + [(0, 1, ((1, 1),))]) is None
 
 
-def _refine_full_scan(graph: Digraph, cells, new_cell=None) -> tuple[tuple[int, ...], ...]:
+def _refine_full_scan(graph: Digraph, cells, new_cell=None) -> Cells:
     """Reference refinement that scores every member of each touched cell.
 
     The same splitter order, fragment order and worklist rule as ``refine``,
@@ -895,20 +934,20 @@ def _large_family_graphs() -> list[Digraph]:
 
 def test_refine_matches_full_scan_cell_for_cell() -> None:
     for graph, start in _refine_cases():
-        assert refine(graph, start) == _refine_full_scan(graph, start)
+        assert _refine(graph, start) == _refine_full_scan(graph, start)
 
     # refined after one and after two vertices individualized in the unit
     # partition, which stays one cell on these digraphs
     for graph in _large_family_graphs():
         unit = (tuple(range(graph.nv)),)
-        root = refine(graph, unit)
+        root = _refine(graph, unit)
         assert root == _refine_full_scan(graph, unit) == unit
         for v in (0, graph.nv // 2, graph.nv - 1):
             one = _individualize(root, 0, v)
-            assert refine(graph, one) == _refine_full_scan(graph, one)
+            assert _refine(graph, one) == _refine_full_scan(graph, one)
             for w in (one[1][0], one[1][-1]):
                 two = _individualize(one, 1, w)
-                assert refine(graph, two) == _refine_full_scan(graph, two)
+                assert _refine(graph, two) == _refine_full_scan(graph, two)
 
 
 def test_refine_from_the_new_singleton_alone() -> None:
@@ -919,7 +958,7 @@ def test_refine_from_the_new_singleton_alone() -> None:
     cases = _refine_cases() + [(g, (tuple(range(g.nv)),)) for g in _large_family_graphs()]
     children = 0
     for graph, start in cases:
-        fine = refine(graph, start)
+        fine = _refine(graph, start)
         idx = next((i for i, cell in enumerate(fine) if len(cell) > 1), None)
         if idx is None:
             continue
@@ -930,19 +969,19 @@ def test_refine_from_the_new_singleton_alone() -> None:
         for v in fine[idx]:
             child = _individualize(fine, idx, v)
             trace: list = []
-            fast = refine(graph, child, new_cell=offset, record=trace)
-            assert set(fast) == set(refine(graph, child))
+            fast = _refine(graph, child, new_cell=offset, record=trace)
+            assert set(fast) == set(_refine(graph, child))
             assert _is_equitable(graph, fast)
             assert fast == _refine_full_scan(graph, child, offset)
             moved_child = tuple(tuple(sigma[u] for u in cell) for cell in child)
             moved_trace: list = []
-            moved = refine(moved_graph, moved_child, new_cell=offset, record=moved_trace)
+            moved = _refine(moved_graph, moved_child, new_cell=offset, record=moved_trace)
             assert moved_trace == trace
             assert [set(cell) for cell in moved] == [{sigma[u] for u in cell} for cell in fast]
             children += 1
     assert children > 500
     with pytest.raises(ValueError):
-        refine(Digraph.from_arcs(3, [(0, 1)]), ((0, 1), (2,)), new_cell=1)
+        _refine(Digraph.from_arcs(3, [(0, 1)]), ((0, 1), (2,)), new_cell=1)
 
 
 def test_a_child_never_disturbs_its_parent() -> None:
@@ -957,9 +996,9 @@ def test_a_child_never_disturbs_its_parent() -> None:
             graph = _permutation_union(rng, nv, rng.randrange(1, 4))
         else:
             graph = _random_digraph(rng, nv, rng.uniform(0.05, 0.6))
-        parent = autgroup._Partition.from_cells(nv, autgroup._split_by_triangles(graph))
-        assert refine(graph, parent) is parent
-        cells = parent.cells()
+        parent = autgroup._split_by_triangles(graph)
+        assert autgroup.refine(graph, parent) is parent
+        cells = _cells(parent)
         best = max(map(len, cells))
         if best == 1:
             continue
@@ -969,22 +1008,24 @@ def test_a_child_never_disturbs_its_parent() -> None:
         for v in cells[idx]:
             tuples = _individualize(cells, idx, v)
             trace: list = []
-            child = refine(graph, parent.child(offset, v), new_cell=offset, record=trace)
-            assert parent.cells() == cells
+            child = autgroup.refine(graph, parent.child(offset, v), new_cell=offset, record=trace)
+            assert _cells(parent) == cells
             plain: list = []
-            assert child.cells() == refine(graph, tuples, new_cell=offset, record=plain)
+            assert _cells(child) == _refine(graph, tuples, new_cell=offset, record=plain)
             assert trace == plain
             if first_trace is None:
                 first_trace = trace
             # against the first child's events, as the search refines a node
             # off its first path
-            matched = refine(graph, parent.child(offset, v), new_cell=offset, expect=first_trace)
-            assert parent.cells() == cells
-            expected = refine(graph, tuples, new_cell=offset, expect=first_trace)
+            matched = autgroup.refine(
+                graph, parent.child(offset, v), new_cell=offset, expect=first_trace
+            )
+            assert _cells(parent) == cells
+            expected = _refine(graph, tuples, new_cell=offset, expect=first_trace)
             if expected is None:
                 assert matched is None
                 pruned += 1
             else:
-                assert matched.cells() == expected
+                assert _cells(matched) == expected
             children += 1
     assert children > 800 and pruned > 100

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,18 @@ def test_verify_family_prints_table_and_json(tmp_path, capsys) -> None:
     assert saved["checks"]["aut_order"] == 4
 
 
+def test_verify_out_writes_the_json_it_prints(tmp_path, capsys) -> None:
+    out = tmp_path / "f"
+    assert main([
+        "verify", "--group", "cyclic:7", "--family", "cyclic-m2", "--m", "2", "--out", str(out),
+    ]) == 0
+    stdout = capsys.readouterr().out
+    table, _, printed = stdout.partition("\n\n")
+    assert table.startswith("group") and "{" not in table
+    assert out.read_text() == printed
+    assert json.loads(printed)["checks"]["verdict"] == "OMSR"
+
+
 def test_verify_accepts_bare_matrix_file(tmp_path, capsys) -> None:
     z7, spec = make_cyclic(7)
     path = tmp_path / "matrix.json"
@@ -239,12 +252,31 @@ def test_verify_a_search_past_the_recursion_limit_exits_1(tmp_path, capsys) -> N
 
 
 def test_past_the_block_count_limit_exits_1(tmp_path, capsys) -> None:
+    # an empty matrix one past the limit would take over 270 MB, and
+    # z2-general's claims hold millions of elements; the matrix reader, the
+    # dispatcher and a named family all refuse the count before building any
+    too_many = str(MAX_BLOCKS + 1)
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"m": MAX_BLOCKS + 1, "sets": {}}))
-    assert main(["verify", "--group", "cyclic:2", "--matrix", str(path)]) == 1
-    assert f"block count {MAX_BLOCKS + 1} exceeds the limit" in capsys.readouterr().err
-    assert main(["construct", "--group", "cyclic:2", "--m", str(MAX_BLOCKS + 1)]) == 1
-    assert "exceeds the limit" in capsys.readouterr().err
+    for argv in (
+        ["verify", "--group", "cyclic:2", "--matrix", str(path)],
+        ["construct", "--group", "cyclic:2", "--m", too_many],
+        ["construct", "--group", "cyclic:2", "--m", too_many, "--family", "z2-general"],
+        ["verify", "--group", "cyclic:2", "--family", "z2-general", "--m", too_many],
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert f"error: block count {too_many} exceeds the limit of {MAX_BLOCKS}" in (
+            capsys.readouterr().err
+        )
+    # no family covers the trivial group, so its exception stands at any m
+    assert main(["construct", "--group", "cyclic:1", "--m", too_many]) == 2
+    assert "trivial-group-needs-rigid-digraph" in capsys.readouterr().err
 
 
 def test_construct_past_the_group_order_limit_exits_1(capsys) -> None:

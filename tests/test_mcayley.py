@@ -22,8 +22,8 @@ from omsr.mcayley import (
 def test_connection_matrix_from_entries() -> None:
     conn = ConnectionMatrix.from_entries(2, {(0, 1): {0, 2}, (1, 0): {1}})
     assert conn.m == 2
-    assert conn.entry(0, 1) == frozenset({0, 2})
-    assert conn.entry(1, 1) == frozenset()
+    assert conn.sets[0][1] == frozenset({0, 2})
+    assert conn.sets[1][1] == frozenset()
     assert conn.max_element() == 2
 
 

@@ -215,7 +215,7 @@ def test_connected_z5_two_block_witness() -> None:
     assert outcome.candidates_tested == 2
     conn = outcome.witness
     assert {
-        (i, j): set(conn.entry(i, j)) for i in range(2) for j in range(2)
+        (i, j): set(conn.sets[i][j]) for i in range(2) for j in range(2)
     } == {(0, 0): {1}, (0, 1): {0, 1}, (1, 0): {1, 2}, (1, 1): {2}}
     gamma = build(Z5, conn)
     assert is_oriented(gamma.graph) and is_weakly_connected(gamma.graph)

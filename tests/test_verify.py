@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 from omsr.autgroup import is_automorphism
+from omsr.cli import main
 from omsr.constructions import family_matrix
 from omsr.groups import klein_four, make_cyclic
 from omsr.mcayley import ConnectionMatrix, build
@@ -61,7 +62,7 @@ def test_generators_are_automorphisms_of_the_built_digraph() -> None:
         assert cycle_string(images) == text
 
 
-def test_report_json_roundtrip_reverifies_identically(tmp_path) -> None:
+def test_report_json_roundtrip_reverifies_identically(tmp_path, capsys) -> None:
     group, conn = z4_block_example()
     report = verify_connection(group, conn, family=None)
     payload = json.loads(json.dumps(report.to_json()))
@@ -73,8 +74,12 @@ def test_report_json_roundtrip_reverifies_identically(tmp_path) -> None:
     again = verify_connection(group, ConnectionMatrix.from_json(payload["matrix"]))
     assert again.checks == report.checks
 
+    # and so is the report file that `omsr verify --out` writes
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(payload["matrix"]))
     path = tmp_path / "report.json"
-    report.save(path)
+    assert main(["verify", "--group", "cyclic:4", "--matrix", str(matrix), "--out", str(path)]) == 0
+    capsys.readouterr()
     assert json.loads(path.read_text())["checks"] == payload["checks"]
 
 
