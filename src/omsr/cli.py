@@ -94,8 +94,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if isinstance(family, ExceptionVerdict):
         return _print_exception(family)
     conn = family_matrix(family, group, spec, args.m)
-    gamma = build(group, conn)
     if args.dot:
+        # only the DOT file needs the digraph; the report counts from the matrix
+        gamma = build(group, conn)
         Path(args.dot).write_text(
             gamma.graph.to_dot(labels=gamma.dot_labels(), name=family.replace("-", "_")),
             encoding="utf-8",
@@ -106,8 +107,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "m": args.m,
         "family": family,
         "matrix": conn.to_json(),
-        "vertices": gamma.graph.nv,
-        "arcs": gamma.graph.arc_count,
+        "vertices": args.m * group.n,
+        "arcs": group.n * sum(sum(map(len, row)) for row in conn.sets),
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -156,7 +157,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         mode=args.mode,
         budget=args.budget,
         seed=args.seed,
-        switches=args.switches,
     )
     report = outcome.to_json()
     _emit(report, args.out)
@@ -220,7 +220,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized")
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--switches", type=int, help="arc switches between randomized samples")
     p.add_argument("--out")
     p.set_defaults(func=cmd_explore)
 

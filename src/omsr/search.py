@@ -88,31 +88,20 @@ def _elements(mask: int) -> tuple[int, ...]:
     return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
-def _inverse_mask(group: FiniteGroup, mask: int) -> int:
-    """The bitmask of the inverses of the elements selected by ``mask``."""
-    return sum(1 << group.inv[e] for e in _elements(mask))
+def enumerate_rows(group: FiniteGroup, m: int, k: int) -> list[tuple[int, ...]]:
+    """Every pick of ``k`` of the ``m * |G|`` (cell, element) slots of a
+    matrix row, as per-cell element bitmasks.
 
-
-def enumerate_rows(
-    group: FiniteGroup, m: int, k: int, row: int, oriented: bool = True
-) -> list[tuple[int, ...]]:
-    """All assignments of one matrix row, as per-cell element bitmasks.
-
-    Each result picks ``k`` of the ``m * |G|`` (cell, element) slots of the
-    row, and the diagonal cell never meets its own inverse set when
-    ``oriented`` is set.  Rows come out in lexicographic order with cells
-    compared as numeric bitmasks, so the enumeration is reproducible.
+    The picks come out in lexicographic order with cells compared as numeric
+    bitmasks, so the enumeration is reproducible.  This is the one place that
+    makes rows: each table of a search keeps the picks its row may hold.
     """
-    if not 0 <= row < m:
-        raise ValueError(f"row {row} outside 0..{m - 1}")
     slots = [(cell, 1 << e) for cell in range(m) for e in range(group.n)]
     rows: list[tuple[int, ...]] = []
     for picks in combinations(slots, k):
         cells = [0] * m
         for cell, bit in picks:
             cells[cell] |= bit
-        if oriented and cells[row] & _inverse_mask(group, cells[row]):
-            continue
         rows.append(tuple(cells))
     rows.sort()
     return rows
@@ -189,15 +178,38 @@ class _RowTable(list):
 
 
 def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
+    """The m row tables of ``space``: table i keeps, in order, the picks of
+    ``enumerate_rows`` whose cell i holds no loop (the identity, bit 0) and,
+    oriented, no element with its inverse.  Each pick is decorated once, with
+    its per-cell popcounts, non-empty cells and inverses, and every table
+    holds that one tuple."""
     group, m = space.group, space.m
+    oriented = space.require_oriented
+    rows = []
+    # dropped[i]: the indices of the rows table i refuses, their cell i
+    # holding a loop or, oriented, an element together with its inverse
+    dropped: list[list[int]] = [[] for _ in range(m)]
+    for r, cells in enumerate(enumerate_rows(group, m, space.k)):
+        sizes = tuple(map(int.bit_count, cells))
+        support = tuple(compress(range(m), sizes))
+        if sizes == cells:
+            # every cell is empty or the identity, its own inverse
+            sizes = inverses = cells
+        else:
+            inverse = [0] * m
+            for j in support:
+                inverse[j] = sum(1 << group.inv[e] for e in _elements(cells[j]))
+            inverses = tuple(inverse)
+        rows.append((cells, sizes, support, inverses))
+        for j in support:
+            if cells[j] & (inverses[j] if oriented else 1):
+                dropped[j].append(r)
     tables = []
-    for i in range(m):
-        table = _RowTable()
-        for cells in enumerate_rows(group, m, space.k, i, space.require_oriented):
-            sizes = tuple(map(int.bit_count, cells))
-            inverses = tuple(_inverse_mask(group, cell) for cell in cells)
-            table.append((cells, sizes, tuple(compress(range(m), sizes)), inverses))
-        tables.append(table)
+    for refused in dropped:
+        keep = bytearray(b"\1") * len(rows)
+        for r in refused:
+            keep[r] = 0
+        tables.append(_RowTable(compress(rows, keep)))
     return tables
 
 
@@ -547,30 +559,21 @@ class RigidSearchOutcome:
         }
 
 
-def _exhaustive_rigid(
-    n: int, k: int, oriented: bool, budget: int
-) -> RigidSearchOutcome:
-    # over the trivial group a matrix row is one vertex's out-neighbours:
-    # loop-free rows, and the leader row 0 -> 1..k, sound because some
-    # labelling of any digraph achieves it
-    @lru_cache(maxsize=None)
-    def row(targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        # 0/1 cells are their own popcounts and inverses; vertices share rows
-        cells = tuple(1 if w in targets else 0 for w in range(n))
-        return cells, cells, targets, cells
-
-    tables = [_RowTable([row(tuple(range(1, k + 1)))])]
-    for v in range(1, n):
-        tables.append(_RowTable(row(t) for t in combinations([w for w in range(n) if w != v], k)))
+def _exhaustive_rigid(n: int, k: int, oriented: bool, budget: int) -> RigidSearchOutcome:
+    # over the trivial group a matrix row is one vertex's out-neighbours.
+    # Reversed, each loop-free table lists the out-neighbour sets in
+    # lexicographic order, so branch 0 is table 0's first row, the leader
+    # 0 -> 1..k, sound because some labelling of any digraph achieves it
     space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
+    tables = _matrix_tables(space)
+    for table in tables:
+        table.reverse()
     status, witness, tested, _, _ = _search_branch(space, tables, False, budget, 0, True)
     graph = None if witness is None else build(space.group, witness).graph
     return RigidSearchOutcome(status, graph, tested)
 
 
-def _randomized_rigid(
-    n: int, k: int, oriented: bool, budget: int, seed: int, switches: int
-) -> RigidSearchOutcome:
+def _randomized_rigid(n: int, k: int, oriented: bool, budget: int, seed: int) -> RigidSearchOutcome:
     rng = random.Random(seed)
     # start from the circulant with jumps 1..k
     outs = [{(v + d) % n for d in range(1, k + 1)} for v in range(n)]
@@ -593,7 +596,7 @@ def _randomized_rigid(
 
     tested = 0
     while tested < budget:
-        for _ in range(switches):
+        for _ in range(3 * n * k):
             try_switch()
         tested += 1
         graph = Digraph(n, outs)
@@ -609,7 +612,6 @@ def search_trivial_aut_digraph(
     mode: str = "exhaustive",
     budget: int = 10**6,
     seed: int = 0,
-    switches: int | None = None,
 ) -> RigidSearchOutcome:
     """Look for a loop-free k-regular digraph on n vertices with |Aut| = 1.
 
@@ -620,15 +622,13 @@ def search_trivial_aut_digraph(
     first-row leader normalization, BUDGET once the rows tried plus the
     candidates completed pass ``budget``.  Randomized mode runs a
     degree-preserving arc-switch chain from a circulant seed and tests every
-    ``switches`` swaps (default 3nk), at most ``budget`` samples.  Raises
-    ValueError when ``budget < 0`` or ``mode`` is neither of the two.
+    3nk swaps, at most ``budget`` samples.  Raises ValueError when
+    ``budget < 0`` or ``mode`` is neither of the two.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 0:
         raise ValueError(f"valency must be non-negative, got k={k}")
-    if switches is not None and switches < 1:
-        raise ValueError(f"need at least one switch between samples, got {switches}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if mode not in ("exhaustive", "randomized"):
@@ -641,6 +641,4 @@ def search_trivial_aut_digraph(
     if mode == "exhaustive" or k == 0:
         # k = 0 admits a single digraph, so the chain has nothing to walk
         return _exhaustive_rigid(n, k, oriented, budget)
-    return _randomized_rigid(
-        n, k, oriented, budget, seed, 3 * n * k if switches is None else switches
-    )
+    return _randomized_rigid(n, k, oriented, budget, seed)

@@ -31,10 +31,14 @@ class VerificationReport:
     connected: bool
     aut_order: int
     verdict: str
-    aut_generators: tuple[str, ...]
     aut_generator_images: tuple[tuple[int, ...], ...]
     elapsed_seconds: float
     matrix: ConnectionMatrix
+
+    @property
+    def aut_generators(self) -> tuple[str, ...]:
+        """The generators in cycle notation, written only when asked for."""
+        return tuple(cycle_string(p) for p in self.aut_generator_images)
 
     @property
     def checks(self) -> dict:
@@ -101,7 +105,6 @@ def verify_connection(
         connected=connected,
         aut_order=aut_order,
         verdict=verdict,
-        aut_generators=tuple(cycle_string(p) for p in aut.generators),
         aut_generator_images=aut.generators,
         elapsed_seconds=time.perf_counter() - start,
         matrix=conn,

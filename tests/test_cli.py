@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from omsr import search
+from omsr import cli, search
 from omsr.cli import GROUP_HELP, main, parse_group_spec
 from omsr.constructions import family_matrix
 from omsr.groups import MAX_GROUP_ORDER, make_cyclic, standard_two_generated
@@ -71,6 +72,21 @@ def test_construct_dispatches_cyclic(capsys) -> None:
     assert report["vertices"] == 14
     assert report["arcs"] == 42
     assert report["matrix"]["m"] == 2
+
+
+def test_construct_counts_from_the_matrix_without_a_build(monkeypatch, capsys) -> None:
+    # 5,120 vertices and 15,360 arcs: counted from the matrix, the report is
+    # byte for byte the one counted on the built digraph (its sha256 below)
+    def refuse(*args):
+        raise AssertionError("construct built the digraph without --dot")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    assert main(["construct", "--group", "cyclic:2", "--m", "2560"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert (report["vertices"], report["arcs"]) == (5120, 15360)
+    digest = "bad44f544c626bd48f0ee8a42cc9b21ea463cf3839587465b82cbd5a1ce02f97"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_exception_verdict_exits_2(capsys) -> None:
@@ -410,9 +426,11 @@ def test_explore_budget_exits_3(capsys) -> None:
 
 
 def test_explore_bad_valency_or_switches_exits_1(capsys) -> None:
-    for extra in (["--k", "-1"], ["--switches", "-1"], ["--switches", "0"]):
-        assert main(["explore", "--n", "7", "--budget", "5", *extra]) == 1, extra
-        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["explore", "--n", "7", "--budget", "5", "--k", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # the chain always makes 3nk switches between samples: no option sets them
+    assert main(["explore", "--n", "7", "--budget", "5", "--switches", "5"]) == 1
+    assert "unrecognized arguments: --switches 5" in capsys.readouterr().err
 
 
 def test_explore_randomized_ten_vertices(capsys) -> None:

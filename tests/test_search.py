@@ -34,6 +34,11 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
 
 
+def _table_rows(group, m: int, k: int, i: int, oriented: bool = True) -> list[tuple[int, ...]]:
+    """The per-cell masks of the rows of table ``i`` of the search, in order."""
+    return [row[0] for row in search._matrix_tables(SearchSpace(group, m, k, oriented))[i]]
+
+
 def _product_reference(space: SearchSpace):
     """Unpruned mirror of the search: filter the full row product.
 
@@ -43,9 +48,7 @@ def _product_reference(space: SearchSpace):
     the search's pruning is lossless.
     """
     m, k, group = space.m, space.k, space.group
-    rows = [
-        enumerate_rows(group, m, k, i, space.require_oriented) for i in range(m)
-    ]
+    rows = [[row[0] for row in table] for table in search._matrix_tables(space)]
     tested = 0
     histogram: dict[int, int] = {}
     for combo in itertools.product(*rows):
@@ -86,25 +89,26 @@ def _product_reference(space: SearchSpace):
 # ---------------------------------------------------------------------------
 
 def test_enumerate_rows_counts() -> None:
-    assert len(enumerate_rows(Z2, 3, 3, 0, oriented=False)) == 20
-    assert len(enumerate_rows(Z2, 3, 3, 0)) == 4
-    assert len(enumerate_rows(Z2, 2, 3, 0)) == 0
-    assert len(enumerate_rows(Z3, 2, 3, 0)) == 7
-    assert len(enumerate_rows(Z4, 2, 3, 0)) == 16
-    assert len(enumerate_rows(klein_four()[0], 2, 3, 0)) == 4
-    assert len(enumerate_rows(Z5, 1, 3, 0)) == 0
-    assert len(enumerate_rows(make_cyclic(7)[0], 1, 3, 0)) == 8
+    # C(6, 3) picks of Z2 m=3; a loop-free table 0 leaves out the identity's
+    # slot in cell 0, so C(5, 3) without the oriented condition
+    assert len(enumerate_rows(Z2, 3, 3)) == 20
+    assert len(_table_rows(Z2, 3, 3, 0, oriented=False)) == 10
+    assert len(_table_rows(Z2, 3, 3, 0)) == 4
+    assert len(_table_rows(Z2, 2, 3, 0)) == 0
+    assert len(_table_rows(Z3, 2, 3, 0)) == 7
+    assert len(_table_rows(Z4, 2, 3, 0)) == 16
+    assert len(_table_rows(klein_four()[0], 2, 3, 0)) == 4
+    assert len(_table_rows(Z5, 1, 3, 0)) == 0
+    assert len(_table_rows(make_cyclic(7)[0], 1, 3, 0)) == 8
 
 
 def test_enumerate_rows_row_properties() -> None:
-    rows = enumerate_rows(Z4, 2, 3, 0)
+    rows = _table_rows(Z4, 2, 3, 0)
     assert rows == sorted(rows)
     for row in rows:
         assert sum(bin(mask).count("1") for mask in row) == 3
         diag = _mask_elements(row[0])
         assert not any(Z4.inv[t] in diag for t in diag)
-    with pytest.raises(ValueError):
-        enumerate_rows(Z4, 2, 3, 2)
 
 
 @pytest.mark.parametrize(
@@ -121,19 +125,51 @@ def test_enumerate_rows_row_properties() -> None:
     ids=["z1-m5", "z2-m3", "z2-m4", "z3-m2", "z4-m2", "z2xz2-m2", "s3-m2"],
 )
 def test_enumerate_rows_matches_its_definition(group, m) -> None:
-    # every m-tuple of element masks with k elements in all whose diagonal
-    # cell holds no element together with its inverse, in sorted order
-    def avoids_inverses(mask: int) -> bool:
+    # the picks are every m-tuple of element masks with k elements in all,
+    # in sorted order; table i keeps those whose diagonal cell i holds no
+    # loop (the identity) and, oriented, no element together with its inverse
+    def fits_the_diagonal(mask: int, oriented: bool) -> bool:
         elements = _mask_elements(mask)
-        return not any(group.inv[t] in elements for t in elements)
+        if oriented:
+            return not any(group.inv[t] in elements for t in elements)
+        return 0 not in elements
 
     tuples = list(itertools.product(range(1 << group.n), repeat=m))
     for k in range(5):
-        sized = [row for row in tuples if sum(bin(c).count("1") for c in row) == k]
-        for i in range(m):
-            assert enumerate_rows(group, m, k, i, oriented=False) == sorted(sized)
-            reference = sorted(row for row in sized if avoids_inverses(row[i]))
-            assert enumerate_rows(group, m, k, i) == reference, (k, i)
+        sized = sorted(row for row in tuples if sum(bin(c).count("1") for c in row) == k)
+        assert enumerate_rows(group, m, k) == sized, k
+        for oriented in (False, True):
+            tables = search._matrix_tables(SearchSpace(group, m, k, oriented))
+            for i, table in enumerate(tables):
+                reference = [row for row in sized if fits_the_diagonal(row[i], oriented)]
+                assert [row[0] for row in table] == reference, (k, i, oriented)
+
+
+@pytest.mark.parametrize(
+    "group,m,status,candidates",
+    [
+        (Z1, 6, "FOUND", 15),
+        (Z1, 7, "FOUND", 7),
+        (Z2, 2, "EXHAUSTED", 1),
+        (Z2, 3, "FOUND", 2),
+        (Z3, 2, "FOUND", 3),
+        (Z4, 2, "FOUND", 18),
+        (Z5, 2, "FOUND", 2),
+    ],
+    ids=["z1-m6", "z1-m7", "z2-m2", "z2-m3", "z3-m2", "z4-m2", "z5-m2"],
+)
+def test_digon_spaces_hold_no_loops(group, m, status, candidates) -> None:
+    # without the oriented condition a diagonal cell may hold an involution,
+    # but never the identity: that would put a loop at each vertex of a block
+    space = SearchSpace(group, m, require_oriented=False)
+    for i, table in enumerate(search._matrix_tables(space)):
+        assert not any(row[0][i] & 1 for row in table), i
+    outcome = exhaustive_search(space)
+    assert (outcome.status, outcome.candidates_tested) == (status, candidates)
+    if outcome.witness is not None:
+        assert all(0 not in outcome.witness.sets[i][i] for i in range(m))
+        graph = build(group, outcome.witness).graph
+        assert not any(graph.has_arc(v, v) for v in range(graph.nv))
 
 
 def test_search_space_validation() -> None:
@@ -420,7 +456,11 @@ def test_mask_filtering_matches_the_row_by_row_walk(space) -> None:
         assert got == _row_by_row(space, tables, *args), branch
         if got[0] == "FOUND":
             break
-    assert not tables[0] or any(table.allow is not None for table in tables)
+    # a table builds its masks on its second full scan, so a space of one
+    # branch, such as Z2 m=2 with digons (one loop-free row per table), never
+    # builds them
+    built = any(table.allow is not None for table in tables)
+    assert built == (len(tables[0]) > 1)
 
 
 def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -> None:
@@ -429,7 +469,7 @@ def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -
     # the first stop.  Only a stopped branch's work may differ.
     space = SearchSpace(Z4, 2)
     least: dict = {}
-    rows = enumerate_rows(Z4, 2, 3, 0)
+    rows = _table_rows(Z4, 2, 3, 0)
     leads = [search._leader(Z4, row, least) == row for row in rows]
     total = 296
     for budget in range(total + 1):
@@ -474,6 +514,18 @@ def test_masks_select_the_rows_row_fits_accepts(space) -> None:
             col_sums = [c + s for c, s in zip(col_sums, sizes)]
 
 
+@pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
+def test_the_tables_of_a_space_share_their_rows(space) -> None:
+    # one decorated tuple per pick, whichever tables keep it; over the trivial
+    # group a row's 0/1 cells are its own popcounts and inverses too
+    first: dict = {}
+    for table in search._matrix_tables(space):
+        for row in table:
+            assert first.setdefault(row[0], row) is row
+            if space.group.n == 1:
+                assert row[1] is row[0] and row[3] is row[0]
+
+
 def test_z1_m7_work_per_branch() -> None:
     # the budget units each branch of Z1 m=7 spends, twins included: 542,260
     # in all, 88,846 for the first two
@@ -515,7 +567,7 @@ def test_only_orbit_leaders_reach_the_engine(
 
 
 def test_leaders_are_the_least_rows_of_their_orbits() -> None:
-    rows = enumerate_rows(Z4, 2, 3, 0)
+    rows = _table_rows(Z4, 2, 3, 0)
     least: dict = {}
     leaders = [rows.index(search._leader(Z4, row, least)) for row in rows]
     assert leaders == [0, 0, 0, 0, 4, 5, 4, 4, 5, 4, 10, 11, 10, 10, 11, 10]
@@ -524,7 +576,7 @@ def test_leaders_are_the_least_rows_of_their_orbits() -> None:
         images = {sum(1 << Z4.mult[a][t] for t in _mask_elements(row[1])) for a in range(4)}
         assert rows[leader][0] == row[0] and rows[leader][1] == min(images)
     # Z1 m=7: permuting blocks 1..6 joins all 20 first rows
-    rows = enumerate_rows(Z1, 7, 3, 0)
+    rows = _table_rows(Z1, 7, 3, 0)
     assert {search._leader(Z1, row, {}) for row in rows} == {rows[0]}
 
 
@@ -574,7 +626,7 @@ def test_a_resumed_run_evaluates_twins_of_earlier_leaders(engine_calls, tmp_path
 def test_a_twin_whose_count_differs_from_its_leader_raises(monkeypatch, tmp_path) -> None:
     # branches 0..3 of Z4 m=2 complete no candidate and branch 4 completes
     # two, so naming branch 0's row as every leader fails at branch 4
-    first = enumerate_rows(Z4, 2, 3, 0)[0]
+    first = _table_rows(Z4, 2, 3, 0)[0]
     monkeypatch.setattr(search, "_leader", lambda group, row, least: first)
     path = tmp_path / "ckpt.json"
     with pytest.raises(RuntimeError, match="branch 4 completed 2 .* leader 0 completed 0"):
@@ -600,7 +652,7 @@ def test_a_first_witness_search_finds_the_leader_of_each_branch_it_runs(monkeypa
     monkeypatch.setattr(search, "_search_branch", counting_branch)
     outcome = exhaustive_search(SearchSpace(Z5, 2, require_connected=True))
     assert (outcome.status, outcome.candidates_tested) == ("FOUND", 2)
-    rows = enumerate_rows(Z5, 2, 3, 0)
+    rows = _table_rows(Z5, 2, 3, 0)
     assert asked == [rows[branch] for branch in ran]
     assert len(asked) < len(rows)
 
@@ -672,7 +724,7 @@ def test_malformed_checkpoint_raises_value_error(tmp_path) -> None:
     from omsr.search import _read_checkpoint
 
     space = SearchSpace(Z4, 2)
-    rows = len(enumerate_rows(Z4, 2, 3, 0))
+    rows = len(_table_rows(Z4, 2, 3, 0))
     path = tmp_path / "ckpt.json"
     good = {
         "schema": 1,
