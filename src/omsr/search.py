@@ -2,12 +2,13 @@
 
 The matrix search certifies non-existence results: it enumerates every
 connection matrix of a :class:`SearchSpace` depth-first by rows, prunes on
-column sums and the oriented condition, and evaluates the automorphism order
-of each completed candidate.  Its budget counts the work as it is done: one
-unit per row tried and one per completed candidate.  The rigid-digraph search
-hunts for k-regular digraphs with trivial automorphism group, exhaustively by
-running the same branch loop over the trivial group; its results are
-exploratory and carry no ground-truth claim.
+column sums and the oriented condition with one set of bit masks over the
+space's row picks, and evaluates the automorphism order of each completed
+candidate.  Its budget counts the work as it is done: one unit per row tried
+and one per completed candidate.  The rigid-digraph search hunts for
+k-regular digraphs with trivial automorphism group, exhaustively by running
+the same branch loop over the trivial group; its results are exploratory and
+carry no ground-truth claim.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, compress
-from operator import add, or_
+from itertools import chain, combinations, compress, islice, repeat
+from math import comb
+from operator import itemgetter, or_
 from pathlib import Path
 
 from .autgroup import automorphism_group
 from .digraphs import Digraph, is_weakly_connected
 from .groups import FiniteGroup, _unique_keys, make_cyclic
-from .mcayley import ConnectionMatrix, block_rows, build
+from .mcayley import ConnectionMatrix, block_rows, build, check_block_count
 
 DEFAULT_BUDGET = 10**8
 
@@ -88,13 +90,23 @@ def _elements(mask: int) -> tuple[int, ...]:
     return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
+def _ones(mask: int):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    # one string search per bit: mask & -mask would copy the whole int
+    bits = bin(mask)[:1:-1]
+    p = bits.find("1")
+    while p >= 0:
+        yield p
+        p = bits.find("1", p + 1)
+
+
 def enumerate_rows(group: FiniteGroup, m: int, k: int) -> list[tuple[int, ...]]:
     """Every pick of ``k`` of the ``m * |G|`` (cell, element) slots of a
     matrix row, as per-cell element bitmasks.
 
     The picks come out in lexicographic order with cells compared as numeric
     bitmasks, so the enumeration is reproducible.  This is the one place that
-    makes rows: each table of a search keeps the picks its row may hold.
+    makes rows: every table of a search selects its rows from these picks.
     """
     slots = [(cell, 1 << e) for cell in range(m) for e in range(group.n)]
     rows: list[tuple[int, ...]] = []
@@ -107,110 +119,104 @@ def enumerate_rows(group: FiniteGroup, m: int, k: int) -> list[tuple[int, ...]]:
     return rows
 
 
-class _RowTable(list):
-    """The assignments of one matrix row in sorted order, each with its
-    per-cell popcounts, non-empty cells and inverses, and the masks that
-    pick the rows fitting a search node.
+# checked before any pick is made.  A pick holds m cells, so its share of
+# peak RSS grows with m: about 350 bytes at m = 2 (Z60 m = 2, 280,840 picks:
+# 114 MB; Z80 m = 2, 669,920 picks: 260 MB) and 1.2 KB at m = 100 (the
+# explorer at n = 100, 161,700 picks: 203 MB)
+MAX_PICKS = 10**6
 
-    The masks stay unbuilt (``allow`` is None) until the search has scanned
-    the table in full twice (``scans``): building them costs about one scan,
-    and a first-witness search or an explorer run scans most of its tables
-    once or not at all.  They live on the table, so they never outlive the
-    rows they index.
+
+class _Rows(list):
+    """The row picks of one search space, each decorated once as its cells,
+    their popcounts and its non-empty cells, with the bit masks, bit p for
+    pick p, that select the rows fitting a search node.
+
+    ``tables[i]`` holds the picks row i may take: cell i holds no loop (the
+    identity, bit 0) and, oriented, no element together with its inverse.
+    ``allow[i][j][c]`` holds the picks whose cell j fits a column sum of c at
+    row i: k - left - c <= |cell j| <= k - c, ``left`` being the most
+    elements the rows below can add, so the column stays within k and the
+    rows below can still fill it.  Past k, more room below changes no bound,
+    so the rows share at most k + 1 of these.  When oriented,
+    ``keep[i][j][e]`` for j < i holds the picks whose cell j misses e⁻¹.
+    Over the trivial group a pick's popcounts are its cells tuple.
     """
 
-    def __init__(self, rows=()) -> None:
-        super().__init__(rows)
-        self.scans = 0
-        self.allow: list[tuple[int, ...]] | None = None
-        self.keep: list[list[int]] = []
-
-    def build_masks(self, i: int, m: int, k: int, left: int, n: int, oriented: bool) -> None:
-        """Build the masks of table ``i``, bit r for row r, in one pass.
-
-        ``allow[j][c]`` holds the rows whose cell j fits a column sum of c,
-        that is k - left - c <= |cell j| <= k - c: the column stays within k,
-        and the at most ``left`` elements the later rows add can still fill
-        it.  When the rows are oriented, ``keep[j][e]`` for j < i holds the
-        rows whose cell j's inverse set misses element e.
-        """
-        width = (len(self) + 7) // 8
-        # by_size[j][s - 1]: the rows with |cell j| = s, for s = 1..k
-        by_size = [[bytearray(width) for _ in range(k)] for _ in range(m)]
-        clash = [[bytearray(width) for _ in range(n)] for _ in range(i if oriented else 0)]
-        for r, (_, sizes, support, inverses) in enumerate(self):
-            byte, bit = r >> 3, 1 << (r & 7)
-            for j in support:
-                by_size[j][sizes[j] - 1][byte] |= bit
-                if j < len(clash):
-                    for e in _elements(inverses[j]):
-                        clash[j][e][byte] |= bit
-        full = (1 << len(self)) - 1
-        self.allow = []
-        for buffers in by_size:
-            sized = [int.from_bytes(buffer, "little") for buffer in buffers]
-            sized.insert(0, full ^ reduce(or_, sized, 0))
-            self.allow.append(
-                tuple(reduce(or_, sized[max(0, k - left - c) : k - c + 1]) for c in range(k + 1))
+    def __init__(self, space: SearchSpace, reverse: bool = False) -> None:
+        group, m, k = space.group, space.m, space.k
+        n = group.n
+        picks = comb(m * n, k)
+        if picks > MAX_PICKS:
+            raise ValueError(
+                f"the search space has {picks} row picks, more than the limit of {MAX_PICKS}"
             )
-        self.keep = [[full ^ int.from_bytes(b, "little") for b in cell] for cell in clash]
+        rows = enumerate_rows(group, m, k)
+        if reverse:
+            rows.reverse()
+        popcounts = rows if n == 1 else list(
+            zip(*(map(int.bit_count, map(itemgetter(j), rows)) for j in range(m)))
+        )
+        self.extend(zip(rows, popcounts, map(tuple, map(compress, repeat(range(m)), popcounts))))
+        oriented = space.require_oriented
+        # a diagonal cell refuses a loop and, oriented, an element with its inverse
+        refuses = {}
+        for cell in set(chain.from_iterable(rows)):
+            inverse = sum(1 << group.inv[e] for e in _elements(cell))
+            refuses[cell] = cell & (inverse if oriented else 1)
+        width = (len(rows) + 7) // 8
+        # sized[j][s]: the picks with |cell j| = s > 0; holds[j][e]: the
+        # picks whose cell j holds e, for every cell but the last
+        sized = [[bytearray(width) for _ in range(k + 1)] for _ in range(m)]
+        holds = [[bytearray(width) for _ in range(n)] for _ in range(m - 1 if oriented else 0)]
+        refused = [bytearray(width) for _ in range(m)]
+        for p, (cells, sizes, support) in enumerate(self):
+            byte, bit = p >> 3, 1 << (p & 7)
+            for j in support:
+                sized[j][sizes[j]][byte] |= bit
+                if refuses[cells[j]]:
+                    refused[j][byte] |= bit
+                if j < len(holds):
+                    for e in _elements(cells[j]):
+                        holds[j][e][byte] |= bit
+        full = (1 << len(rows)) - 1
+        self.tables = [full ^ int.from_bytes(mask, "little") for mask in refused]
+        counts = []
+        for buffers in sized:
+            count = [int.from_bytes(buffer, "little") for buffer in buffers]
+            count[0] = full ^ reduce(or_, count)
+            counts.append(count)
+        # a later row adds at most min(k, |G|) elements to one column
+        per_row = min(k, n)
+        allow: dict[int, list[tuple[int, ...]]] = {}
+        self.allow = []
+        for i in range(m):
+            left = min((m - 1 - i) * per_row, k)
+            if left not in allow:
+                allow[left] = [
+                    tuple(
+                        reduce(or_, count[max(0, k - left - c) : k - c + 1]) for c in range(k + 1)
+                    )
+                    for count in counts
+                ]
+            self.allow.append(allow[left])
+        keep = [
+            [full ^ int.from_bytes(cell[group.inv[e]], "little") for e in range(n)]
+            for cell in holds
+        ]
+        self.keep = [keep[:i] for i in range(m)]
 
-    def fitting(self, i: int, col_sums: list[int], chosen: list[tuple[int, ...]]) -> int:
-        """The rows of table ``i`` that fit below the rows ``chosen`` with
-        ``col_sums``, bit r for row r; needs the masks."""
-        fits = -1
-        for column, c in zip(self.allow, col_sums):
+    def fitting(
+        self, fits: int, i: int, col_sums: list[int], chosen: list[tuple[int, ...]]
+    ) -> int:
+        """The picks of ``fits`` that fit as row ``i`` below the rows
+        ``chosen`` with ``col_sums``, bit p for pick p."""
+        for column, c in zip(self.allow[i], col_sums):
             fits &= column[c]
-        for cell, row in zip(self.keep, chosen):
+        for cell, row in zip(self.keep[i], chosen):
             if row[i]:
                 for e in _elements(row[i]):
                     fits &= cell[e]
         return fits
-
-    def selected(self, fits: int):
-        """The index and row of each row that ``fits`` selects, in order."""
-        # one string search per row: fits & -fits would copy the whole int
-        bits = bin(fits)[:1:-1]
-        r = bits.find("1")
-        while r >= 0:
-            yield r, self[r]
-            r = bits.find("1", r + 1)
-
-
-def _matrix_tables(space: SearchSpace) -> list[_RowTable]:
-    """The m row tables of ``space``: table i keeps, in order, the picks of
-    ``enumerate_rows`` whose cell i holds no loop (the identity, bit 0) and,
-    oriented, no element with its inverse.  Each pick is decorated once, with
-    its per-cell popcounts, non-empty cells and inverses, and every table
-    holds that one tuple."""
-    group, m = space.group, space.m
-    oriented = space.require_oriented
-    rows = []
-    # dropped[i]: the indices of the rows table i refuses, their cell i
-    # holding a loop or, oriented, an element together with its inverse
-    dropped: list[list[int]] = [[] for _ in range(m)]
-    for r, cells in enumerate(enumerate_rows(group, m, space.k)):
-        sizes = tuple(map(int.bit_count, cells))
-        support = tuple(compress(range(m), sizes))
-        if sizes == cells:
-            # every cell is empty or the identity, its own inverse
-            sizes = inverses = cells
-        else:
-            inverse = [0] * m
-            for j in support:
-                inverse[j] = sum(1 << group.inv[e] for e in _elements(cells[j]))
-            inverses = tuple(inverse)
-        rows.append((cells, sizes, support, inverses))
-        for j in support:
-            if cells[j] & (inverses[j] if oriented else 1):
-                dropped[j].append(r)
-    tables = []
-    for refused in dropped:
-        keep = bytearray(b"\1") * len(rows)
-        for r in refused:
-            keep[r] = 0
-        tables.append(_RowTable(compress(rows, keep)))
-    return tables
 
 
 def _leader(group: FiniteGroup, row: tuple[int, ...], least: dict[int, int]) -> tuple[int, ...]:
@@ -234,13 +240,13 @@ def _leader(group: FiniteGroup, row: tuple[int, ...], least: dict[int, int]) -> 
 
 def _search_branch(
     space: SearchSpace,
-    tables: list[_RowTable],
+    rows: _Rows,
     exact_histogram: bool,
     budget: int,
-    branch: int,
+    first: int,
     evaluate: bool,
 ) -> tuple[str, ConnectionMatrix | None, int, dict[int, int], int]:
-    """Search the subtree under first row ``branch``.
+    """Search the subtree under the first row ``rows[first]``.
 
     Every row tried is one step of work and every completed candidate one
     more; the search stops once the work passes ``budget``.  Returns the
@@ -249,73 +255,58 @@ def _search_branch(
     their automorphism orders, and the work done.  Without ``evaluate`` the
     candidates are only counted: no digraph, no engine call, no histogram.
 
-    A node tests its table's rows one by one with ``row_fits`` until the
-    table has been scanned in full twice; then the table builds its masks
-    (``_RowTable.build_masks``), and a node ANDs the masks its column sums
-    and chosen cells select and visits only the set bits.  A skipped row
-    still counts as tried: the rows up to each visited one, and the rest of
-    the table at the end of the scan, are added to the work, and the budget
-    is checked at each visited row and at the end.  No candidate completes between two
-    checks, so the status and the candidate count at a stop are those of a
-    check at every row; only the work a BUDGET result returns may be larger.
-    A node of the last table that only counts adds its rows and candidates
-    at once when that keeps the work within the budget.
+    A node ANDs its table with the masks its column sums and chosen cells
+    select (``_Rows.fitting``) and visits only the set bits.  A skipped row
+    still counts as tried: each visited row adds the table's rows up to it,
+    its position in the table, to the work, the end of the scan adds the
+    rest, and the budget is checked at each visited row and at the end.  No
+    candidate completes between two checks, so the status and the candidate
+    count at a stop are those of a check at every row; only the work a
+    BUDGET result returns may be larger.  A node of the last table that only
+    counts adds its rows and candidates at once when that keeps the work
+    within the budget.
     """
-    group, m, k = space.group, space.m, space.k
+    group, m = space.group, space.m
     n = group.n
-    oriented = space.require_oriented
     stop = None if exact_histogram else n
-    # a later row adds at most min(k, |G|) elements to one column
-    per_row = min(k, n)
     steps = tested = 0
     status = "EXHAUSTED"
     histogram: dict[int, int] = {}
     witness: ConnectionMatrix | None = None
     chosen: list[tuple[int, ...]] = [()] * m
     col_sums = [0] * m
+    # the node of row 0 has the one row ``first``
+    tables = [1 << first, *rows.tables[1:]]
 
     @lru_cache(maxsize=None)
     def row_outs(cells: tuple[int, ...]) -> list[list[int]]:
         # a block's out-lists, built once per row however often it is chosen
         return block_rows(group, [_elements(mask) for mask in cells])
 
-    def row_fits(i: int, row: tuple[tuple[int, ...], ...]) -> bool:
-        _, sizes, support, inverses = row
-        for j in support:
-            if col_sums[j] + sizes[j] > k:
-                return False
-            if oriented and j < i and inverses[j] & chosen[j][i]:
-                return False
-        # the rows below must still fill every column up to k
-        left = (m - 1 - i) * per_row
-        return left >= k or min(map(add, col_sums, sizes)) >= k - left
-
     def descend(i: int) -> bool:
         nonlocal steps, tested, status, witness
         table = tables[i]
-        rows = (table[branch],) if i == 0 else table
-        masked = i > 0 and table.allow is not None
-        if not masked:
-            found = ((r, row) for r, row in enumerate(rows) if row_fits(i, row))
-        else:
-            fits = table.fitting(i, col_sums, chosen)
-            if i == m - 1 and not evaluate:
-                # only counting: when the work stays within the budget even
-                # after the last row, no row of this scan stops the search
-                count = fits.bit_count()
-                if steps + tested + len(rows) + count <= budget:
-                    steps += len(rows)
-                    tested += count
-                    return False
-            found = table.selected(fits)
+        length = table.bit_count()
+        fits = rows.fitting(table, i, col_sums, chosen)
+        if i == m - 1 and not evaluate:
+            # only counting: when the work stays within the budget even
+            # after the last row, no row of this scan stops the search
+            count = fits.bit_count()
+            if steps + tested + length + count <= budget:
+                steps += length
+                tested += count
+                return False
         tried = 0
-        for r, (cells, sizes, support, inverses) in found:
-            # every row up to this one was tried, the skipped ones included
+        for p in _ones(fits):
+            # every row of the table up to this one was tried, the skipped
+            # ones included
+            r = (table & ((1 << p) - 1)).bit_count()
             steps += r + 1 - tried
             tried = r + 1
             if steps + tested > budget:
                 status = "BUDGET"
                 return True
+            cells, sizes, support = rows[p]
             chosen[i] = cells
             if i < m - 1:
                 for j in support:
@@ -342,15 +333,11 @@ def _search_branch(
                     m, tuple(tuple(frozenset(_elements(c)) for c in row) for row in chosen)
                 )
                 return True
-        if tried < len(rows):
-            steps += len(rows) - tried
+        if tried < length:
+            steps += length - tried
             if steps + tested > budget:
                 status = "BUDGET"
                 return True
-        if not masked and i > 0:
-            table.scans += 1
-            if table.scans == 2:
-                table.build_masks(i, m, k, (m - 1 - i) * per_row, n, oriented)
         return False
 
     descend(0)
@@ -438,10 +425,11 @@ def exhaustive_search(
     and a checkpoint is written after each branch.  ``jobs`` remains only for
     callers of the old signature (perfbench/workloads.py) and must be 1.
 
-    Once the search has scanned a row table in full twice, the table keeps
-    masks that pick each node's fitting rows for the later branches (see
-    ``_search_branch``).  Every count, histogram, witness, budget stop and
-    checkpoint stays that of testing each row in turn.
+    One set of bit masks over the space's row picks (``_Rows``) picks each
+    node's fitting rows (see ``_search_branch``); every count, histogram,
+    witness, budget stop and checkpoint stays that of testing each row of
+    each table in turn.  A space of more than ``MAX_PICKS`` picks raises
+    ValueError before any pick is made.
 
     Relabelling blocks maps the subtrees of first rows in one orbit onto
     each other, so only the first branch of each orbit, its leader, goes to
@@ -476,24 +464,24 @@ def exhaustive_search(
                 f" {Path(checkpoint_path).parent} is not a directory"
             )
         start, tested, histogram = _read_checkpoint(checkpoint_path, space)
-    tables = _matrix_tables(space)
-    rows = len(tables[0])
-    if start >= rows:
+    rows = _Rows(space)
+    branches = rows.tables[0].bit_count()
+    if start >= branches:
         # resuming past the end would report EXHAUSTED without a search
         raise ValueError(
             f"checkpoint {checkpoint_path} completed branch {start},"
-            f" but the search space has {rows} branches"
+            f" but the search space has {branches} branches"
         )
     least: dict[int, int] = {}
     # each leader row merged in this run: its branch, count and histogram
     merged: dict[tuple[int, ...], tuple[int, int, dict[int, int]]] = {}
     work = 0
-    for branch in range(start + 1, rows):
-        row = tables[0][branch][0]
+    for branch, first in islice(enumerate(_ones(rows.tables[0])), start + 1, None):
+        row = rows[first][0]
         leader = _leader(space.group, row, least)
         twin = leader in merged
         status, witness, count, found, done = _search_branch(
-            space, tables, exact_histogram, budget - work, branch, not twin
+            space, rows, exact_histogram, budget - work, first, not twin
         )
         work += done
         # a branch's last candidate completes after its last check, so a
@@ -565,10 +553,9 @@ def _exhaustive_rigid(n: int, k: int, oriented: bool, budget: int) -> RigidSearc
     # lexicographic order, so branch 0 is table 0's first row, the leader
     # 0 -> 1..k, sound because some labelling of any digraph achieves it
     space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
-    tables = _matrix_tables(space)
-    for table in tables:
-        table.reverse()
-    status, witness, tested, _, _ = _search_branch(space, tables, False, budget, 0, True)
+    rows = _Rows(space, reverse=True)
+    first = next(_ones(rows.tables[0]))
+    status, witness, tested, _, _ = _search_branch(space, rows, False, budget, first, True)
     graph = None if witness is None else build(space.group, witness).graph
     return RigidSearchOutcome(status, graph, tested)
 
@@ -627,6 +614,7 @@ def search_trivial_aut_digraph(
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    check_block_count(n)
     if k < 0:
         raise ValueError(f"valency must be non-negative, got k={k}")
     if budget < 0:

@@ -373,6 +373,16 @@ def test_search_checkpoint_for_other_space_exits_1(tmp_path, capsys) -> None:
     assert json.loads(written)["space"]["group"] == "Z4"
 
 
+def test_a_space_past_the_pick_limit_exits_1(capsys) -> None:
+    assert main(["search", "--group", "cyclic:1000", "--m", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the search space has 1331334000 row picks,"
+        f" more than the limit of {search.MAX_PICKS}\n"
+    )
+    assert main(["explore", "--mode", "exhaustive", "--n", "5000"]) == 1
+    assert capsys.readouterr().err == "error: block count 5000 exceeds the limit of 4096\n"
+
+
 def test_search_budget_exits_3(capsys) -> None:
     assert main(["search", "--group", "cyclic:2", "--m", "3", "--budget", "10"]) == 3
     assert "budget exceeded" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -34,9 +35,20 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
 
 
+def _tables(space: SearchSpace) -> list[list[tuple[int, ...]]]:
+    """The per-cell masks of the rows of each table of the search, in order."""
+    rows = search._Rows(space)
+    return [[rows[p][0] for p in search._ones(table)] for table in rows.tables]
+
+
 def _table_rows(group, m: int, k: int, i: int, oriented: bool = True) -> list[tuple[int, ...]]:
     """The per-cell masks of the rows of table ``i`` of the search, in order."""
-    return [row[0] for row in search._matrix_tables(SearchSpace(group, m, k, oriented))[i]]
+    return _tables(SearchSpace(group, m, k, oriented))[i]
+
+
+def _firsts(space: SearchSpace) -> list[int]:
+    """The pick index of each first row, in branch order."""
+    return list(search._ones(search._Rows(space).tables[0]))
 
 
 def _product_reference(space: SearchSpace):
@@ -48,7 +60,7 @@ def _product_reference(space: SearchSpace):
     the search's pruning is lossless.
     """
     m, k, group = space.m, space.k, space.group
-    rows = [[row[0] for row in table] for table in search._matrix_tables(space)]
+    rows = _tables(space)
     tested = 0
     histogram: dict[int, int] = {}
     for combo in itertools.product(*rows):
@@ -139,10 +151,10 @@ def test_enumerate_rows_matches_its_definition(group, m) -> None:
         sized = sorted(row for row in tuples if sum(bin(c).count("1") for c in row) == k)
         assert enumerate_rows(group, m, k) == sized, k
         for oriented in (False, True):
-            tables = search._matrix_tables(SearchSpace(group, m, k, oriented))
+            tables = _tables(SearchSpace(group, m, k, oriented))
             for i, table in enumerate(tables):
                 reference = [row for row in sized if fits_the_diagonal(row[i], oriented)]
-                assert [row[0] for row in table] == reference, (k, i, oriented)
+                assert table == reference, (k, i, oriented)
 
 
 @pytest.mark.parametrize(
@@ -162,14 +174,29 @@ def test_digon_spaces_hold_no_loops(group, m, status, candidates) -> None:
     # without the oriented condition a diagonal cell may hold an involution,
     # but never the identity: that would put a loop at each vertex of a block
     space = SearchSpace(group, m, require_oriented=False)
-    for i, table in enumerate(search._matrix_tables(space)):
-        assert not any(row[0][i] & 1 for row in table), i
+    for i, table in enumerate(_tables(space)):
+        assert not any(cells[i] & 1 for cells in table), i
     outcome = exhaustive_search(space)
     assert (outcome.status, outcome.candidates_tested) == (status, candidates)
     if outcome.witness is not None:
         assert all(0 not in outcome.witness.sets[i][i] for i in range(m))
         graph = build(group, outcome.witness).graph
         assert not any(graph.has_arc(v, v) for v in range(graph.nv))
+
+
+def test_a_space_past_the_pick_limit_is_refused_before_any_pick(monkeypatch) -> None:
+    # Z1000 m=2 has C(2000, 3) picks and the explorer at n=200 C(200, 3);
+    # Z60 m=2 and A5 m=2, with C(120, 3) = 280,840 each, stay within the limit
+    monkeypatch.setattr(search, "enumerate_rows", lambda *args: pytest.fail("enumerated"))
+    limit = f"more than the limit of {search.MAX_PICKS}"
+    with pytest.raises(ValueError, match=f"has 1331334000 row picks, {limit}"):
+        exhaustive_search(SearchSpace(make_cyclic(1000)[0], 2))
+    with pytest.raises(ValueError, match=f"has 1313400 row picks, {limit}"):
+        search_trivial_aut_digraph(200, 3)
+    # past mcayley.MAX_BLOCKS the explorer refuses the block count first
+    with pytest.raises(ValueError, match="block count 5000 exceeds the limit of 4096"):
+        search_trivial_aut_digraph(5000, 3)
+    assert comb(120, 3) <= search.MAX_PICKS < comb(200, 3)
 
 
 def test_search_space_validation() -> None:
@@ -362,6 +389,23 @@ def test_one_job_runs_each_branch_under_the_budget_left(engine_calls) -> None:
 # Mask filtering against the row-by-row walk.
 # ---------------------------------------------------------------------------
 
+def _reference_tables(space: SearchSpace) -> list[list[tuple]]:
+    """The m row tables as the search kept them before one mask set served
+    a space: table i holds, in order, the picks of ``enumerate_rows`` whose
+    cell i holds no loop and, oriented, no element with its inverse, each
+    decorated with its popcounts, non-empty cells and inverses."""
+    group, m = space.group, space.m
+    rows = []
+    for cells in enumerate_rows(group, m, space.k):
+        sizes = tuple(bin(c).count("1") for c in cells)
+        inverses = tuple(sum(1 << group.inv[e] for e in _mask_elements(c)) for c in cells)
+        rows.append((cells, sizes, tuple(j for j in range(m) if cells[j]), inverses))
+    return [
+        [row for row in rows if not row[0][i] & (row[3][i] if space.require_oriented else 1)]
+        for i in range(m)
+    ]
+
+
 def _row_fits(space: SearchSpace, col_sums: list, chosen: list, i: int, row: tuple) -> bool:
     """The search's row test before mask filtering, on one node's state."""
     m, k = space.m, space.k
@@ -376,9 +420,11 @@ def _row_fits(space: SearchSpace, col_sums: list, chosen: list, i: int, row: tup
 
 
 def _row_by_row(space: SearchSpace, tables: list, budget: int, branch: int, evaluate: bool):
-    """Reference branch search: every row of every table goes through
-    ``_row_fits`` and counts as one unit of work, checked against the budget
-    as it is tried.  Returns what ``search._search_branch`` returns."""
+    """Reference branch search on ``_reference_tables``: every row of every
+    table goes through ``_row_fits`` and counts as one unit of work, checked
+    against the budget as it is tried.  Returns what
+    ``search._search_branch`` returns for the first row of branch
+    ``branch``."""
     group, m = space.group, space.m
     steps = tested = 0
     status = "EXHAUSTED"
@@ -445,22 +491,18 @@ _FILTER_SPACES = {
 
 @pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
 def test_mask_filtering_matches_the_row_by_row_walk(space) -> None:
-    # the branches in order on one set of tables up to the first witness, as
-    # one job runs them, so a table is scanned row by row until two full
-    # scans build its masks
-    tables = search._matrix_tables(space)
+    # the branches in order on one mask set up to the first witness
+    rows = search._Rows(space)
+    reference = _reference_tables(space)
     least: dict = {}
-    for branch, (row, *_) in enumerate(tables[0]):
-        args = search.DEFAULT_BUDGET, branch, search._leader(space.group, row, least) == row
-        got = search._search_branch(space, tables, True, *args)
-        assert got == _row_by_row(space, tables, *args), branch
+    for branch, first in enumerate(search._ones(rows.tables[0])):
+        row = rows[first][0]
+        assert row == reference[0][branch][0]
+        evaluate = search._leader(space.group, row, least) == row
+        got = search._search_branch(space, rows, True, search.DEFAULT_BUDGET, first, evaluate)
+        assert got == _row_by_row(space, reference, search.DEFAULT_BUDGET, branch, evaluate), branch
         if got[0] == "FOUND":
             break
-    # a table builds its masks on its second full scan, so a space of one
-    # branch, such as Z2 m=2 with digons (one loop-free row per table), never
-    # builds them
-    built = any(table.allow is not None for table in tables)
-    assert built == (len(tables[0]) > 1)
 
 
 def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -> None:
@@ -468,17 +510,17 @@ def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -
     # one job does, each under the budget its earlier branches left, up to
     # the first stop.  Only a stopped branch's work may differ.
     space = SearchSpace(Z4, 2)
+    rows = search._Rows(space)
+    reference = _reference_tables(space)
     least: dict = {}
-    rows = _table_rows(Z4, 2, 3, 0)
-    leads = [search._leader(Z4, row, least) == row for row in rows]
+    firsts = _firsts(space)
+    leads = [search._leader(Z4, rows[first][0], least) == rows[first][0] for first in firsts]
     total = 296
     for budget in range(total + 1):
-        tables = search._matrix_tables(space)
         left = budget
-        for branch, evaluate in enumerate(leads):
-            args = left, branch, evaluate
-            got = search._search_branch(space, tables, True, *args)
-            want = _row_by_row(space, tables, *args)
+        for branch, (first, evaluate) in enumerate(zip(firsts, leads)):
+            got = search._search_branch(space, rows, True, left, first, evaluate)
+            want = _row_by_row(space, reference, left, branch, evaluate)
             assert got[:4] == want[:4], (budget, branch)
             if got[0] == "BUDGET":
                 break
@@ -490,50 +532,48 @@ def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -
 
 @pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
 def test_masks_select_the_rows_row_fits_accepts(space) -> None:
-    # random descents from a first row reach states at every depth
-    group, m, k = space.group, space.m, space.k
-    tables = search._matrix_tables(space)
-    for i in range(1, m):
-        left = (m - 1 - i) * min(k, group.n)
-        tables[i].build_masks(i, m, k, left, group.n, space.require_oriented)
+    # random descents reach states at every depth
+    m = space.m
+    rows = search._Rows(space)
+    reference = _reference_tables(space)
     rng = random.Random(1)
     for _ in range(200):
         chosen: list = [()] * m
         col_sums = [0] * m
         for i in range(m):
-            fitting = {
-                r for r, row in enumerate(tables[i]) if _row_fits(space, col_sums, chosen, i, row)
-            }
-            if i > 0:
-                fits = tables[i].fitting(i, col_sums, chosen)
-                assert fitting == {r for r, _ in tables[i].selected(fits)}
+            fitting = [row for row in reference[i] if _row_fits(space, col_sums, chosen, i, row)]
+            fits = rows.fitting(rows.tables[i], i, col_sums, chosen)
+            assert [row[0] for row in fitting] == [rows[p][0] for p in search._ones(fits)]
             if not fitting:
                 break
-            cells, sizes, _, _ = tables[i][rng.choice(sorted(fitting))]
+            cells, sizes, _, _ = rng.choice(fitting)
             chosen[i] = cells
             col_sums = [c + s for c, s in zip(col_sums, sizes)]
 
 
 @pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
 def test_the_tables_of_a_space_share_their_rows(space) -> None:
-    # one decorated tuple per pick, whichever tables keep it; over the trivial
-    # group a row's 0/1 cells are its own popcounts and inverses too
-    first: dict = {}
-    for table in search._matrix_tables(space):
-        for row in table:
-            assert first.setdefault(row[0], row) is row
-            if space.group.n == 1:
-                assert row[1] is row[0] and row[3] is row[0]
+    # one decorated tuple per pick of enumerate_rows, which every table's
+    # mask selects from; over the trivial group a row's 0/1 cells are its
+    # own popcounts too
+    rows = search._Rows(space)
+    assert [row[0] for row in rows] == enumerate_rows(space.group, space.m, space.k)
+    for cells, sizes, support in rows:
+        assert sizes == tuple(bin(c).count("1") for c in cells)
+        assert support == tuple(j for j, c in enumerate(cells) if c)
+        if space.group.n == 1:
+            assert sizes is cells
+    assert max(table.bit_length() for table in rows.tables) <= len(rows)
 
 
 def test_z1_m7_work_per_branch() -> None:
     # the budget units each branch of Z1 m=7 spends, twins included: 542,260
     # in all, 88,846 for the first two
     space = SearchSpace(Z1, 7)
-    tables = search._matrix_tables(space)
+    rows = search._Rows(space)
     work = [
-        search._search_branch(space, tables, True, search.DEFAULT_BUDGET, branch, branch == 0)[-1]
-        for branch in range(len(tables[0]))
+        search._search_branch(space, rows, True, search.DEFAULT_BUDGET, first, branch == 0)[-1]
+        for branch, first in enumerate(_firsts(space))
     ]
     assert work == [
         52693, 36153, 33173, 33173, 32953, 29973, 29973, 22513, 22513, 19433,
@@ -648,13 +688,14 @@ def test_a_first_witness_search_finds_the_leader_of_each_branch_it_runs(monkeypa
         ran.append(args[4])
         return search_branch(*args)
 
+    space = SearchSpace(Z5, 2, require_connected=True)
     monkeypatch.setattr(search, "_leader", counting_leader)
     monkeypatch.setattr(search, "_search_branch", counting_branch)
-    outcome = exhaustive_search(SearchSpace(Z5, 2, require_connected=True))
+    outcome = exhaustive_search(space)
     assert (outcome.status, outcome.candidates_tested) == ("FOUND", 2)
-    rows = _table_rows(Z5, 2, 3, 0)
-    assert asked == [rows[branch] for branch in ran]
-    assert len(asked) < len(rows)
+    rows = search._Rows(space)
+    assert asked == [rows[first][0] for first in ran]
+    assert len(asked) < rows.tables[0].bit_count()
 
 
 @pytest.mark.parametrize(
@@ -804,11 +845,12 @@ def test_checkpoint_write_replaces_the_file_atomically(tmp_path, monkeypatch) ->
 def test_a_branch_error_reaches_the_caller_at_its_branch(monkeypatch, tmp_path) -> None:
     # the error stops the merge at branch 3, so the checkpoint holds branch 2
     real = search._search_branch
+    branch3 = _firsts(SearchSpace(Z4, 2))[3]
 
-    def failing(space, tables, exact_histogram, budget, branch, evaluate):
-        if branch == 3:
+    def failing(space, rows, exact_histogram, budget, first, evaluate):
+        if first == branch3:
             raise ArithmeticError("branch 3 failed")
-        return real(space, tables, exact_histogram, budget, branch, evaluate)
+        return real(space, rows, exact_histogram, budget, first, evaluate)
 
     monkeypatch.setattr(search, "_search_branch", failing)
     path = tmp_path / "ckpt.json"
@@ -925,6 +967,17 @@ def test_exhaustive_explorer_keeps_its_answers(args, status, candidates, arcs) -
     assert witness == arcs
     if out.witness is not None:
         assert automorphism_group(out.witness).order() == 1
+
+
+@pytest.mark.parametrize("n,k,oriented", [(7, 3, True), (6, 2, False), (5, 1, True)])
+def test_the_explorer_tables_list_each_forward_table_backwards(n, k, oriented) -> None:
+    space = SearchSpace(Z1, n, k, oriented)
+    forward, backward = search._Rows(space), search._Rows(space, reverse=True)
+    for i in range(n):
+        rows = [backward[p][0] for p in search._ones(backward.tables[i])]
+        assert rows == [forward[p][0] for p in search._ones(forward.tables[i])][::-1], i
+    # so branch 0 of the explorer is the leader row 0 -> 1..k
+    assert backward[next(search._ones(backward.tables[0]))][0] == (0, *[1] * k, *[0] * (n - 1 - k))
 
 
 def test_exhaustive_rigid_respects_budget() -> None:
