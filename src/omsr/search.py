@@ -18,9 +18,9 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from math import comb
-from operator import itemgetter, or_
+from operator import or_
 from pathlib import Path
 
 from .autgroup import automorphism_group
@@ -120,26 +120,32 @@ def enumerate_rows(group: FiniteGroup, m: int, k: int) -> list[tuple[int, ...]]:
 
 
 # checked before any pick is made.  A pick holds m cells, so its share of
-# peak RSS grows with m: about 350 bytes at m = 2 (Z60 m = 2, 280,840 picks:
-# 114 MB; Z80 m = 2, 669,920 picks: 260 MB) and 1.2 KB at m = 100 (the
-# explorer at n = 100, 161,700 picks: 203 MB)
+# peak RSS grows with m: about 320 bytes at m = 2 (Z60 m = 2, 280,840 picks:
+# 98 MB; Z80 m = 2, 669,920 picks: 222 MB) and 1.2 KB at m = 100 (the
+# explorer at n = 100, 161,700 picks: 198 MB)
 MAX_PICKS = 10**6
 
 
 class _Rows(list):
     """The row picks of one search space, each decorated once as its cells,
-    their popcounts and its non-empty cells, with the bit masks, bit p for
-    pick p, that select the rows fitting a search node.
+    its packed popcounts and its non-empty cells, with the bit masks, bit p
+    for pick p, that select the rows fitting a search node.
+
+    A search node's column sums travel as one packed int, ``width`` bits per
+    column, column j at bit ``width * j``: a column sum never passes k, so
+    ``width`` is ``k.bit_length()`` and a row adds its packed popcounts, its
+    delta, with one addition.
 
     ``tables[i]`` holds the picks row i may take: cell i holds no loop (the
-    identity, bit 0) and, oriented, no element together with its inverse.
+    identity, bit 0) and, oriented, no element together with its inverse,
+    and ``lengths[i]`` counts them.
     ``allow[i][j][c]`` holds the picks whose cell j fits a column sum of c at
     row i: k - left - c <= |cell j| <= k - c, ``left`` being the most
     elements the rows below can add, so the column stays within k and the
     rows below can still fill it.  Past k, more room below changes no bound,
-    so the rows share at most k + 1 of these.  When oriented,
-    ``keep[i][j][e]`` for j < i holds the picks whose cell j misses e⁻¹.
-    Over the trivial group a pick's popcounts are its cells tuple.
+    so the rows share at most k + 1 of these, and equal masks are one int.
+    When oriented, ``keep[n * j + e]`` for j < m - 1 holds the picks whose
+    cell j misses e⁻¹.
     """
 
     def __init__(self, space: SearchSpace, reverse: bool = False) -> None:
@@ -153,33 +159,41 @@ class _Rows(list):
         rows = enumerate_rows(group, m, k)
         if reverse:
             rows.reverse()
-        popcounts = rows if n == 1 else list(
-            zip(*(map(int.bit_count, map(itemgetter(j), rows)) for j in range(m)))
-        )
-        self.extend(zip(rows, popcounts, map(tuple, map(compress, repeat(range(m)), popcounts))))
         oriented = space.require_oriented
-        # a diagonal cell refuses a loop and, oriented, an element with its inverse
-        refuses = {}
-        for cell in set(chain.from_iterable(rows)):
-            inverse = sum(1 << group.inv[e] for e in _elements(cell))
-            refuses[cell] = cell & (inverse if oriented else 1)
-        width = (len(rows) + 7) // 8
+        self.width = k.bit_length()
+        # per non-empty cell met: its size, whether a diagonal cell refuses
+        # it (a loop or, oriented, an element with its inverse), its elements
+        cells_of: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        shifts = [self.width * j for j in range(m)]
+        nbytes = (len(rows) + 7) // 8
         # sized[j][s]: the picks with |cell j| = s > 0; holds[j][e]: the
         # picks whose cell j holds e, for every cell but the last
-        sized = [[bytearray(width) for _ in range(k + 1)] for _ in range(m)]
-        holds = [[bytearray(width) for _ in range(n)] for _ in range(m - 1 if oriented else 0)]
-        refused = [bytearray(width) for _ in range(m)]
-        for p, (cells, sizes, support) in enumerate(self):
+        sized = [list(map(bytearray, repeat(nbytes, k + 1))) for _ in range(m)]
+        holds = [list(map(bytearray, repeat(nbytes, n))) for _ in range(m - 1 if oriented else 0)]
+        refused = list(map(bytearray, repeat(nbytes, m)))
+        supports = map(tuple, map(compress, repeat(range(m)), rows))
+        held, append = len(holds), self.append
+        for p, (cells, support) in enumerate(zip(rows, supports)):
             byte, bit = p >> 3, 1 << (p & 7)
+            delta = 0
             for j in support:
-                sized[j][sizes[j]][byte] |= bit
-                if refuses[cells[j]]:
+                cell = cells[j]
+                if cell not in cells_of:
+                    elements = _elements(cell)
+                    inverse = sum(1 << group.inv[e] for e in elements)
+                    cells_of[cell] = len(elements), cell & (inverse if oriented else 1), elements
+                size, refuses, elements = cells_of[cell]
+                delta += size << shifts[j]
+                sized[j][size][byte] |= bit
+                if refuses:
                     refused[j][byte] |= bit
-                if j < len(holds):
-                    for e in _elements(cells[j]):
+                if j < held:
+                    for e in elements:
                         holds[j][e][byte] |= bit
+            append((cells, delta, support))
         full = (1 << len(rows)) - 1
         self.tables = [full ^ int.from_bytes(mask, "little") for mask in refused]
+        self.lengths = [table.bit_count() for table in self.tables]
         counts = []
         for buffers in sized:
             count = [int.from_bytes(buffer, "little") for buffer in buffers]
@@ -187,35 +201,37 @@ class _Rows(list):
             counts.append(count)
         # a later row adds at most min(k, |G|) elements to one column
         per_row = min(k, n)
-        allow: dict[int, list[tuple[int, ...]]] = {}
+        allow: dict[int, list[list[int]]] = {}
+        # over the trivial group a cell holds at most one element, so most
+        # of these sets select every pick: equal masks share one int
+        masks: dict[int, int] = {}
         self.allow = []
         for i in range(m):
             left = min((m - 1 - i) * per_row, k)
             if left not in allow:
-                allow[left] = [
-                    tuple(
-                        reduce(or_, count[max(0, k - left - c) : k - c + 1]) for c in range(k + 1)
-                    )
-                    for count in counts
-                ]
+                allow[left] = []
+                for count in counts:
+                    column = []
+                    for c in range(k + 1):
+                        union = reduce(or_, count[max(0, k - left - c) : k - c + 1])
+                        column.append(masks.setdefault(union, union))
+                    allow[left].append(column)
             self.allow.append(allow[left])
-        keep = [
-            [full ^ int.from_bytes(cell[group.inv[e]], "little") for e in range(n)]
-            for cell in holds
+        self.keep = [
+            full ^ int.from_bytes(cell[group.inv[e]], "little") for cell in holds for e in range(n)
         ]
-        self.keep = [keep[:i] for i in range(m)]
 
-    def fitting(
-        self, fits: int, i: int, col_sums: list[int], chosen: list[tuple[int, ...]]
-    ) -> int:
-        """The picks of ``fits`` that fit as row ``i`` below the rows
-        ``chosen`` with ``col_sums``, bit p for pick p."""
-        for column, c in zip(self.allow[i], col_sums):
-            fits &= column[c]
-        for cell, row in zip(self.keep[i], chosen):
-            if row[i]:
-                for e in _elements(row[i]):
-                    fits &= cell[e]
+    def fitting(self, fits: int, i: int, sums: int, incoming: int) -> int:
+        """The picks of ``fits`` that fit as row ``i`` under the packed
+        column sums ``sums``, bit p for pick p.  In an oriented space
+        ``incoming`` holds the cells that the rows above put in column i,
+        row l's at bit ``n * l``; otherwise it is 0."""
+        field = (1 << self.width) - 1
+        for column in self.allow[i]:
+            fits &= column[sums & field]
+            sums >>= self.width
+        for b in _elements(incoming):
+            fits &= self.keep[b]
         return fits
 
 
@@ -255,65 +271,105 @@ def _search_branch(
     their automorphism orders, and the work done.  Without ``evaluate`` the
     candidates are only counted: no digraph, no engine call, no histogram.
 
-    A node ANDs its table with the masks its column sums and chosen cells
-    select (``_Rows.fitting``) and visits only the set bits.  A skipped row
-    still counts as tried: each visited row adds the table's rows up to it,
-    its position in the table, to the work, the end of the scan adds the
-    rest, and the budget is checked at each visited row and at the end.  No
-    candidate completes between two checks, so the status and the candidate
-    count at a stop are those of a check at every row; only the work a
-    BUDGET result returns may be larger.  A node of the last table that only
-    counts adds its rows and candidates at once when that keeps the work
-    within the budget.
+    A node visits the set bits of its fitting mask: its table ANDed with the
+    masks that its packed column sums and the cells the rows above put in
+    its column select (``_Rows.fitting``).  The branch keeps these masks in
+    a fit cache keyed by the packed sums and the incoming cells, so a node
+    whose key recurs reads its mask back instead of ANDing it again; the
+    cache lives as long as the branch.
+
+    A skipped row still counts as tried: each visited row adds the table's
+    rows up to it, its position in the table, to the work, the end of the
+    scan adds the rest, and the budget is checked at each visited row and at
+    the end.  No candidate completes between two checks, so the status and
+    the candidate count at a stop are those of a check at every row; only
+    the work a BUDGET result returns may be larger.  A node adds its whole
+    table to ``bound`` when it is entered, so ``bound`` is never below the
+    rows tried; only once ``bound`` passes the budget does a check count the
+    positions of the active rows.  A node of the last table that only counts
+    adds its rows and candidates at once when that keeps the work within the
+    budget.
     """
     group, m = space.group, space.m
     n = group.n
     stop = None if exact_histogram else n
-    steps = tested = 0
+    tested = 0
+    # the rows tried, plus the untried rest of every active node's table
+    bound = 0
     status = "EXHAUSTED"
     histogram: dict[int, int] = {}
     witness: ConnectionMatrix | None = None
+    oriented = space.require_oriented
     chosen: list[tuple[int, ...]] = [()] * m
-    col_sums = [0] * m
+    # the pick each active row is at, and the cells the rows above put in
+    # each column, row l's at bit n * l
+    at = [first] * m
+    into = [0] * m
     # the node of row 0 has the one row ``first``
     tables = [1 << first, *rows.tables[1:]]
+    lengths = [1, *rows.lengths[1:]]
+    # the fit cache: row i's column sums add up to k * i, so the packed sums
+    # and incoming cells name the row too (at k = 0 every row fits the one
+    # empty pick)
+    fit_cache: dict[int, int] = {}
+    shift = rows.width * m
+    # a block's out-lists, built once per row however often it is chosen
+    outs: dict[tuple[int, ...], list[list[int]]] = {}
 
-    @lru_cache(maxsize=None)
     def row_outs(cells: tuple[int, ...]) -> list[list[int]]:
-        # a block's out-lists, built once per row however often it is chosen
-        return block_rows(group, [_elements(mask) for mask in cells])
+        if cells not in outs:
+            outs[cells] = block_rows(group, [_elements(mask) for mask in cells])
+        return outs[cells]
 
-    def descend(i: int) -> bool:
-        nonlocal steps, tested, status, witness
-        table = tables[i]
-        length = table.bit_count()
-        fits = rows.fitting(table, i, col_sums, chosen)
+    def tried(i: int) -> int:
+        # the rows tried: ``bound`` less the rows of tables 1..i after their
+        # active rows (table 0 holds one row)
+        return bound - sum(
+            lengths[l] - (tables[l] & ((1 << at[l]) - 1)).bit_count() - 1 for l in range(1, i + 1)
+        )
+
+    def stopped(i: int) -> bool:
+        # a check with rows 1..i active: stop once the work passes the budget
+        nonlocal bound, status
+        steps = tried(i)
+        if steps + tested <= budget:
+            return False
+        bound, status = steps, "BUDGET"
+        return True
+
+    def descend(i: int, sums: int) -> bool:
+        nonlocal bound, tested, status, witness
+        length = lengths[i]
+        bound += length
+        key = sums | into[i] << shift
+        fits = fit_cache.get(key)
+        if fits is None:
+            fits = fit_cache[key] = rows.fitting(tables[i], i, sums, into[i])
         if i == m - 1 and not evaluate:
             # only counting: when the work stays within the budget even
             # after the last row, no row of this scan stops the search
             count = fits.bit_count()
-            if steps + tested + length + count <= budget:
-                steps += length
+            if bound + tested + count <= budget or tried(i - 1) + tested + count <= budget:
                 tested += count
                 return False
-        tried = 0
-        for p in _ones(fits):
-            # every row of the table up to this one was tried, the skipped
-            # ones included
-            r = (table & ((1 << p) - 1)).bit_count()
-            steps += r + 1 - tried
-            tried = r + 1
-            if steps + tested > budget:
-                status = "BUDGET"
+        p = -1
+        offset = n * i
+        for p in _ones(fits) if fits else ():
+            at[i] = p
+            # the rows tried are counted only when ``bound`` passes the budget
+            if bound + tested > budget and stopped(i):
                 return True
-            cells, sizes, support = rows[p]
+            cells, delta, support = rows[p]
             chosen[i] = cells
             if i < m - 1:
-                for j in support:
-                    col_sums[j] += sizes[j]
-                done = descend(i + 1)
-                for j in support:
-                    col_sums[j] -= sizes[j]
+                # the first XOR sets row i's bits, the second clears them
+                if oriented:
+                    for j in support:
+                        into[j] ^= cells[j] << offset
+                done = descend(i + 1, sums + delta)
+                if oriented:
+                    for j in support:
+                        into[j] ^= cells[j] << offset
                 if done:
                     return True
                 continue
@@ -328,20 +384,20 @@ def _search_branch(
             order = automorphism_group(graph, stop_order_above=stop).order()
             histogram[order] = histogram.get(order, 0) + 1
             if order == n:
+                bound = tried(i)
                 status = "FOUND"
                 witness = ConnectionMatrix(
                     m, tuple(tuple(frozenset(_elements(c)) for c in row) for row in chosen)
                 )
                 return True
-        if tried < length:
-            steps += length - tried
-            if steps + tested > budget:
-                status = "BUDGET"
-                return True
-        return False
+        # the scan ends: the rows after the last visited one were tried too
+        return bound + tested > budget and p < tables[i].bit_length() - 1 and stopped(i - 1)
 
-    descend(0)
-    return status, witness, tested, histogram, steps + tested
+    descend(0, 0)
+    # descend refers to itself: unbinding it frees the fit cache now, not at
+    # the next run of the cycle collector
+    del descend
+    return status, witness, tested, histogram, bound + tested
 
 
 def _write_checkpoint(

@@ -486,6 +486,12 @@ _FILTER_SPACES = {
     "Z2-m3-k2": SearchSpace(Z2, 3, 2),
     "Z2-m2-digons": SearchSpace(Z2, 2, require_oriented=False),
     "Z1-m6-digons": SearchSpace(Z1, 6, require_oriented=False),
+    # the packed column sums take k.bit_length() bits a column: none at k=0,
+    # three at k=4 and k=5
+    "Z3-m2-k0": SearchSpace(Z3, 2, 0),
+    "Z3-m3-k4": SearchSpace(Z3, 3, 4),
+    "Z1-m6-k4-digons": SearchSpace(Z1, 6, 4, require_oriented=False),
+    "Z2-m4-k5-digons": SearchSpace(Z2, 4, 5, require_oriented=False),
 }
 
 
@@ -505,20 +511,19 @@ def test_mask_filtering_matches_the_row_by_row_walk(space) -> None:
             break
 
 
-def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -> None:
-    # Z4 m=2 does 296 units of work in all; each run merges the branches as
-    # one job does, each under the budget its earlier branches left, up to
-    # the first stop.  Only a stopped branch's work may differ.
-    space = SearchSpace(Z4, 2)
+def _stops_match(space: SearchSpace, budgets, leads: list[bool], total: int) -> list[int]:
+    """Each run merges the first ``len(leads)`` branches as one job does,
+    evaluating branch b when ``leads[b]``, each under the budget its earlier
+    branches left, up to the first stop, and compares every branch with the
+    row-by-row walk.  Only a stopped branch's work may differ.  The branches
+    do ``total`` units of work in all.  Returns the budgets under which no
+    branch stopped."""
     rows = search._Rows(space)
     reference = _reference_tables(space)
-    least: dict = {}
-    firsts = _firsts(space)
-    leads = [search._leader(Z4, rows[first][0], least) == rows[first][0] for first in firsts]
-    total = 296
-    for budget in range(total + 1):
+    unstopped = []
+    for budget in budgets:
         left = budget
-        for branch, (first, evaluate) in enumerate(zip(firsts, leads)):
+        for branch, (first, evaluate) in enumerate(zip(_firsts(space), leads)):
             got = search._search_branch(space, rows, True, left, first, evaluate)
             want = _row_by_row(space, reference, left, branch, evaluate)
             assert got[:4] == want[:4], (budget, branch)
@@ -527,7 +532,45 @@ def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -
             assert got[4] == want[4], (budget, branch)
             left -= got[4]
         else:
-            assert budget == total and left == 0
+            # a last candidate completes after the last check, one unit past
+            # the budget at most
+            assert left == budget - total >= -1, budget
+            unstopped.append(budget)
+    return unstopped
+
+
+def test_mask_filtering_stops_at_every_budget_where_the_row_by_row_walk_does() -> None:
+    # Z4 m=2 does 296 units of work in all, and every smaller budget stops
+    space = SearchSpace(Z4, 2)
+    rows = search._Rows(space)
+    least: dict = {}
+    firsts = _firsts(space)
+    leads = [search._leader(Z4, rows[first][0], least) == rows[first][0] for first in firsts]
+    assert _stops_match(space, range(296 + 1), leads, 296) == [296]
+
+
+@pytest.mark.parametrize("evaluate", [True, False], ids=["evaluate", "count"])
+@pytest.mark.parametrize(
+    "space,branches,total,budgets,samples",
+    [
+        # all of Z2 m=4, whose branch 0 does 467 units
+        (SearchSpace(Z2, 4), 20, 7372, (466, 467, 7371, 7372), 12),
+        # the first two branches of Z1 m=7, branch 0 52,693 units
+        (SearchSpace(Z1, 7), 2, 88846, (52692, 52693, 88845), 4),
+        # each branch of Z7 m=1 is one row and one candidate, which completes
+        # after the last check: at an odd budget the branch ends one unit
+        # past it, not stopped
+        (SearchSpace(make_cyclic(7)[0], 1), 8, 16, range(17), 0),
+    ],
+    ids=["z2-m4", "z1-m7", "z7-m1"],
+)
+def test_mask_filtering_stops_at_sampled_budgets_where_the_row_by_row_walk_does(
+    space, branches, total, budgets, samples, evaluate
+) -> None:
+    # stops with up to m - 1 rows active, each counted at its position in
+    # its table; the budgets at the branch ends and a seeded sample between
+    sample = random.Random(total).sample(range(total), samples)
+    _stops_match(space, (*budgets, *sample), [evaluate] * branches, total)
 
 
 @pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
@@ -542,7 +585,13 @@ def test_masks_select_the_rows_row_fits_accepts(space) -> None:
         col_sums = [0] * m
         for i in range(m):
             fitting = [row for row in reference[i] if _row_fits(space, col_sums, chosen, i, row)]
-            fits = rows.fitting(rows.tables[i], i, col_sums, chosen)
+            # the packed column sums and, oriented, the cells the rows above
+            # put in column i
+            sums = sum(c << rows.width * j for j, c in enumerate(col_sums))
+            incoming = sum(chosen[l][i] << space.group.n * l for l in range(i))
+            if not space.require_oriented:
+                incoming = 0
+            fits = rows.fitting(rows.tables[i], i, sums, incoming)
             assert [row[0] for row in fitting] == [rows[p][0] for p in search._ones(fits)]
             if not fitting:
                 break
@@ -554,16 +603,20 @@ def test_masks_select_the_rows_row_fits_accepts(space) -> None:
 @pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
 def test_the_tables_of_a_space_share_their_rows(space) -> None:
     # one decorated tuple per pick of enumerate_rows, which every table's
-    # mask selects from; over the trivial group a row's 0/1 cells are its
-    # own popcounts too
+    # mask selects from; a pick's popcounts are packed in fields wide
+    # enough for a column sum of k
     rows = search._Rows(space)
     assert [row[0] for row in rows] == enumerate_rows(space.group, space.m, space.k)
-    for cells, sizes, support in rows:
-        assert sizes == tuple(bin(c).count("1") for c in cells)
+    assert rows.width == space.k.bit_length() and space.k < 1 << rows.width
+    field = (1 << rows.width) - 1
+    for cells, delta, support in rows:
+        assert [delta >> rows.width * j & field for j in range(space.m)] == [
+            bin(c).count("1") for c in cells
+        ]
+        assert delta < 1 << rows.width * space.m
         assert support == tuple(j for j, c in enumerate(cells) if c)
-        if space.group.n == 1:
-            assert sizes is cells
     assert max(table.bit_length() for table in rows.tables) <= len(rows)
+    assert rows.lengths == [table.bit_count() for table in rows.tables]
 
 
 def test_z1_m7_work_per_branch() -> None:
