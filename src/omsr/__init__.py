@@ -6,12 +6,7 @@ group of symmetries collapses to the right translations, and exhausts small
 parameter spaces where no such digraph exists.
 """
 
-from .autgroup import (
-    automorphism_group,
-    brute_force_order,
-    check_prop21_hypotheses,
-    is_automorphism,
-)
+from .autgroup import automorphism_group, brute_force_order, is_automorphism
 from .constructions import (
     FAMILIES,
     ExceptionVerdict,
@@ -39,12 +34,13 @@ from .groups import (
 )
 from .mcayley import (
     ConnectionMatrix,
-    MCayleyDigraph,
     build,
+    check_prop21_hypotheses,
     connection_is_oriented,
     regular_action_group,
     right_translation,
     valency_profile,
+    vertex_of,
 )
 from .perms import PermGroup
 from .search import (
@@ -68,7 +64,6 @@ __all__ = [
     "FamilyError",
     "FiniteGroup",
     "GeneratorSpec",
-    "MCayleyDigraph",
     "PermGroup",
     "RigidSearchOutcome",
     "SearchOutcome",
@@ -100,6 +95,7 @@ __all__ = [
     "validate_claims",
     "valency_profile",
     "verify_connection",
+    "vertex_of",
 ]
 
 __version__ = "0.1.0"

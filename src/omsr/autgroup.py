@@ -1,4 +1,7 @@
-"""Digraph automorphism groups via equitable partition refinement and backtracking."""
+"""Digraph automorphism groups via equitable partition refinement and backtracking.
+
+The engine sees plain digraphs alone; the checks that speak of blocks live in mcayley.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ from functools import partial
 from itertools import compress, permutations
 from typing import Iterator, Sequence
 
-from .digraphs import Digraph, is_weakly_connected
+from .digraphs import Digraph
 # _Chain is unused here; perfbench/spans.py patches it in this module too
 from .perms import PermGroup, _Chain, check_permutation  # noqa: F401
 
@@ -17,7 +20,6 @@ __all__ = [
     "automorphism_group",
     "brute_force_order",
     "is_automorphism",
-    "check_prop21_hypotheses",
 ]
 
 BRUTE_FORCE_MAX = 10
@@ -513,42 +515,3 @@ def brute_force_automorphisms(graph: Digraph) -> PermGroup:
         if k is not None:
             reps.setdefault((k, p[k]), p)
     return PermGroup(graph.nv, reps.values(), order=count)
-
-
-def check_prop21_hypotheses(gamma, aut: PermGroup, reps: Sequence[int]) -> bool:
-    """Test the two hypotheses forcing Aut = R(G) on a connected block digraph.
-
-    ``aut`` must be the digraph's full automorphism group, as the engine
-    returns it. (a) every generator maps each block onto itself, and (b) for
-    each supplied block representative u, the stabilizer of u fixes every
-    out-neighbor of u pointwise; the stabilizer's Schreier generators are
-    checked. When both hold the automorphism group must be exactly the right
-    translations, so the order is cross-checked against |G|.
-    """
-    from .mcayley import right_translation
-
-    graph: Digraph = gamma.graph
-    n = gamma.group.n
-    m = gamma.m
-    if aut.degree != graph.nv:
-        raise ValueError(f"degree {aut.degree} vs nv {graph.nv}")
-    if not is_weakly_connected(graph):
-        raise ValueError("hypothesis check requires a weakly connected digraph")
-    if sorted(v // n for v in reps) != list(range(m)):
-        raise ValueError(f"need exactly one representative per block, got {list(reps)}")
-    # the group is the full Aut, so a permutation is a member when it preserves arcs
-    if any(not _preserves_arcs(graph, right_translation(gamma, g)) for g in range(n)):
-        raise ValueError("supplied group must contain every right translation")
-    for p in aut.generators:
-        for v in range(graph.nv):
-            if p[v] // n != v // n:
-                return False
-    for u in reps:
-        for p in aut.schreier_generators(u):
-            if any(p[w] != w for w in graph.out_adj[u]):
-                return False
-    if aut.order() != n:
-        raise RuntimeError(
-            f"hypotheses hold but |Aut| = {aut.order()} != |G| = {n}; engine inconsistency"
-        )
-    return True

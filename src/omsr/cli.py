@@ -27,7 +27,7 @@ from .groups import (
     load_group_file,
     standard_two_generated,
 )
-from .mcayley import ConnectionMatrix, build
+from .mcayley import ConnectionMatrix, build, dot_labels
 from .search import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -96,9 +96,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     conn = family_matrix(family, group, spec, args.m)
     if args.dot:
         # only the DOT file needs the digraph; the report counts from the matrix
-        gamma = build(group, conn)
+        graph = build(group, conn)
         Path(args.dot).write_text(
-            gamma.graph.to_dot(labels=gamma.dot_labels(), name=family.replace("-", "_")),
+            graph.to_dot(labels=dot_labels(group, graph.nv), name=family.replace("-", "_")),
             encoding="utf-8",
         )
     report = {
@@ -115,6 +115,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.matrix and (args.family is not None or args.m is not None):
+        # the file fixes m and every set, so either flag would go unread
+        raise ValueError("--matrix takes neither --family nor --m")
     group, spec = parse_group_spec(args.group)
     if args.matrix:
         with open(args.matrix, "r", encoding="utf-8") as fh:

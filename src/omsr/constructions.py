@@ -101,7 +101,7 @@ def validate_claims(group: FiniteGroup, m: int, claims: tuple[Claim, ...]) -> li
     ]
     if violations:
         return violations
-    if not is_weakly_connected(build(group, conn).graph):
+    if not is_weakly_connected(build(group, conn)):
         violations.append("built digraph is not weakly connected")
     return violations
 

@@ -2,27 +2,31 @@
 
 Vertices come in m blocks of |G|: vertex g_i (group element g in block i) has
 index i*|G| + g, and each connection set T[i][j] contributes the arcs
-(g_i, (t*g)_j) for every g in G and t in T[i][j].
+(g_i, (t*g)_j) for every g in G and t in T[i][j]. ``build`` returns a plain
+Digraph, and only this module's helpers, given the group, read its blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .digraphs import Digraph
+from .autgroup import is_automorphism
+from .digraphs import Digraph, is_weakly_connected
 from .groups import FiniteGroup, _is_int
 from .perms import PermGroup
 
 __all__ = [
     "MAX_BLOCKS",
     "ConnectionMatrix",
-    "MCayleyDigraph",
     "build",
+    "check_prop21_hypotheses",
     "connection_is_oriented",
+    "dot_labels",
     "oriented_breaks",
     "valency_profile",
+    "vertex_of",
     "right_translation",
     "regular_action_group",
 ]
@@ -114,22 +118,15 @@ class ConnectionMatrix:
         return cls.from_entries(m, entries)
 
 
-@dataclass(frozen=True)
-class MCayleyDigraph:
-    group: FiniteGroup
-    conn: ConnectionMatrix
-    graph: Digraph
+def vertex_of(group: FiniteGroup, g: int, i: int) -> int:
+    """The index of g_i, element g in block i."""
+    return i * group.n + g
 
-    @property
-    def m(self) -> int:
-        return self.conn.m
 
-    def vertex_of(self, g: int, i: int) -> int:
-        return i * self.group.n + g
-
-    def dot_labels(self) -> tuple[str, ...]:
-        n = self.group.n
-        return tuple(f"{self.group.names[v % n]}_{v // n}" for v in range(self.graph.nv))
+def dot_labels(group: FiniteGroup, nv: int) -> tuple[str, ...]:
+    """The name g_i of each of the nv vertices, for Digraph.to_dot."""
+    n = group.n
+    return tuple(f"{group.names[v % n]}_{v // n}" for v in range(nv))
 
 
 def _check_conn(group: FiniteGroup, conn: ConnectionMatrix) -> None:
@@ -151,11 +148,11 @@ def block_rows(group: FiniteGroup, row: Iterable[Iterable[int]]) -> list[list[in
     return [[offset + col[g] for offset, col in arcs] for g in range(n)]
 
 
-def build(group: FiniteGroup, conn: ConnectionMatrix) -> MCayleyDigraph:
+def build(group: FiniteGroup, conn: ConnectionMatrix) -> Digraph:
     """Digraph on m*|G| vertices with arcs (g_i, (t*g)_j) for t in T[i][j]."""
     _check_conn(group, conn)
     rows = [out for row in conn.sets for out in block_rows(group, row)]
-    return MCayleyDigraph(group, conn, Digraph(conn.m * group.n, rows))
+    return Digraph(conn.m * group.n, rows)
 
 
 def oriented_breaks(group: FiniteGroup, conn: ConnectionMatrix) -> list[tuple[int, int]]:
@@ -184,21 +181,62 @@ def valency_profile(group: FiniteGroup, conn: ConnectionMatrix) -> tuple[tuple[i
     return rows, cols
 
 
-def right_translation(gamma: MCayleyDigraph, g: int) -> tuple[int, ...]:
-    """The automorphism x_i -> (x*g)_i induced by right-multiplying by g."""
-    n = gamma.group.n
+def right_translation(group: FiniteGroup, m: int, g: int) -> tuple[int, ...]:
+    """The automorphism x_i -> (x*g)_i of m blocks, right-multiplying by g."""
+    n = group.n
     if not 0 <= g < n:
-        raise ValueError(f"element {g} out of range for {gamma.group.name!r}")
-    mult = gamma.group.mult
-    images = [0] * gamma.graph.nv
-    for i in range(gamma.m):
+        raise ValueError(f"element {g} out of range for {group.name!r}")
+    mult = group.mult
+    images = [0] * (m * n)
+    for i in range(m):
         base = i * n
         for x in range(n):
             images[base + x] = base + mult[x][g]
     return tuple(images)
 
 
-def regular_action_group(gamma: MCayleyDigraph) -> PermGroup:
+def regular_action_group(group: FiniteGroup, m: int) -> PermGroup:
     """The group of all right translations, a copy of G, so of order |G|."""
-    gens = [right_translation(gamma, g) for g in range(1, gamma.group.n)]
-    return PermGroup(gamma.graph.nv, gens, order=gamma.group.n)
+    gens = [right_translation(group, m, g) for g in range(1, group.n)]
+    return PermGroup(m * group.n, gens, order=group.n)
+
+
+def check_prop21_hypotheses(
+    group: FiniteGroup, graph: Digraph, aut: PermGroup, reps: Sequence[int]
+) -> bool:
+    """Test the two hypotheses forcing Aut = R(G) on a connected block digraph.
+
+    ``graph`` has m blocks of |G| vertices, m = nv / |G|, and ``aut`` must be
+    its full automorphism group, as the engine returns it. (a) every
+    generator maps each block onto itself, and (b) for each supplied block
+    representative u, the stabilizer of u fixes every out-neighbor of u
+    pointwise; the stabilizer's Schreier generators are checked. When both
+    hold the automorphism group must be exactly the right translations, so
+    the order is cross-checked against |G|.
+    """
+    n = group.n
+    m, rem = divmod(graph.nv, n)
+    if rem:
+        raise ValueError(f"nv {graph.nv} is not a multiple of |{group.name}| = {n}")
+    if aut.degree != graph.nv:
+        raise ValueError(f"degree {aut.degree} vs nv {graph.nv}")
+    if not is_weakly_connected(graph):
+        raise ValueError("hypothesis check requires a weakly connected digraph")
+    if sorted(v // n for v in reps) != list(range(m)):
+        raise ValueError(f"need exactly one representative per block, got {list(reps)}")
+    # the group is the full Aut, so a permutation is a member when it preserves arcs
+    if any(not is_automorphism(graph, right_translation(group, m, g)) for g in range(n)):
+        raise ValueError("supplied group must contain every right translation")
+    for p in aut.generators:
+        for v in range(graph.nv):
+            if p[v] // n != v // n:
+                return False
+    for u in reps:
+        for p in aut.schreier_generators(u):
+            if any(p[w] != w for w in graph.out_adj[u]):
+                return False
+    if aut.order() != n:
+        raise RuntimeError(
+            f"hypotheses hold but |Aut| = {aut.order()} != |G| = {n}; engine inconsistency"
+        )
+    return True

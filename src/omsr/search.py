@@ -612,7 +612,7 @@ def _exhaustive_rigid(n: int, k: int, oriented: bool, budget: int) -> RigidSearc
     rows = _Rows(space, reverse=True)
     first = next(_ones(rows.tables[0]))
     status, witness, tested, _, _ = _search_branch(space, rows, False, budget, first, True)
-    graph = None if witness is None else build(space.group, witness).graph
+    graph = None if witness is None else build(space.group, witness)
     return RigidSearchOutcome(status, graph, tested)
 
 

@@ -14,12 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .autgroup import (
-    automorphism_group,
-    brute_force_order,
-    check_prop21_hypotheses,
-    is_automorphism,
-)
+from .autgroup import automorphism_group, brute_force_order, is_automorphism
 from .constructions import (
     Z2_UNREPAIRED_CLAIMS,
     construct_omsr,
@@ -39,10 +34,12 @@ from .groups import (
 from .mcayley import (
     ConnectionMatrix,
     build,
+    check_prop21_hypotheses,
     connection_is_oriented,
     regular_action_group,
     right_translation,
     valency_profile,
+    vertex_of,
 )
 from .search import (
     SearchSpace,
@@ -159,7 +156,7 @@ def _check_grid(grid: Iterator[Instance]) -> tuple[bool, str]:
 
 def _z4_block_example() -> tuple[bool, str]:
     group, conn = z4_block_example()
-    order = automorphism_group(build(group, conn).graph).order()
+    order = automorphism_group(build(group, conn)).order()
     return order == 8, f"|Aut| = {order} (expected 8 > |G| = 4)"
 
 
@@ -229,8 +226,7 @@ def _structural_properties() -> tuple[bool, str]:
             for j in range(m)
         }
         conn = ConnectionMatrix.from_entries(m, entries)
-        gamma = build(group, conn)
-        graph = gamma.graph
+        graph = build(group, conn)
         tag = f"trial {trial} ({group.name}, m={m})"
         if connection_is_oriented(group, conn) != is_oriented(graph):
             return False, f"{tag}: oriented mismatch"
@@ -239,11 +235,11 @@ def _structural_properties() -> tuple[bool, str]:
             conn_level = all(s == k for s in outs) and all(s == k for s in ins)
             if conn_level != is_k_regular(graph, k):
                 return False, f"{tag}: regularity mismatch at k={k}"
-        translations = [right_translation(gamma, g) for g in range(n)]
+        translations = [right_translation(group, m, g) for g in range(n)]
         for g, p in enumerate(translations):
             if not is_automorphism(graph, p):
                 return False, f"{tag}: translation by {g} not an automorphism"
-        orbits = {frozenset(o) for o in regular_action_group(gamma).orbits()}
+        orbits = {frozenset(o) for o in regular_action_group(group, m).orbits()}
         blocks = {frozenset(range(i * n, (i + 1) * n)) for i in range(m)}
         if orbits != blocks:
             return False, f"{tag}: orbits differ from blocks"
@@ -261,17 +257,17 @@ def _translation_hypotheses() -> tuple[bool, str]:
     count = 0
     for label, group, conn in _constructed(family_grid()):
         count += 1
-        gamma = build(group, conn)
-        aut = automorphism_group(gamma.graph)
-        reps = [gamma.vertex_of(0, i) for i in range(gamma.m)]
-        if not check_prop21_hypotheses(gamma, aut, reps):
+        graph = build(group, conn)
+        aut = automorphism_group(graph)
+        reps = [vertex_of(group, 0, i) for i in range(conn.m)]
+        if not check_prop21_hypotheses(group, graph, aut, reps):
             return False, f"{label}: hypotheses fail"
         if aut.order() != group.n:
             return False, f"{label}: |Aut| = {aut.order()} != {group.n}"
     group, conn = z4_block_example()
-    gamma = build(group, conn)
-    aut = automorphism_group(gamma.graph)
-    if check_prop21_hypotheses(gamma, aut, [gamma.vertex_of(0, i) for i in range(2)]):
+    graph = build(group, conn)
+    aut = automorphism_group(graph)
+    if check_prop21_hypotheses(group, graph, aut, [vertex_of(group, 0, i) for i in range(2)]):
         return False, "z4 example: hypotheses unexpectedly hold"
     return True, f"{count} instances force Aut onto the translations; z4 example does not"
 
@@ -313,7 +309,7 @@ def _repair_forcing() -> tuple[bool, str]:
         fixes = _clearing_retargets(group, m, literal)
         if fixes != moves:
             return False, f"{family} clearing moves {fixes}"
-        order = automorphism_group(build(group, family_matrix(family, group, spec, m)).graph).order()
+        order = automorphism_group(build(group, family_matrix(family, group, spec, m))).order()
         if order != group.n:
             return False, f"repaired {family} table has |Aut| = {order}, not {group.n}"
     return True, "all three repairs forced by single-move enumeration"

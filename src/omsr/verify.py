@@ -87,8 +87,7 @@ def verify_connection(
 ) -> VerificationReport:
     """Build the block digraph, run every check, and report the verdict."""
     start = time.perf_counter()
-    gamma = build(group, conn)
-    graph = gamma.graph
+    graph = build(group, conn)
     oriented = is_oriented(graph)
     regular3 = is_k_regular(graph, 3)
     connected = is_weakly_connected(graph)

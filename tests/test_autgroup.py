@@ -14,13 +14,12 @@ from omsr.autgroup import (
     automorphism_group,
     brute_force_automorphisms,
     brute_force_order,
-    check_prop21_hypotheses,
     is_automorphism,
 )
 from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph, is_weakly_connected
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
-from omsr.mcayley import ConnectionMatrix, build
+from omsr.mcayley import ConnectionMatrix, build, check_prop21_hypotheses, vertex_of
 from omsr.suite import family_grid, run_all, z4_block_example
 
 
@@ -335,7 +334,7 @@ def test_family_instances_check_one_leaf_per_generator(monkeypatch) -> None:
         (standard_two_generated("A4"), 12, 2),
     ):
         checks.clear()
-        aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
+        aut = automorphism_group(build(group, construct_omsr(group, spec, m)))
         assert aut.order() == group.n
         assert checks == [True] * leaves
 
@@ -360,7 +359,7 @@ def test_family_instances_refine_from_their_blocks(monkeypatch) -> None:
         (standard_two_generated("A4"), 12, 1),
     ):
         roots.clear()
-        aut = automorphism_group(build(group, construct_omsr(group, spec, m)).graph)
+        aut = automorphism_group(build(group, construct_omsr(group, spec, m)))
         assert aut.order() == group.n
         assert len(roots) == calls
         assert max(map(len, _cells(roots[0]))) == group.n
@@ -518,7 +517,7 @@ def _split_cases() -> list[Digraph]:
         else:
             cases.append(_random_digraph(rng, nv, rng.uniform(0.1, 0.6)))
     for group, spec, m in list(family_grid())[::22]:
-        cases.append(build(group, construct_omsr(group, spec, m)).graph)
+        cases.append(build(group, construct_omsr(group, spec, m)))
     return cases
 
 
@@ -694,8 +693,9 @@ def test_hypothesis_check_true_on_translation_only_instance() -> None:
         2, {(0, 0): {1, 2}, (0, 1): {0}, (1, 0): {1}, (1, 1): {3, 4}}
     )
     gamma = build(group, conn)
-    aut = automorphism_group(gamma.graph)
-    assert check_prop21_hypotheses(gamma, aut, [gamma.vertex_of(0, 0), gamma.vertex_of(0, 1)])
+    aut = automorphism_group(gamma)
+    reps = [vertex_of(group, 0, 0), vertex_of(group, 0, 1)]
+    assert check_prop21_hypotheses(group, gamma, aut, reps)
 
 
 def test_hypothesis_check_false_when_aut_exceeds_translations() -> None:
@@ -704,9 +704,10 @@ def test_hypothesis_check_false_when_aut_exceeds_translations() -> None:
         2, {(0, 0): {1}, (0, 1): {0, 1}, (1, 0): {1, 2}, (1, 1): {1}}
     )
     gamma = build(group, conn)
-    aut = automorphism_group(gamma.graph)
+    aut = automorphism_group(gamma)
     assert aut.order() == 8
-    assert not check_prop21_hypotheses(gamma, aut, [gamma.vertex_of(0, 0), gamma.vertex_of(0, 1)])
+    reps = [vertex_of(group, 0, 0), vertex_of(group, 0, 1)]
+    assert not check_prop21_hypotheses(group, gamma, aut, reps)
 
 
 def test_hypothesis_check_matches_a_brute_force_stabilizer() -> None:
@@ -728,18 +729,17 @@ def test_hypothesis_check_matches_a_brute_force_stabilizer() -> None:
         cases.append((group, ConnectionMatrix.from_entries(m, entries)))
     seen = set()
     for group, conn in cases:
-        gamma = build(group, conn)
-        graph, n = gamma.graph, group.n
+        graph, n = build(group, conn), group.n
         if not is_weakly_connected(graph):
             continue
-        reps = [gamma.vertex_of(0, i) for i in range(gamma.m)]
+        reps = [vertex_of(group, 0, i) for i in range(conn.m)]
         auts = [p for p in permutations(range(graph.nv)) if autgroup._preserves_arcs(graph, p)]
         keeps_blocks = all(p[v] // n == v // n for p in auts for v in range(graph.nv))
         fixes_out = all(
             p[w] == w for u in reps for p in auts if p[u] == u for w in graph.out_adj[u]
         )
         aut = automorphism_group(graph)
-        assert check_prop21_hypotheses(gamma, aut, reps) == (keeps_blocks and fixes_out)
+        assert check_prop21_hypotheses(group, graph, aut, reps) == (keeps_blocks and fixes_out)
         seen.add((keeps_blocks, fixes_out))
     # the blocks hold while the stabilizer moves an out-neighbour, so the
     # verdict rests on the Schreier generators
@@ -752,16 +752,22 @@ def test_hypothesis_check_input_validation() -> None:
         2, {(0, 0): {1, 2}, (0, 1): {0}, (1, 0): {1}, (1, 1): {3, 4}}
     )
     gamma = build(group, conn)
-    aut = automorphism_group(gamma.graph)
+    aut = automorphism_group(gamma)
     with pytest.raises(ValueError):
-        check_prop21_hypotheses(gamma, aut, [gamma.vertex_of(0, 0)])
+        check_prop21_hypotheses(group, gamma, aut, [vertex_of(group, 0, 0)])
     disconnected = build(group, ConnectionMatrix.from_entries(2, {(0, 0): {1}, (1, 1): {1}}))
     with pytest.raises(ValueError):
         check_prop21_hypotheses(
+            group,
             disconnected,
-            automorphism_group(disconnected.graph),
-            [disconnected.vertex_of(0, 0), disconnected.vertex_of(0, 1)],
+            automorphism_group(disconnected),
+            [vertex_of(group, 0, 0), vertex_of(group, 0, 1)],
         )
+    # m is read off nv / |G|, so a group whose order does not divide nv
+    # has no blocks to speak of
+    for n in (3, 4, 20):
+        with pytest.raises(ValueError, match="not a multiple"):
+            check_prop21_hypotheses(make_cyclic(n)[0], gamma, aut, [0])
 
 
 def _is_equitable(graph: Digraph, cells: Cells) -> bool:
@@ -807,8 +813,8 @@ def _refine_cases() -> list[tuple[Digraph, Cells]]:
     for group, spec, m in list(family_grid())[::22]:
         gamma = build(group, construct_omsr(group, spec, m))
         blocks = tuple(tuple(range(i * group.n, (i + 1) * group.n)) for i in range(m))
-        cases.append((gamma.graph, (tuple(range(gamma.graph.nv)),)))
-        cases.append((gamma.graph, blocks))
+        cases.append((gamma, (tuple(range(gamma.nv)),)))
+        cases.append((gamma, blocks))
     return cases
 
 
@@ -927,7 +933,7 @@ def _large_family_graphs() -> list[Digraph]:
         (klein_four(), 30),
         (standard_two_generated("A4"), 9),
     ):
-        graphs.append(build(group, construct_omsr(group, spec, m)).graph)
+        graphs.append(build(group, construct_omsr(group, spec, m)))
         assert graphs[-1].nv >= 100
     return graphs
 

@@ -173,11 +173,15 @@ def test_verify_out_writes_the_json_it_prints(tmp_path, capsys) -> None:
     assert json.loads(printed)["checks"]["verdict"] == "OMSR"
 
 
-def test_verify_accepts_bare_matrix_file(tmp_path, capsys) -> None:
+def _matrix_file(tmp_path) -> str:
     z7, spec = make_cyclic(7)
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(family_matrix("cyclic-m2", z7, spec, 2).to_json()))
-    assert main(["verify", "--group", "cyclic:7", "--matrix", str(path)]) == 0
+    return str(path)
+
+
+def test_verify_accepts_bare_matrix_file(tmp_path, capsys) -> None:
+    assert main(["verify", "--group", "cyclic:7", "--matrix", _matrix_file(tmp_path)]) == 0
     payload = _stdout_json(capsys)
     assert payload["checks"]["verdict"] == "OMSR"
     assert payload["checks"]["aut_order"] == 7
@@ -199,6 +203,20 @@ def test_verify_not_omsr_still_exits_0(tmp_path, capsys) -> None:
     path.write_text(json.dumps({"m": 2, "sets": {}}))
     assert main(["verify", "--group", "cyclic:3", "--matrix", str(path)]) == 0
     assert _stdout_json(capsys)["checks"]["verdict"] == "NOT-OMSR"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    # the matrix's own m is refused too: the flag would never be read
+    [["--family", "cyclic-general"], ["--m", "4"], ["--m", "2"]],
+    ids=["family", "other-m", "same-m"],
+)
+def test_verify_refuses_a_matrix_with_a_family_or_a_block_count(tmp_path, capsys, extra) -> None:
+    args = ["verify", "--group", "cyclic:7", "--matrix", _matrix_file(tmp_path), *extra]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--matrix takes neither --family nor --m" in captured.err
 
 
 def test_verify_usage_errors(capsys) -> None:

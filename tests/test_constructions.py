@@ -37,18 +37,18 @@ from omsr.groups import (
     make_cyclic,
     standard_two_generated,
 )
-from omsr.mcayley import build
+from omsr.mcayley import build, vertex_of
 from omsr.suite import family_grid
 
 Z2, Z2_SPEC = make_cyclic(2)
 
 
 def _aut_order(group, conn) -> int:
-    return automorphism_group(build(group, conn).graph).order()
+    return automorphism_group(build(group, conn)).order()
 
 
-def _out_neighbors(gamma, g: int, i: int) -> set[int]:
-    return set(gamma.graph.out_adj[gamma.vertex_of(g, i)])
+def _out_neighbors(group, gamma, g: int, i: int) -> set[int]:
+    return set(gamma.out_adj[vertex_of(group, g, i)])
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +188,13 @@ def test_z2_table_claims_range() -> None:
 
 def test_z2_general_structure_and_aut() -> None:
     conn = family_matrix("z2-general", Z2, Z2_SPEC, 11)
-    gamma = build(Z2, conn)
-    graph = gamma.graph
+    graph = build(Z2, conn)
     assert is_oriented(graph) and is_k_regular(graph, 3) and is_weakly_connected(graph)
     # out-neighbors of 1_0: the one-cell at (0,1) and the {1,x}-cell at (0,9)
-    assert _out_neighbors(gamma, 0, 0) == {
-        gamma.vertex_of(0, 1),
-        gamma.vertex_of(0, 9),
-        gamma.vertex_of(1, 9),
+    assert _out_neighbors(Z2, graph, 0, 0) == {
+        vertex_of(Z2, 0, 1),
+        vertex_of(Z2, 0, 9),
+        vertex_of(Z2, 1, 9),
     }
     assert _aut_order(Z2, conn) == 2
     with pytest.raises(FamilyError):
@@ -213,14 +212,14 @@ def test_cyclic_m2_neighborhoods() -> None:
     x, n = 1, 7
 
     def v(power: int, block: int) -> int:
-        return gamma.vertex_of(power % n, block)
+        return vertex_of(group, power % n, block)
 
-    assert _out_neighbors(gamma, 0, 0) == {v(1, 0), v(2, 0), v(0, 1)}
-    assert _out_neighbors(gamma, 0, 1) == {v(-1, 1), v(-2, 1), v(1, 0)}
-    assert iterated_out_neighborhood(gamma.graph, gamma.vertex_of(0, 0), 2) == frozenset(
+    assert _out_neighbors(group, gamma, 0, 0) == {v(1, 0), v(2, 0), v(0, 1)}
+    assert _out_neighbors(group, gamma, 0, 1) == {v(-1, 1), v(-2, 1), v(1, 0)}
+    assert iterated_out_neighborhood(gamma, vertex_of(group, 0, 0), 2) == frozenset(
         {v(1, 0), v(2, 0), v(3, 0), v(4, 0), v(1, 1), v(-1, 1), v(2, 1), v(-2, 1)}
     )
-    assert iterated_out_neighborhood(gamma.graph, gamma.vertex_of(0, 1), 2) == frozenset(
+    assert iterated_out_neighborhood(gamma, vertex_of(group, 0, 1), 2) == frozenset(
         {v(0, 0), v(-1, 0), v(2, 0), v(3, 0), v(1, 1), v(-2, 1), v(-3, 1), v(-4, 1)}
     )
     assert _aut_order(group, conn) == 7
@@ -241,12 +240,12 @@ def test_cyclic_general_neighborhoods() -> None:
     gamma = build(group, conn)
 
     def v(power: int, block: int) -> int:
-        return gamma.vertex_of(power % 5, block)
+        return vertex_of(group, power % 5, block)
 
-    assert _out_neighbors(gamma, 0, 0) == {v(1, 0), v(0, 1), v(-1, 1)}
+    assert _out_neighbors(group, gamma, 0, 0) == {v(1, 0), v(0, 1), v(-1, 1)}
     for i in range(1, m - 1):
-        assert _out_neighbors(gamma, 0, i) == {v(-1, i), v(0, i + 1), v(-1, i + 1)}
-    assert _out_neighbors(gamma, 0, m - 1) == {v(-1, m - 1), v(1, 0), v(-1, 0)}
+        assert _out_neighbors(group, gamma, 0, i) == {v(-1, i), v(0, i + 1), v(-1, i + 1)}
+    assert _out_neighbors(group, gamma, 0, m - 1) == {v(-1, m - 1), v(1, 0), v(-1, 0)}
     assert _aut_order(group, conn) == 5
 
 
@@ -277,34 +276,34 @@ def test_klein_m3_neighborhoods() -> None:
     one, y, x, xy = 0, 1, 2, 3
     conn = family_matrix("klein-m3", group, spec, 3)
     gamma = build(group, conn)
-    assert _out_neighbors(gamma, one, 0) == {
-        gamma.vertex_of(one, 1),
-        gamma.vertex_of(x, 2),
-        gamma.vertex_of(xy, 2),
+    assert _out_neighbors(group, gamma, one, 0) == {
+        vertex_of(group, one, 1),
+        vertex_of(group, x, 2),
+        vertex_of(group, xy, 2),
     }
-    assert _out_neighbors(gamma, one, 1) == {
-        gamma.vertex_of(one, 2),
-        gamma.vertex_of(x, 0),
-        gamma.vertex_of(y, 0),
+    assert _out_neighbors(group, gamma, one, 1) == {
+        vertex_of(group, one, 2),
+        vertex_of(group, x, 0),
+        vertex_of(group, y, 0),
     }
-    assert _out_neighbors(gamma, one, 2) == {
-        gamma.vertex_of(y, 0),
-        gamma.vertex_of(x, 1),
-        gamma.vertex_of(y, 1),
+    assert _out_neighbors(group, gamma, one, 2) == {
+        vertex_of(group, y, 0),
+        vertex_of(group, x, 1),
+        vertex_of(group, y, 1),
     }
-    start = gamma.vertex_of(one, 0)
-    two_step = iterated_out_neighborhood(gamma.graph, start, 2)
+    start = vertex_of(group, one, 0)
+    two_step = iterated_out_neighborhood(gamma, start, 2)
     # beyond the direct out-neighborhood, two steps reach exactly seven
     # vertices: everything except the start and its mates in block 2
-    assert two_step - frozenset(gamma.graph.out_adj[start]) == frozenset(
+    assert two_step - frozenset(gamma.out_adj[start]) == frozenset(
         {
-            gamma.vertex_of(one, 2),
-            gamma.vertex_of(x, 0),
-            gamma.vertex_of(y, 0),
-            gamma.vertex_of(xy, 0),
-            gamma.vertex_of(xy, 1),
-            gamma.vertex_of(y, 1),
-            gamma.vertex_of(x, 1),
+            vertex_of(group, one, 2),
+            vertex_of(group, x, 0),
+            vertex_of(group, y, 0),
+            vertex_of(group, xy, 0),
+            vertex_of(group, xy, 1),
+            vertex_of(group, y, 1),
+            vertex_of(group, x, 1),
         }
     )
     assert _aut_order(group, conn) == 4
@@ -313,7 +312,7 @@ def test_klein_m3_neighborhoods() -> None:
 def test_klein_m4_is_omsr() -> None:
     group, spec = klein_four()
     conn = family_matrix("klein-m4", group, spec, 4)
-    graph = build(group, conn).graph
+    graph = build(group, conn)
     assert is_oriented(graph) and is_k_regular(graph, 3) and is_weakly_connected(graph)
     assert _aut_order(group, conn) == 4
 
@@ -324,10 +323,10 @@ def test_klein_general_neighborhoods() -> None:
     m = 6
     conn = family_matrix("klein-general", group, spec, m)
     gamma = build(group, conn)
-    assert _out_neighbors(gamma, one, 0) == {
-        gamma.vertex_of(y, 1),
-        gamma.vertex_of(one, m - 2),
-        gamma.vertex_of(x, m - 2),
+    assert _out_neighbors(group, gamma, one, 0) == {
+        vertex_of(group, y, 1),
+        vertex_of(group, one, m - 2),
+        vertex_of(group, x, m - 2),
     }
     assert _aut_order(group, conn) == 4
     with pytest.raises(FamilyError):
@@ -345,15 +344,15 @@ def test_two_generated_neighborhoods() -> None:
     gamma = build(group, conn)
     x, y = spec.x, spec.y
     for i in range(m - 1):
-        assert _out_neighbors(gamma, 0, i) == {
-            gamma.vertex_of(x, i),
-            gamma.vertex_of(0, i + 1),
-            gamma.vertex_of(x, i + 1),
+        assert _out_neighbors(group, gamma, 0, i) == {
+            vertex_of(group, x, i),
+            vertex_of(group, 0, i + 1),
+            vertex_of(group, x, i + 1),
         }
-    assert _out_neighbors(gamma, 0, m - 1) == {
-        gamma.vertex_of(x, m - 1),
-        gamma.vertex_of(x, 0),
-        gamma.vertex_of(y, 0),
+    assert _out_neighbors(group, gamma, 0, m - 1) == {
+        vertex_of(group, x, m - 1),
+        vertex_of(group, x, 0),
+        vertex_of(group, y, 0),
     }
     assert _aut_order(group, conn) == 6
 

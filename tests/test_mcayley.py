@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from omsr.autgroup import is_automorphism
 from omsr.digraphs import is_k_regular, is_oriented
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
 from omsr.mcayley import (
@@ -16,6 +17,7 @@ from omsr.mcayley import (
     regular_action_group,
     right_translation,
     valency_profile,
+    vertex_of,
 )
 
 
@@ -57,7 +59,7 @@ def test_build_arc_semantics_by_hand() -> None:
     conn = ConnectionMatrix.from_entries(2, {(0, 1): {1}})
     gamma = build(group, conn)
     expected = {(g, 3 + (1 + g) % 3) for g in range(3)}
-    assert set(gamma.graph.arcs()) == expected
+    assert set(gamma.arcs()) == expected
 
 
 def test_build_rejects_elements_outside_group() -> None:
@@ -71,9 +73,9 @@ def test_vertex_label_maps_invert_each_other() -> None:
     group, _ = make_cyclic(4)
     conn = ConnectionMatrix.from_entries(3, {})
     gamma = build(group, conn)
-    for v in range(gamma.graph.nv):
+    for v in range(gamma.nv):
         g, i = v % group.n, v // group.n
-        assert gamma.vertex_of(g, i) == v
+        assert vertex_of(group, g, i) == v
 
 
 def test_connection_is_oriented_all_pairs() -> None:
@@ -129,7 +131,7 @@ def test_connection_oriented_matches_graph_oriented_random() -> None:
         }
         conn = ConnectionMatrix.from_entries(m, entries)
         gamma = build(group, conn)
-        assert connection_is_oriented(group, conn) == is_oriented(gamma.graph)
+        assert connection_is_oriented(group, conn) == is_oriented(gamma)
 
 
 def test_valency_profile_matches_degrees() -> None:
@@ -140,7 +142,7 @@ def test_valency_profile_matches_degrees() -> None:
     outs, ins = valency_profile(group, conn)
     assert outs == (3, 3)
     assert ins == (3, 3)
-    assert is_k_regular(build(group, conn).graph, 3)
+    assert is_k_regular(build(group, conn), 3)
     lopsided = ConnectionMatrix.from_entries(2, {(0, 1): {0, 1, 2}})
     outs, ins = valency_profile(group, lopsided)
     assert outs == (3, 0)
@@ -155,18 +157,19 @@ def test_right_translation_is_automorphism_and_regular_on_blocks() -> None:
     gamma = build(group, conn)
     n = group.n
     for g in range(n):
-        perm = right_translation(gamma, g)
+        perm = right_translation(group, 2, g)
+        assert is_automorphism(gamma, perm)
         # translation by g sends h_i to (h * g)_i
         for h in range(n):
             for i in range(2):
-                assert perm[gamma.vertex_of(h, i)] == gamma.vertex_of(group.mult[h][g], i)
+                assert perm[vertex_of(group, h, i)] == vertex_of(group, group.mult[h][g], i)
     # semiregular: the |G| translations are distinct and only the identity's
     # fixes a point (the action group's order is |G| by construction)
-    translations = [right_translation(gamma, g) for g in range(n)]
+    translations = [right_translation(group, 2, g) for g in range(n)]
     assert len(set(translations)) == n
     assert translations[0] == tuple(range(2 * n))
     assert all(p[v] != v for p in translations[1:] for v in range(2 * n))
-    action = regular_action_group(gamma)
+    action = regular_action_group(group, 2)
     assert action.order() == n
     assert {frozenset(o) for o in action.orbits()} == {
         frozenset(range(n)),

@@ -87,9 +87,9 @@ def _product_reference(space: SearchSpace):
         )
         tested += 1
         gamma = build(group, conn)
-        if space.require_connected and not is_weakly_connected(gamma.graph):
+        if space.require_connected and not is_weakly_connected(gamma):
             continue
-        order = automorphism_group(gamma.graph).order()
+        order = automorphism_group(gamma).order()
         histogram[order] = histogram.get(order, 0) + 1
         if order == group.n:
             return "FOUND", conn, tested, histogram
@@ -180,7 +180,7 @@ def test_digon_spaces_hold_no_loops(group, m, status, candidates) -> None:
     assert (outcome.status, outcome.candidates_tested) == (status, candidates)
     if outcome.witness is not None:
         assert all(0 not in outcome.witness.sets[i][i] for i in range(m))
-        graph = build(group, outcome.witness).graph
+        graph = build(group, outcome.witness)
         assert not any(graph.has_arc(v, v) for v in range(graph.nv))
 
 
@@ -281,8 +281,34 @@ def test_connected_z5_two_block_witness() -> None:
         (i, j): set(conn.sets[i][j]) for i in range(2) for j in range(2)
     } == {(0, 0): {1}, (0, 1): {0, 1}, (1, 0): {1, 2}, (1, 1): {2}}
     gamma = build(Z5, conn)
-    assert is_oriented(gamma.graph) and is_weakly_connected(gamma.graph)
-    assert automorphism_group(gamma.graph).order() == 5
+    assert is_oriented(gamma) and is_weakly_connected(gamma)
+    assert automorphism_group(gamma).order() == 5
+
+
+@pytest.mark.parametrize(
+    "space,exact",
+    [
+        (SearchSpace(Z5, 2), True),
+        (SearchSpace(Z5, 2, require_connected=True), True),
+        (SearchSpace(standard_two_generated("Q8")[0], 3), True),
+        (SearchSpace(Z1, 8), False),
+    ],
+    ids=["z5-m2", "z5-m2-connected", "q8-m3", "z1-m8-inexact"],
+)
+def test_the_witness_builds_the_last_candidate_the_engine_saw(monkeypatch, space, exact) -> None:
+    # the search packs its candidates' rows from block_rows, as build does:
+    # the digraph whose order ended the search is the witness's build
+    seen = []
+    engine = search.automorphism_group
+
+    def capture(graph, **kwargs):
+        seen.append(graph)
+        return engine(graph, **kwargs)
+
+    monkeypatch.setattr(search, "automorphism_group", capture)
+    outcome = exhaustive_search(space, exact_histogram=exact)
+    assert outcome.status == "FOUND"
+    assert seen[-1] == build(space.group, outcome.witness)
 
 
 @pytest.mark.parametrize(
@@ -459,7 +485,7 @@ def _row_by_row(space: SearchSpace, tables: list, budget: int, branch: int, eval
             conn = ConnectionMatrix(
                 m, tuple(tuple(frozenset(_mask_elements(c)) for c in row) for row in chosen)
             )
-            graph = build(group, conn).graph
+            graph = build(group, conn)
             if space.require_connected and not is_weakly_connected(graph):
                 continue
             order = automorphism_group(graph).order()

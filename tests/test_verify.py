@@ -54,7 +54,7 @@ def test_generators_are_automorphisms_of_the_built_digraph() -> None:
     group, spec = klein_four()
     conn = family_matrix("klein-m3", group, spec, 3)
     report = verify_connection(group, conn)
-    graph = build(group, conn).graph
+    graph = build(group, conn)
     assert len(report.aut_generators) == len(report.aut_generator_images)
     for images in report.aut_generator_images:
         assert is_automorphism(graph, images)
