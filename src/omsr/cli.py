@@ -221,7 +221,11 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=3, help="in- and out-valency")
     p.add_argument("--allow-digons", action="store_true", help="drop the oriented requirement")
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument(
+        "--budget",
+        type=int,
+        help="work units when exhaustive (default 10^8), samples when randomized (default 10^6)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_explore)

@@ -146,6 +146,13 @@ class _Rows(list):
     so the rows share at most k + 1 of these, and equal masks are one int.
     When oriented, ``keep[n * j + e]`` for j < m - 1 holds the picks whose
     cell j misses e⁻¹.
+
+    ``fit_cache`` maps a node at depth 2 or more, in any branch, to its
+    fitting mask (see ``_search_branch``); ``packed[p]`` holds pick p's cells
+    laid out as the walk's incoming cells, cell j at bit ``n * m * j``, and
+    in an oriented space is filled in when a branch first chooses p above
+    the last row.  Both index picks by position, so both must be cleared
+    whenever the pick list changes.
     """
 
     def __init__(self, space: SearchSpace, reverse: bool = False) -> None:
@@ -220,6 +227,8 @@ class _Rows(list):
         self.keep = [
             full ^ int.from_bytes(cell[group.inv[e]], "little") for cell in holds for e in range(n)
         ]
+        self.fit_cache: dict[int, int] = {}
+        self.packed: dict[int, int] = {}
 
     def fitting(self, fits: int, i: int, sums: int, incoming: int) -> int:
         """The picks of ``fits`` that fit as row ``i`` under the packed
@@ -273,10 +282,19 @@ def _search_branch(
 
     A node visits the set bits of its fitting mask: its table ANDed with the
     masks that its packed column sums and the cells the rows above put in
-    its column select (``_Rows.fitting``).  The branch keeps these masks in
-    a fit cache keyed by the packed sums and the incoming cells, so a node
-    whose key recurs reads its mask back instead of ANDing it again; the
-    cache lives as long as the branch.
+    its column select (``_Rows.fitting``).  The incoming cells of every
+    column travel down the recursion as one packed int, column j's field of
+    n * m bits at bit ``n * m * j`` and row l's cells at ``n * l`` within
+    it: a chosen row enters the child's argument with one XOR of its packed
+    cells and is never taken out.  From depth 2 on every branch searches the
+    space's own tables, so the space's fit cache (``_Rows.fit_cache``) keeps
+    each mask under the packed sums and the incoming cells shifted past
+    them, and a node of any branch whose key recurs reads its mask back
+    instead of ANDing it again.  Row i's column sums add up to k * i, so the
+    key names the row too (at k = 0 every row fits the one empty pick).
+    Depth 0 holds the branch's own first row and depth 1 one node per
+    branch, so those two AND their masks each time and cache nothing: an
+    m = 2 space keeps no mask past the branch that made it.
 
     A skipped row still counts as tried: each visited row adds the table's
     rows up to it, its position in the table, to the work, the end of the
@@ -301,18 +319,16 @@ def _search_branch(
     witness: ConnectionMatrix | None = None
     oriented = space.require_oriented
     chosen: list[tuple[int, ...]] = [()] * m
-    # the pick each active row is at, and the cells the rows above put in
-    # each column, row l's at bit n * l
+    # the pick each active row is at
     at = [first] * m
-    into = [0] * m
     # the node of row 0 has the one row ``first``
     tables = [1 << first, *rows.tables[1:]]
     lengths = [1, *rows.lengths[1:]]
-    # the fit cache: row i's column sums add up to k * i, so the packed sums
-    # and incoming cells name the row too (at k = 0 every row fits the one
-    # empty pick)
-    fit_cache: dict[int, int] = {}
+    fit_cache, packed = rows.fit_cache, rows.packed
     shift = rows.width * m
+    # one column's field of the packed incoming cells
+    stride = n * m
+    field = (1 << stride) - 1
     # a block's out-lists, built once per row however often it is chosen
     outs: dict[tuple[int, ...], list[list[int]]] = {}
 
@@ -337,14 +353,20 @@ def _search_branch(
         bound, status = steps, "BUDGET"
         return True
 
-    def descend(i: int, sums: int) -> bool:
+    def descend(i: int, sums: int, incoming: int) -> bool:
         nonlocal bound, tested, status, witness
         length = lengths[i]
         bound += length
-        key = sums | into[i] << shift
-        fits = fit_cache.get(key)
-        if fits is None:
-            fits = fit_cache[key] = rows.fitting(tables[i], i, sums, into[i])
+        into = incoming >> stride * i & field
+        if i < 2:
+            # row 0 is the branch's own and row 1 one node a branch: caching
+            # them would keep a mask per branch, 33 KB each at Z60 m = 2
+            fits = rows.fitting(tables[i], i, sums, into)
+        else:
+            key = sums | into << shift
+            fits = fit_cache.get(key)
+            if fits is None:
+                fits = fit_cache[key] = rows.fitting(tables[i], i, sums, into)
         if i == m - 1 and not evaluate:
             # only counting: when the work stays within the budget even
             # after the last row, no row of this scan stops the search
@@ -362,15 +384,13 @@ def _search_branch(
             cells, delta, support = rows[p]
             chosen[i] = cells
             if i < m - 1:
-                # the first XOR sets row i's bits, the second clears them
+                below = incoming
                 if oriented:
-                    for j in support:
-                        into[j] ^= cells[j] << offset
-                done = descend(i + 1, sums + delta)
-                if oriented:
-                    for j in support:
-                        into[j] ^= cells[j] << offset
-                if done:
+                    spread = packed.get(p)
+                    if spread is None:
+                        spread = packed[p] = sum(cells[j] << stride * j for j in support)
+                    below ^= spread << offset
+                if descend(i + 1, sums + delta, below):
                     return True
                 continue
             tested += 1
@@ -393,8 +413,8 @@ def _search_branch(
         # the scan ends: the rows after the last visited one were tried too
         return bound + tested > budget and p < tables[i].bit_length() - 1 and stopped(i - 1)
 
-    descend(0, 0)
-    # descend refers to itself: unbinding it frees the fit cache now, not at
+    descend(0, 0, 0)
+    # descend refers to itself: unbinding it frees the out-lists now, not at
     # the next run of the cycle collector
     del descend
     return status, witness, tested, histogram, bound + tested
@@ -653,7 +673,7 @@ def search_trivial_aut_digraph(
     k: int,
     oriented: bool = True,
     mode: str = "exhaustive",
-    budget: int = 10**6,
+    budget: int | None = None,
     seed: int = 0,
 ) -> RigidSearchOutcome:
     """Look for a loop-free k-regular digraph on n vertices with |Aut| = 1.
@@ -663,16 +683,19 @@ def search_trivial_aut_digraph(
     Exhaustive mode is the matrix search over the trivial group, one block per
     vertex: out-neighbor rows depth-first with in-degree pruning and
     first-row leader normalization, BUDGET once the rows tried plus the
-    candidates completed pass ``budget``.  Randomized mode runs a
-    degree-preserving arc-switch chain from a circulant seed and tests every
-    3nk swaps, at most ``budget`` samples.  Raises ValueError when
-    ``budget < 0`` or ``mode`` is neither of the two.
+    candidates completed pass ``budget``, ``DEFAULT_BUDGET`` when it is
+    None.  Randomized mode runs a degree-preserving arc-switch chain from a
+    circulant seed and tests every 3nk swaps, at most ``budget`` samples,
+    10**6 when it is None: each sample is one engine call.  Raises
+    ValueError when ``budget < 0`` or ``mode`` is neither of the two.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     check_block_count(n)
     if k < 0:
         raise ValueError(f"valency must be non-negative, got k={k}")
+    if budget is None:
+        budget = DEFAULT_BUDGET if mode == "exhaustive" else 10**6
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if mode not in ("exhaustive", "randomized"):

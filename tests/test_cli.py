@@ -445,6 +445,14 @@ def test_explore_found(capsys) -> None:
     assert payload["exploratory"] is True
 
 
+def test_exhaustive_explore_defaults_to_the_search_budget(capsys) -> None:
+    # 10^8 units of work: n=10 is FOUND after 2 candidates, where 10^6
+    # stopped before the first
+    assert main(["explore", "--mode", "exhaustive", "--n", "10"]) == 0
+    payload = _stdout_json(capsys)
+    assert (payload["status"], payload["candidates_tested"]) == ("FOUND", 2)
+
+
 def test_explore_budget_exits_3(capsys) -> None:
     assert main([
         "explore", "--n", "9", "--k", "3", "--mode", "randomized",

@@ -537,14 +537,17 @@ def test_mask_filtering_matches_the_row_by_row_walk(space) -> None:
             break
 
 
-def _stops_match(space: SearchSpace, budgets, leads: list[bool], total: int) -> list[int]:
+def _stops_match(
+    space: SearchSpace, budgets, leads: list[bool], total: int, rows=None
+) -> list[int]:
     """Each run merges the first ``len(leads)`` branches as one job does,
     evaluating branch b when ``leads[b]``, each under the budget its earlier
     branches left, up to the first stop, and compares every branch with the
     row-by-row walk.  Only a stopped branch's work may differ.  The branches
-    do ``total`` units of work in all.  Returns the budgets under which no
-    branch stopped."""
-    rows = search._Rows(space)
+    do ``total`` units of work in all.  Every run searches on one ``rows``,
+    a fresh ``_Rows`` when None, so each finds the fit cache its earlier
+    runs left.  Returns the budgets under which no branch stopped."""
+    rows = search._Rows(space) if rows is None else rows
     reference = _reference_tables(space)
     unstopped = []
     for budget in budgets:
@@ -643,6 +646,88 @@ def test_the_tables_of_a_space_share_their_rows(space) -> None:
         assert support == tuple(j for j, c in enumerate(cells) if c)
     assert max(table.bit_length() for table in rows.tables) <= len(rows)
     assert rows.lengths == [table.bit_count() for table in rows.tables]
+
+
+@pytest.mark.parametrize("evaluate", [True, False], ids=["evaluate", "count"])
+@pytest.mark.parametrize("space", _FILTER_SPACES.values(), ids=_FILTER_SPACES.keys())
+def test_one_fit_cache_serves_the_branches_in_any_order(space, evaluate) -> None:
+    # each branch on a fresh _Rows, then all of them on one _Rows in branch
+    # order, then on another in reverse order.  Each branch runs under 60,000
+    # units, past the 52,693 of Z1 m=7's largest, so only Z1 m=8 and Q8 m=3
+    # stop early, and Q8 m=3 runs every 148th of its 1,480 branches
+    firsts = _firsts(space)
+    firsts = firsts[:: 1 if len(firsts) <= 60 else len(firsts) // 10]
+
+    def run(rows, first):
+        return search._search_branch(space, rows, True, 60_000, first, evaluate)
+
+    fresh = [run(search._Rows(space), first) for first in firsts]
+    rows = search._Rows(space)
+    assert [run(rows, first) for first in firsts] == fresh
+    rows = search._Rows(space)
+    assert [run(rows, first) for first in reversed(firsts)] == fresh[::-1]
+
+
+@pytest.mark.parametrize("evaluate", [True, False], ids=["evaluate", "count"])
+@pytest.mark.parametrize(
+    "space,branches,total,samples",
+    [(SearchSpace(Z2, 4), 20, 7372, 8), (SearchSpace(Z1, 7), 2, 88846, 4)],
+    ids=["z2-m4", "z1-m7"],
+)
+def test_budget_stops_hold_on_a_fit_cache_filled_in_reverse(
+    space, branches, total, samples, evaluate
+) -> None:
+    # the cache first filled by every branch in reverse order, so the
+    # budgeted runs read masks that later branches made
+    rows = search._Rows(space)
+    for first in reversed(_firsts(space)):
+        search._search_branch(space, rows, True, search.DEFAULT_BUDGET, first, False)
+    assert rows.fit_cache
+    sample = random.Random(total + 1).sample(range(total), samples)
+    _stops_match(space, (total - 1, total, *sample), [evaluate] * branches, total, rows)
+
+
+def test_z1_m7_ands_masks_at_3628_of_its_27000_nodes(monkeypatch) -> None:
+    # the 20 nodes at depth 0 and the 20 at depth 1 AND their masks; below,
+    # a node ANDs only when no branch has met its key yet
+    depths = []
+    fitting = search._Rows.fitting
+
+    def counting(self, fits, i, sums, incoming):
+        depths.append(i)
+        return fitting(self, fits, i, sums, incoming)
+
+    monkeypatch.setattr(search._Rows, "fitting", counting)
+    exhaustive_search(SearchSpace(Z1, 7))
+    assert len(depths) == 3628
+    assert depths.count(0) == depths.count(1) == 20
+
+
+@pytest.mark.parametrize(
+    "space,status",
+    [
+        (SearchSpace(Z3, 2), "EXHAUSTED"),
+        (SearchSpace(Z4, 2), "EXHAUSTED"),
+        (SearchSpace(klein_four()[0], 2), "EXHAUSTED"),
+        (SearchSpace(Z5, 2), "FOUND"),
+        (SearchSpace(Z2, 4), "EXHAUSTED"),
+    ],
+    ids=["z3-m2", "z4-m2", "z2^2-m2", "z5-m2", "z2-m4"],
+)
+def test_only_nodes_below_depth_1_fill_the_fit_cache(monkeypatch, space, status) -> None:
+    # a two-block search has no such node, so none of its masks, 33 KB each
+    # at Z60 m=2, outlives the branch that made it
+    made = []
+
+    class Recorded(search._Rows):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Rows", Recorded)
+    assert exhaustive_search(space).status == status
+    (rows,) = made
+    assert bool(rows.fit_cache) == (space.m > 2)
 
 
 def test_z1_m7_work_per_branch() -> None:
@@ -1046,6 +1131,27 @@ def test_exhaustive_explorer_keeps_its_answers(args, status, candidates, arcs) -
     assert witness == arcs
     if out.witness is not None:
         assert automorphism_group(out.witness).order() == 1
+
+
+@pytest.mark.parametrize(
+    "n,candidates,arcs",
+    [
+        (10, 2, "01 02 03 12 13 14 23 24 25 34 35 36 40 46 47 56 57 58 67 68 69 70 78 79 81 82"
+         " 89 90 91 95"),
+        (11, 1, "0-1 0-2 0-3 1-2 1-3 1-4 2-3 2-4 2-5 3-4 3-5 3-6 4-0 4-5 4-6 5-7 5-8 5-9 6-7 6-8"
+         " 6-9 7-0 7-8 7-10 8-0 8-9 8-10 9-1 9-7 9-10 10-1 10-2 10-6"),
+    ],
+    ids=["n10", "n11"],
+)
+def test_exhaustive_explorer_defaults_to_the_search_budget(n, candidates, arcs) -> None:
+    # search.DEFAULT_BUDGET units of work, where 10^6 stopped n=10 before its
+    # first candidate (the row above); witnesses frozen from the matrix
+    # search's branch loop, "u-v" where a vertex has two digits
+    out = search_trivial_aut_digraph(n, 3, True, "exhaustive")
+    assert (out.status, out.candidates_tested) == ("FOUND", candidates)
+    sep = "-" if n > 10 else ""
+    assert " ".join(f"{u}{sep}{v}" for u, v in out.witness.arcs()) == arcs
+    assert automorphism_group(out.witness).order() == 1
 
 
 @pytest.mark.parametrize("n,k,oriented", [(7, 3, True), (6, 2, False), (5, 1, True)])
