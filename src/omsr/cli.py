@@ -153,13 +153,16 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    if args.mode == "exhaustive" and args.seed is not None:
+        # the exhaustive search draws nothing, so the seed would go unread
+        raise ValueError("--mode exhaustive takes no --seed")
     outcome = search_trivial_aut_digraph(
         args.n,
         args.k,
         oriented=not args.allow_digons,
         mode=args.mode,
         budget=args.budget,
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
     )
     report = outcome.to_json()
     _emit(report, args.out)
@@ -226,7 +229,7 @@ def build_parser() -> _Parser:
         type=int,
         help="work units when exhaustive (default 10^8), samples when randomized (default 10^6)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="randomized mode only (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_explore)
 

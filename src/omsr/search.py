@@ -6,9 +6,9 @@ column sums and the oriented condition with one set of bit masks over the
 space's row picks, and evaluates the automorphism order of each completed
 candidate.  Its budget counts the work as it is done: one unit per row tried
 and one per completed candidate.  The rigid-digraph search hunts for
-k-regular digraphs with trivial automorphism group, exhaustively by running
-the same branch loop over the trivial group; its results are exploratory and
-carry no ground-truth claim.
+k-regular digraphs with trivial automorphism group, exhaustively as the
+matrix search over the trivial group; its results are exploratory and carry
+no ground-truth claim.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceeded(Exception):
-    """The work done, rows tried plus candidates completed, passed the budget."""
+    """The work passed the budget once ``candidates_tested`` candidates had completed."""
+
+    def __init__(self, message: str, candidates_tested: int) -> None:
+        super().__init__(message)
+        self.candidates_tested = candidates_tested
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class _Rows(list):
     whenever the pick list changes.
     """
 
-    def __init__(self, space: SearchSpace, reverse: bool = False) -> None:
+    def __init__(self, space: SearchSpace) -> None:
         group, m, k = space.group, space.m, space.k
         n = group.n
         picks = comb(m * n, k)
@@ -164,8 +168,6 @@ class _Rows(list):
                 f"the search space has {picks} row picks, more than the limit of {MAX_PICKS}"
             )
         rows = enumerate_rows(group, m, k)
-        if reverse:
-            rows.reverse()
         oriented = space.require_oriented
         self.width = k.bit_length()
         # per non-empty cell met: its size, whether a diagonal cell refuses
@@ -565,7 +567,8 @@ def exhaustive_search(
         if status == "BUDGET" or work > budget:
             raise BudgetExceeded(
                 f"the rows tried and candidates completed passed the budget"
-                f" of {budget} in branch {branch}"
+                f" of {budget} in branch {branch}",
+                tested + count,
             )
         if twin:
             first, leader_count, found = merged[leader]
@@ -623,19 +626,6 @@ class RigidSearchOutcome:
         }
 
 
-def _exhaustive_rigid(n: int, k: int, oriented: bool, budget: int) -> RigidSearchOutcome:
-    # over the trivial group a matrix row is one vertex's out-neighbours.
-    # Reversed, each loop-free table lists the out-neighbour sets in
-    # lexicographic order, so branch 0 is table 0's first row, the leader
-    # 0 -> 1..k, sound because some labelling of any digraph achieves it
-    space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
-    rows = _Rows(space, reverse=True)
-    first = next(_ones(rows.tables[0]))
-    status, witness, tested, _, _ = _search_branch(space, rows, False, budget, first, True)
-    graph = None if witness is None else build(space.group, witness)
-    return RigidSearchOutcome(status, graph, tested)
-
-
 def _randomized_rigid(n: int, k: int, oriented: bool, budget: int, seed: int) -> RigidSearchOutcome:
     rng = random.Random(seed)
     # start from the circulant with jumps 1..k
@@ -680,14 +670,14 @@ def search_trivial_aut_digraph(
 
     Exploratory: a FOUND witness is verified rigid, but EXHAUSTED/BUDGET for
     one parameter choice settles nothing about the general question.
-    Exhaustive mode is the matrix search over the trivial group, one block per
-    vertex: out-neighbor rows depth-first with in-degree pruning and
-    first-row leader normalization, BUDGET once the rows tried plus the
-    candidates completed pass ``budget``, ``DEFAULT_BUDGET`` when it is
-    None.  Randomized mode runs a degree-preserving arc-switch chain from a
-    circulant seed and tests every 3nk swaps, at most ``budget`` samples,
-    10**6 when it is None: each sample is one engine call.  Raises
-    ValueError when ``budget < 0`` or ``mode`` is neither of the two.
+    Exhaustive mode is :func:`exhaustive_search` over the trivial group, one
+    block per vertex: every first row leads to branch 0's, so only its
+    candidates go to the engine.  It ends with BUDGET, and the candidates
+    completed so far, once the work passes ``budget``, ``DEFAULT_BUDGET``
+    when it is None.  Randomized mode runs a degree-preserving arc-switch
+    chain from a circulant seed and tests every 3nk swaps, at most
+    ``budget`` samples, 10**6 when it is None: each sample is one engine
+    call.  Raises ValueError when ``budget < 0`` or ``mode`` is unknown.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -707,5 +697,11 @@ def search_trivial_aut_digraph(
         return RigidSearchOutcome("EXHAUSTED", None, 0)
     if mode == "exhaustive" or k == 0:
         # k = 0 admits a single digraph, so the chain has nothing to walk
-        return _exhaustive_rigid(n, k, oriented, budget)
+        space = SearchSpace(make_cyclic(1)[0], n, k, oriented)
+        try:
+            outcome = exhaustive_search(space, budget, exact_histogram=False)
+        except BudgetExceeded as stop:
+            return RigidSearchOutcome("BUDGET", None, stop.candidates_tested)
+        witness = None if outcome.witness is None else build(space.group, outcome.witness)
+        return RigidSearchOutcome(outcome.status, witness, outcome.candidates_tested)
     return _randomized_rigid(n, k, oriented, budget, seed)

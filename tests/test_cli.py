@@ -446,11 +446,20 @@ def test_explore_found(capsys) -> None:
 
 
 def test_exhaustive_explore_defaults_to_the_search_budget(capsys) -> None:
-    # 10^8 units of work: n=10 is FOUND after 2 candidates, where 10^6
-    # stopped before the first
+    # 10^8 units of work: n=10 is FOUND after 212 candidates, where 10^6
+    # stops after 126
     assert main(["explore", "--mode", "exhaustive", "--n", "10"]) == 0
     payload = _stdout_json(capsys)
-    assert (payload["status"], payload["candidates_tested"]) == ("FOUND", 2)
+    assert (payload["status"], payload["candidates_tested"]) == ("FOUND", 212)
+
+
+def test_exhaustive_explore_refuses_a_seed(capsys) -> None:
+    # the exhaustive search draws nothing, so the seed would go unread
+    for seed in ("7", "0"):
+        assert main(["explore", "--mode", "exhaustive", "--n", "8", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --mode exhaustive takes no --seed\n"
+        assert captured.out == ""
 
 
 def test_explore_budget_exits_3(capsys) -> None:

@@ -406,9 +406,10 @@ def test_one_job_runs_each_branch_under_the_budget_left(engine_calls) -> None:
     # branches 0 and 1 of Z1 m=7 do 88,846 units of work with 264 candidates,
     # so the budget stop comes at the first row of branch 2; branch 1 is a
     # twin of branch 0, so only branch 0's 132 candidates reach the engine
-    with pytest.raises(BudgetExceeded, match="budget of 88846 in branch 2"):
+    with pytest.raises(BudgetExceeded, match="budget of 88846 in branch 2") as stopped:
         exhaustive_search(SearchSpace(Z1, 7), budget=88846)
     assert len(engine_calls) == 132
+    assert stopped.value.candidates_tested == 264
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +868,7 @@ def test_a_first_witness_search_finds_the_leader_of_each_branch_it_runs(monkeypa
     [
         (lambda: exhaustive_search(SearchSpace(Z4, 2)), "EXHAUSTED", 24, 0),
         (lambda: exhaustive_search(SearchSpace(Z5, 2, require_connected=True)), "FOUND", 2, 1),
-        (lambda: search_trivial_aut_digraph(7, 2, True, "exhaustive"), "FOUND", 3, 1),
+        (lambda: search_trivial_aut_digraph(7, 2, True, "exhaustive"), "FOUND", 4, 1),
     ],
     ids=["z4-m2", "z5-m2-connected", "rigid-n7-k2"],
 )
@@ -1078,7 +1079,7 @@ def test_exhaustive_rigid_small_cases() -> None:
 
     # 1-regular oriented digraphs are unions of cycles, never rigid
     out = search_trivial_aut_digraph(5, 1, oriented=True, mode="exhaustive")
-    assert (out.status, out.candidates_tested) == ("EXHAUSTED", 6)
+    assert (out.status, out.candidates_tested) == ("EXHAUSTED", 24)
 
     # oriented 3-regular needs at least 7 vertices, so 6 is vacuous
     out = search_trivial_aut_digraph(6, 3, oriented=True, mode="exhaustive")
@@ -1097,23 +1098,24 @@ def test_exhaustive_rigid_small_cases() -> None:
 
 
 # (n, k, oriented, budget) -> status, candidates and witness arcs "uv ...",
-# as the explorer's own depth-first loop gave them before it ran on the
-# matrix search's branch loop over the trivial group
+# as the matrix search over the trivial group gives them in its forward pick
+# order: branch 0 is the first row 0 -> n-k..n-1
 EXPLORER_ANSWERS = [
-    ((7, 3, True, None), "EXHAUSTED", 132, None),
-    ((6, 2, True, None), "EXHAUSTED", 57, None),
-    ((5, 2, True, None), "EXHAUSTED", 4, None),
-    ((8, 3, True, None), "FOUND", 3,
-     "01 02 03 12 13 14 23 24 25 34 36 37 45 46 47 50 51 56 60 61 67 70 72 75"),
-    ((9, 3, True, None), "FOUND", 3,
-     "01 02 03 12 13 14 23 24 25 34 35 36 45 47 48 56 57 58 60 61 67 70 71 78 80 82 86"),
-    ((7, 2, True, None), "FOUND", 3, "01 02 12 13 23 24 35 36 40 45 50 56 61 64"),
-    ((7, 2, False, None), "FOUND", 16, "01 02 10 12 20 23 34 35 41 46 53 56 64 65"),
-    ((6, 3, False, None), "FOUND", 9,
-     "01 02 03 10 12 13 20 24 25 32 34 35 40 41 45 51 53 54"),
-    ((8, 2, True, None), "FOUND", 2, "01 02 12 13 23 24 30 35 45 46 56 57 61 67 70 74"),
-    ((9, 3, False, 10**4), "BUDGET", 45, None),
-    ((10, 3, True, 10**6), "BUDGET", 0, None),
+    ((7, 3, True, None), "EXHAUSTED", 2640, None),
+    ((6, 2, True, None), "EXHAUSTED", 570, None),
+    ((5, 2, True, None), "EXHAUSTED", 24, None),
+    ((8, 3, True, None), "FOUND", 98,
+     "05 06 07 14 16 17 20 21 27 30 31 35 40 42 43 51 52 56 62 63 64 73 74 75"),
+    ((9, 3, True, None), "FOUND", 1121,
+     "06 07 08 16 17 18 21 27 28 30 34 35 40 41 42 50 51 52 62 63 65 73 74 76 83 84 85"),
+    ((7, 2, True, None), "FOUND", 4, "05 06 15 16 21 24 30 32 40 41 53 54 62 63"),
+    ((7, 2, False, None), "FOUND", 2, "05 06 15 16 23 24 32 34 41 43 50 52 60 61"),
+    ((6, 3, False, None), "FOUND", 15,
+     "03 04 05 13 14 15 20 21 25 31 32 34 40 41 42 50 52 53"),
+    ((8, 2, True, None), "FOUND", 6, "06 07 16 17 24 25 31 35 40 43 50 51 62 64 72 73"),
+    ((9, 3, False, 10**4), "FOUND", 7,
+     "06 07 08 16 17 18 26 27 28 32 34 35 42 43 45 51 53 54 60 64 65 70 71 73 80 81 82"),
+    ((10, 3, True, 10**6), "BUDGET", 126, None),
 ]
 
 
@@ -1131,22 +1133,32 @@ def test_exhaustive_explorer_keeps_its_answers(args, status, candidates, arcs) -
     assert witness == arcs
     if out.witness is not None:
         assert automorphism_group(out.witness).order() == 1
+    if budget is None:
+        # the explorer is the first-witness search over the trivial group
+        direct = exhaustive_search(SearchSpace(Z1, n, k, oriented), exact_histogram=False)
+        assert (direct.status, direct.candidates_tested) == (status, candidates)
+        if direct.witness is not None:
+            assert build(Z1, direct.witness).arcs() == out.witness.arcs()
 
 
 @pytest.mark.parametrize(
     "n,candidates,arcs",
     [
-        (10, 2, "01 02 03 12 13 14 23 24 25 34 35 36 40 46 47 56 57 58 67 68 69 70 78 79 81 82"
-         " 89 90 91 95"),
-        (11, 1, "0-1 0-2 0-3 1-2 1-3 1-4 2-3 2-4 2-5 3-4 3-5 3-6 4-0 4-5 4-6 5-7 5-8 5-9 6-7 6-8"
-         " 6-9 7-0 7-8 7-10 8-0 8-9 8-10 9-1 9-7 9-10 10-1 10-2 10-6"),
+        (10, 212, "07 08 09 17 18 19 27 28 29 31 32 36 40 42 45 50 51 53 60 61 62 74 75 76 83 84"
+         " 86 93 94 95"),
+        (11, 1177, "0-8 0-9 0-10 1-8 1-9 1-10 2-8 2-9 2-10 3-5 3-6 3-7 4-1 4-2 4-7 5-0 5-2 5-7"
+         " 6-0 6-1 6-4 7-0 7-1 7-2 8-3 8-5 8-6 9-3 9-4 9-6 10-3 10-4 10-5"),
+        (12, 1551, "0-9 0-10 0-11 1-9 1-10 1-11 2-9 2-10 2-11 3-6 3-7 3-8 4-6 4-7 4-8 5-1 5-2"
+         " 5-4 6-0 6-2 6-8 7-0 7-1 7-5 8-0 8-1 8-2 9-3 9-5 9-7 10-3 10-4 10-6 11-3 11-4 11-5"),
+        (13, 618, "0-10 0-11 0-12 1-10 1-11 1-12 2-10 2-11 2-12 3-7 3-8 3-9 4-7 4-8 4-9 5-6 5-8"
+         " 5-9 6-1 6-2 6-4 7-0 7-2 7-5 8-0 8-1 8-7 9-0 9-1 9-2 10-3 10-5 10-6 11-3 11-4 11-6"
+         " 12-3 12-4 12-5"),
     ],
-    ids=["n10", "n11"],
+    ids=["n10", "n11", "n12", "n13"],
 )
 def test_exhaustive_explorer_defaults_to_the_search_budget(n, candidates, arcs) -> None:
-    # search.DEFAULT_BUDGET units of work, where 10^6 stopped n=10 before its
-    # first candidate (the row above); witnesses frozen from the matrix
-    # search's branch loop, "u-v" where a vertex has two digits
+    # search.DEFAULT_BUDGET units of work, where 10^6 stops n=10 after 126
+    # candidates (the row above); "u-v" where a vertex has two digits
     out = search_trivial_aut_digraph(n, 3, True, "exhaustive")
     assert (out.status, out.candidates_tested) == ("FOUND", candidates)
     sep = "-" if n > 10 else ""
@@ -1154,15 +1166,25 @@ def test_exhaustive_explorer_defaults_to_the_search_budget(n, candidates, arcs) 
     assert automorphism_group(out.witness).order() == 1
 
 
-@pytest.mark.parametrize("n,k,oriented", [(7, 3, True), (6, 2, False), (5, 1, True)])
-def test_the_explorer_tables_list_each_forward_table_backwards(n, k, oriented) -> None:
-    space = SearchSpace(Z1, n, k, oriented)
-    forward, backward = search._Rows(space), search._Rows(space, reverse=True)
-    for i in range(n):
-        rows = [backward[p][0] for p in search._ones(backward.tables[i])]
-        assert rows == [forward[p][0] for p in search._ones(forward.tables[i])][::-1], i
-    # so branch 0 of the explorer is the leader row 0 -> 1..k
-    assert backward[next(search._ones(backward.tables[0]))][0] == (0, *[1] * k, *[0] * (n - 1 - k))
+@pytest.mark.parametrize(
+    "n,k,oriented", [(7, 3, True), (10, 3, True), (5, 1, True), (6, 2, False), (9, 3, False)]
+)
+def test_every_trivial_group_first_row_leads_to_branch_0(n, k, oriented) -> None:
+    # over the trivial group relabelling vertices 1..n-1 sorts a first row's
+    # cells, so every branch is a twin of branch 0 and a first-witness search
+    # evaluates branch 0 alone
+    rows = search._Rows(SearchSpace(Z1, n, k, oriented))
+    firsts = [rows[p][0] for p in search._ones(rows.tables[0])]
+    least: dict[int, int] = {}
+    assert {search._leader(Z1, row, least) for row in firsts} == {firsts[0]}
+    assert firsts[0] == (0, *[0] * (n - 1 - k), *[1] * k)
+
+
+def test_the_explorer_sends_only_branch_0_to_the_engine(engine_calls) -> None:
+    # the 2,640 candidates that `omsr search --group cyclic:1 --m 7` counts,
+    # of which branch 0's 132 reach the engine
+    out = search_trivial_aut_digraph(7, 3, True, "exhaustive")
+    assert (out.status, out.candidates_tested, len(engine_calls)) == ("EXHAUSTED", 2640, 132)
 
 
 def test_exhaustive_rigid_respects_budget() -> None:
