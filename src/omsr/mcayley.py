@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .autgroup import is_automorphism
+from .autgroup import automorphism_group
 from .digraphs import Digraph, is_weakly_connected
-from .groups import FiniteGroup, _is_int
+from .groups import IDENTITY, FiniteGroup, _is_int
 from .perms import PermGroup
 
 __all__ = [
@@ -201,37 +201,26 @@ def regular_action_group(group: FiniteGroup, m: int) -> PermGroup:
     return PermGroup(m * group.n, gens, order=group.n)
 
 
-def check_prop21_hypotheses(
-    group: FiniteGroup, graph: Digraph, aut: PermGroup, reps: Sequence[int]
-) -> bool:
-    """Test the two hypotheses forcing Aut = R(G) on a connected block digraph.
+def check_prop21_hypotheses(group: FiniteGroup, conn: ConnectionMatrix) -> bool:
+    """Test the two hypotheses forcing Aut = R(G) on the block digraph of ``conn``.
 
-    ``graph`` has m blocks of |G| vertices, m = nv / |G|, and ``aut`` must be
-    its full automorphism group, as the engine returns it. (a) every
-    generator maps each block onto itself, and (b) for each supplied block
-    representative u, the stabilizer of u fixes every out-neighbor of u
-    pointwise; the stabilizer's Schreier generators are checked. When both
-    hold the automorphism group must be exactly the right translations, so
-    the order is cross-checked against |G|.
+    The digraph must be weakly connected (ValueError otherwise), and the
+    engine's group is its Aut. (a) every generator maps each block onto
+    itself, and (b) for the identity's vertex u of each block, the
+    stabilizer of u fixes every out-neighbor of u pointwise; the
+    stabilizer's Schreier generators are checked. When both hold the
+    automorphism group must be exactly the right translations, so the order
+    is cross-checked against |G|.
     """
-    n = group.n
-    m, rem = divmod(graph.nv, n)
-    if rem:
-        raise ValueError(f"nv {graph.nv} is not a multiple of |{group.name}| = {n}")
-    if aut.degree != graph.nv:
-        raise ValueError(f"degree {aut.degree} vs nv {graph.nv}")
+    graph = build(group, conn)
     if not is_weakly_connected(graph):
         raise ValueError("hypothesis check requires a weakly connected digraph")
-    if sorted(v // n for v in reps) != list(range(m)):
-        raise ValueError(f"need exactly one representative per block, got {list(reps)}")
-    # the group is the full Aut, so a permutation is a member when it preserves arcs
-    if any(not is_automorphism(graph, right_translation(group, m, g)) for g in range(n)):
-        raise ValueError("supplied group must contain every right translation")
-    for p in aut.generators:
-        for v in range(graph.nv):
-            if p[v] // n != v // n:
-                return False
-    for u in reps:
+    n = group.n
+    aut = automorphism_group(graph)
+    if any(p[v] // n != v // n for p in aut.generators for v in range(graph.nv)):
+        return False
+    for i in range(conn.m):
+        u = vertex_of(group, IDENTITY, i)
         for p in aut.schreier_generators(u):
             if any(p[w] != w for w in graph.out_adj[u]):
                 return False

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, compress, islice, repeat
@@ -525,9 +526,10 @@ def exhaustive_search(
     lower bounds hold for the twin too.
 
     Raises ValueError when ``jobs != 1`` or ``budget < 0``, when the
-    checkpoint's directory does not exist, and when the checkpoint is
+    checkpoint's directory does not exist, when the checkpoint is
     malformed, belongs to another space or completed a branch the space does
-    not have.
+    not have, and when the walk, one level per block, passes the
+    interpreter's recursion limit.
     """
     if jobs != 1:
         raise ValueError(f"the search runs in one process: jobs must be 1, got {jobs}")
@@ -558,9 +560,16 @@ def exhaustive_search(
         row = rows[first][0]
         leader = _leader(space.group, row, least)
         twin = leader in merged
-        status, witness, count, found, done = _search_branch(
-            space, rows, exact_histogram, budget - work, first, not twin
-        )
+        try:
+            status, witness, count, found, done = _search_branch(
+                space, rows, exact_histogram, budget - work, first, not twin
+            )
+        except RecursionError:
+            limit = sys.getrecursionlimit()
+            raise ValueError(
+                f"the search of {space.m} blocks recurses once per block,"
+                f" past the recursion limit of {limit}"
+            ) from None
         work += done
         # a branch's last candidate completes after its last check, so a
         # branch that did not stop can still end one unit past its budget

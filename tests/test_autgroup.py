@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from omsr import autgroup, perms, search, verify
+from omsr import autgroup, mcayley, perms, search, verify
 from omsr.autgroup import (
     automorphism_group,
     brute_force_automorphisms,
@@ -19,7 +19,13 @@ from omsr.autgroup import (
 from omsr.constructions import construct_omsr
 from omsr.digraphs import Digraph, is_weakly_connected
 from omsr.groups import klein_four, make_cyclic, standard_two_generated
-from omsr.mcayley import ConnectionMatrix, build, check_prop21_hypotheses, vertex_of
+from omsr.mcayley import (
+    ConnectionMatrix,
+    build,
+    check_prop21_hypotheses,
+    regular_action_group,
+    vertex_of,
+)
 from omsr.suite import family_grid, run_all, z4_block_example
 
 
@@ -692,10 +698,7 @@ def test_hypothesis_check_true_on_translation_only_instance() -> None:
     conn = ConnectionMatrix.from_entries(
         2, {(0, 0): {1, 2}, (0, 1): {0}, (1, 0): {1}, (1, 1): {3, 4}}
     )
-    gamma = build(group, conn)
-    aut = automorphism_group(gamma)
-    reps = [vertex_of(group, 0, 0), vertex_of(group, 0, 1)]
-    assert check_prop21_hypotheses(group, gamma, aut, reps)
+    assert check_prop21_hypotheses(group, conn)
 
 
 def test_hypothesis_check_false_when_aut_exceeds_translations() -> None:
@@ -703,17 +706,15 @@ def test_hypothesis_check_false_when_aut_exceeds_translations() -> None:
     conn = ConnectionMatrix.from_entries(
         2, {(0, 0): {1}, (0, 1): {0, 1}, (1, 0): {1, 2}, (1, 1): {1}}
     )
-    gamma = build(group, conn)
-    aut = automorphism_group(gamma)
-    assert aut.order() == 8
-    reps = [vertex_of(group, 0, 0), vertex_of(group, 0, 1)]
-    assert not check_prop21_hypotheses(group, gamma, aut, reps)
+    assert automorphism_group(build(group, conn)).order() == 8
+    assert not check_prop21_hypotheses(group, conn)
 
 
 def test_hypothesis_check_matches_a_brute_force_stabilizer() -> None:
     # (a) every automorphism keeps the blocks, (b) every arc-preserving
-    # permutation fixing a representative u fixes N+(u); the check reads (b)
-    # off Schreier generators, and here the stabilizer is enumerated outright
+    # permutation fixing the identity's vertex u of a block fixes N+(u); the
+    # check reads (b) off Schreier generators, and here the stabilizer is
+    # enumerated outright
     rng = random.Random(31)
     groups = [make_cyclic(n)[0] for n in (2, 3, 4)] + [klein_four()[0]]
     cases = [z4_block_example()]
@@ -738,8 +739,7 @@ def test_hypothesis_check_matches_a_brute_force_stabilizer() -> None:
         fixes_out = all(
             p[w] == w for u in reps for p in auts if p[u] == u for w in graph.out_adj[u]
         )
-        aut = automorphism_group(graph)
-        assert check_prop21_hypotheses(group, graph, aut, reps) == (keeps_blocks and fixes_out)
+        assert check_prop21_hypotheses(group, conn) == (keeps_blocks and fixes_out)
         seen.add((keeps_blocks, fixes_out))
     # the blocks hold while the stabilizer moves an out-neighbour, so the
     # verdict rests on the Schreier generators
@@ -748,26 +748,26 @@ def test_hypothesis_check_matches_a_brute_force_stabilizer() -> None:
 
 def test_hypothesis_check_input_validation() -> None:
     group, _ = make_cyclic(5)
+    disconnected = ConnectionMatrix.from_entries(2, {(0, 0): {1}, (1, 1): {1}})
+    with pytest.raises(ValueError, match="weakly connected"):
+        check_prop21_hypotheses(group, disconnected)
+
+
+def test_hypothesis_check_raises_when_the_order_contradicts_the_hypotheses(monkeypatch) -> None:
+    # the right translations keep the blocks and fix no vertex, so (a) and
+    # (b) hold; an engine that reports twice their order is inconsistent
+    group, _ = make_cyclic(5)
     conn = ConnectionMatrix.from_entries(
         2, {(0, 0): {1, 2}, (0, 1): {0}, (1, 0): {1}, (1, 1): {3, 4}}
     )
-    gamma = build(group, conn)
-    aut = automorphism_group(gamma)
-    with pytest.raises(ValueError):
-        check_prop21_hypotheses(group, gamma, aut, [vertex_of(group, 0, 0)])
-    disconnected = build(group, ConnectionMatrix.from_entries(2, {(0, 0): {1}, (1, 1): {1}}))
-    with pytest.raises(ValueError):
-        check_prop21_hypotheses(
-            group,
-            disconnected,
-            automorphism_group(disconnected),
-            [vertex_of(group, 0, 0), vertex_of(group, 0, 1)],
-        )
-    # m is read off nv / |G|, so a group whose order does not divide nv
-    # has no blocks to speak of
-    for n in (3, 4, 20):
-        with pytest.raises(ValueError, match="not a multiple"):
-            check_prop21_hypotheses(make_cyclic(n)[0], gamma, aut, [0])
+    translations = regular_action_group(group, conn.m).generators
+    monkeypatch.setattr(
+        mcayley,
+        "automorphism_group",
+        lambda graph: perms.PermGroup(graph.nv, translations, order=2 * group.n),
+    )
+    with pytest.raises(RuntimeError, match="engine inconsistency"):
+        check_prop21_hypotheses(group, conn)
 
 
 def _is_equitable(graph: Digraph, cells: Cells) -> bool:

@@ -285,6 +285,19 @@ def test_verify_a_search_past_the_recursion_limit_exits_1(tmp_path, capsys) -> N
     assert capsys.readouterr().err.startswith("error: search tree depth")
 
 
+def test_explore_a_walk_past_the_recursion_limit_exits_1(capsys) -> None:
+    # the matrix search recurses once per block, so 200 vertices of the
+    # trivial group pass a limit of 150 before any candidate completes; it
+    # once died with a RecursionError traceback
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert main(["explore", "--mode", "exhaustive", "--n", "200", "--k", "1"]) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().err.startswith("error: the search of 200 blocks")
+
+
 def test_past_the_block_count_limit_exits_1(tmp_path, capsys) -> None:
     # an empty matrix one past the limit would take over 270 MB, and
     # z2-general's claims hold millions of elements; the matrix reader, the
