@@ -51,13 +51,11 @@ from .search import (
     exhaustive_search,
     search_trivial_aut_digraph,
 )
-from .suite import CriterionResult, run_all
 from .verify import VerificationReport, verify_connection
 
 __all__ = [
     "BudgetExceeded",
     "ConnectionMatrix",
-    "CriterionResult",
     "Digraph",
     "ExceptionVerdict",
     "FAMILIES",
@@ -89,7 +87,6 @@ __all__ = [
     "make_cyclic",
     "regular_action_group",
     "right_translation",
-    "run_all",
     "search_trivial_aut_digraph",
     "standard_two_generated",
     "validate_claims",

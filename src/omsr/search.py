@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, compress, islice, repeat
@@ -157,7 +158,8 @@ class _Rows(list):
     laid out as the walk's incoming cells, cell j at bit ``n * m * j``, and
     in an oriented space is filled in when a branch first chooses p above
     the last row.  Both index picks by position, so both must be cleared
-    whenever the pick list changes.
+    whenever the pick list changes.  ``least`` keeps the least translates
+    of ``orbit_key``, keyed by prefix and cell, and holds no pick.
     """
 
     def __init__(self, space: SearchSpace) -> None:
@@ -232,6 +234,8 @@ class _Rows(list):
         ]
         self.fit_cache: dict[int, int] = {}
         self.packed: dict[int, int] = {}
+        self.mult = group.mult
+        self.least: dict[tuple[tuple[int, ...], int], int] = {}
 
     def fitting(self, fits: int, i: int, sums: int, incoming: int) -> int:
         """The picks of ``fits`` that fit as row ``i`` under the packed
@@ -246,24 +250,45 @@ class _Rows(list):
             fits &= self.keep[b]
         return fits
 
+    def orbit_key(self, chosen: list[tuple[int, ...]], i: int, p: int) -> tuple:
+        """Pick p's orbit key as row i under the rows ``chosen[:i]``.
 
-def _leader(group: FiniteGroup, row: tuple[int, ...], least: dict[int, int]) -> tuple[int, ...]:
-    """The leader of first row ``row``'s orbit, itself a first row.
+        The key holds the pick's cells in blocks 0..i, then the sorted pairs
+        (prefix, least translate) of its non-empty cells j > i: the prefix
+        is column j's cells in rows 0..i-1, and the translate the least
+        a*T(i, j) over the a with a*c = c for every cell c of the prefix,
+        the prefix's stabilizer.  Permuting blocks past i with equal
+        prefixes, and relabelling each moved block by g -> a*g for such an
+        a, fixes blocks 0..i and rows 0..i-1 and sends row i to any row of
+        the same key; it maps the matrices under one row one to one onto
+        those under the other, with isomorphic digraphs.  At i = 0 every
+        prefix is empty, so the key is the first row with the least
+        translate of each cell past block 0 under all of G.
+        """
+        cells, _, support = self[p]
+        least = self.least
+        parts = []
+        for j in support:
+            if j <= i:
+                continue
+            prefix = tuple([row[j] for row in chosen[:i]])
+            if (prefix, cells[j]) not in least:
+                stabilizer = [
+                    product for product in self.mult
+                    if all(_translate(product, c) == c for c in prefix)
+                ]
+                orbit = [_translate(product, cells[j]) for product in stabilizer]
+                low = min(orbit)
+                for image in orbit:
+                    least[prefix, image] = low
+            parts.append((prefix, least[prefix, cells[j]]))
+        parts.sort()
+        return cells[: i + 1], *parts
 
-    Permuting blocks 1..m-1, and relabelling block j >= 1 by g -> a*g, which
-    sends T(0, j) to a*T(0, j), map the matrices under one first row one to
-    one onto those under its image, with isomorphic digraphs.  The leader
-    keeps T(0, 0) and sorts the least a*T(0, j) of each cell, so it is the
-    least row of its orbit and no later in table 0 than any other.
-    ``least`` maps each cell met so far to its least image; one search
-    keeps one.
-    """
-    for mask in row[1:]:
-        if mask not in least:
-            elements = _elements(mask)
-            orbit = [sum(1 << product[t] for t in elements) for product in group.mult]
-            least.update(dict.fromkeys(orbit, min(orbit)))
-    return (row[0], *sorted(least[mask] for mask in row[1:]))
+
+def _translate(product: tuple[int, ...], mask: int) -> int:
+    """The cell a*``mask``, ``product`` being a's row of the multiplication table."""
+    return sum(1 << product[t] for t in _elements(mask))
 
 
 def _search_branch(
@@ -282,6 +307,8 @@ def _search_branch(
     order (or None), the number of completed candidates, the histogram of
     their automorphism orders, and the work done.  Without ``evaluate`` the
     candidates are only counted: no digraph, no engine call, no histogram.
+    With it, only the first of each set of twin rows below row 0 (see
+    below) sends its candidates to the engine.
 
     A node visits the set bits of its fitting mask: its table ANDed with the
     masks that its packed column sums and the cells the rows above put in
@@ -310,6 +337,22 @@ def _search_branch(
     positions of the active rows.  A node of the last table that only counts
     adds its rows and candidates at once when that keeps the work within the
     budget.
+
+    Sibling rows of one orbit key (``_Rows.orbit_key``) root twin subtrees,
+    with equal candidate counts and isomorphic candidates.  An evaluating
+    node at depth 1 up to m - 2 records a row whose subtree completed
+    candidates once it reaches the next fitting row, and from then on works
+    out the key of each sibling in the same run, the rows that share its
+    blocks 0..i.  A sibling whose key was recorded is walked only counting:
+    its rows and candidates count against the budget as before, its count
+    must equal its sibling's or RuntimeError is raised, and it takes its
+    sibling's automorphism orders.  When the budget stops inside such a
+    twin, the work and candidates go back to their values before it and the
+    twin is walked again evaluating, so the stop falls on the same row and
+    the histogram holds the candidates completed before it.  Over the
+    trivial group a row with one block past it has no twin, so there the
+    records stop at depth m - 3.  The walk keeps one automorphism order per
+    candidate completed while evaluating, and a record is a span of them.
     """
     group, m = space.group, space.m
     n = group.n
@@ -318,7 +361,9 @@ def _search_branch(
     # the rows tried, plus the untried rest of every active node's table
     bound = 0
     status = "EXHAUSTED"
-    histogram: dict[int, int] = {}
+    # one entry per candidate completed while evaluating: its automorphism
+    # order, or 0 when a connected search skips it
+    orders: list[int] = []
     witness: ConnectionMatrix | None = None
     oriented = space.require_oriented
     chosen: list[tuple[int, ...]] = [()] * m
@@ -332,6 +377,10 @@ def _search_branch(
     # one column's field of the packed incoming cells
     stride = n * m
     field = (1 << stride) - 1
+    last = m - 1
+    # the deepest row that may have a twin: one block past it leaves only the
+    # translations by its prefix's stabilizer, and none over the trivial group
+    deepest = last - 1 if n > 1 else last - 2
     # a block's out-lists, built once per row however often it is chosen
     outs: dict[tuple[int, ...], list[list[int]]] = {}
 
@@ -356,10 +405,30 @@ def _search_branch(
         bound, status = steps, "BUDGET"
         return True
 
+    def twin(i: int, sums: int, incoming: int, sibling: tuple[int, int, int]) -> bool:
+        # walk row i's subtree only counting and take its sibling's
+        # histogram; False, with the state before the walk back, when the
+        # budget stopped inside it
+        nonlocal bound, tested, status, evaluate
+        mark, saved = tested, bound
+        evaluate = False
+        inside = descend(i + 1, sums, incoming)
+        evaluate = True
+        if inside:
+            bound, tested, status = saved, mark, "EXHAUSTED"
+            return False
+        first, start, end = sibling
+        if tested - mark != end - start:
+            raise RuntimeError(
+                f"row {at[i]} at depth {i} completed {tested - mark} candidates,"
+                f" but its twin row {first} completed {end - start}"
+            )
+        orders.extend(orders[start:end])
+        return True
+
     def descend(i: int, sums: int, incoming: int) -> bool:
         nonlocal bound, tested, status, witness
-        length = lengths[i]
-        bound += length
+        bound += lengths[i]
         into = incoming >> stride * i & field
         if i < 2:
             # row 0 is the branch's own and row 1 one node a branch: caching
@@ -370,29 +439,61 @@ def _search_branch(
             fits = fit_cache.get(key)
             if fits is None:
                 fits = fit_cache[key] = rows.fitting(tables[i], i, sums, into)
-        if i == m - 1 and not evaluate:
+        if i == last and not evaluate:
             # only counting: when the work stays within the budget even
             # after the last row, no row of this scan stops the search
             count = fits.bit_count()
             if bound + tested + count <= budget or tried(i - 1) + tested + count <= budget:
                 tested += count
                 return False
-        p = -1
+        if not fits:
+            # the scan tries every row of the table and visits none
+            return bound + tested > budget and tables[i] > 0 and stopped(i - 1)
         offset = n * i
-        for p in _ones(fits) if fits else ():
+        twins = evaluate and 0 < i <= deepest
+        # ``tested`` before the subtree of the row visited last, and the key
+        # of each row of the current run, ``run``, whose subtree completed
+        # candidates: the row and its span of ``orders``
+        mark = tested
+        seen: dict[tuple, tuple[int, int, int]] | None = None
+        for p in _ones(fits):
             at[i] = p
             # the rows tried are counted only when ``bound`` passes the budget
             if bound + tested > budget and stopped(i):
                 return True
             cells, delta, support = rows[p]
             chosen[i] = cells
-            if i < m - 1:
+            if i < last:
                 below = incoming
                 if oriented:
                     spread = packed.get(p)
                     if spread is None:
                         spread = packed[p] = sum(cells[j] << stride * j for j in support)
                     below ^= spread << offset
+                if twins:
+                    if tested != mark:
+                        # the fitting row before this one completed
+                        # candidates.  A twin shares blocks 0..i with its
+                        # sibling, and the rows that do are one run of the
+                        # table, so the row is kept only if this one is in
+                        # its run
+                        before = (fits & (1 << p) - 1).bit_length() - 1
+                        head = cells[: i + 1]
+                        if rows[before][0][: i + 1] != head:
+                            seen = None
+                        else:
+                            if seen is None or head != run:
+                                seen, run = {}, head
+                            seen[rows.orbit_key(chosen, i, before)] = before, mark, tested
+                        mark = tested
+                    if seen:
+                        if cells[: i + 1] != run:
+                            seen = run = None
+                        else:
+                            key = rows.orbit_key(chosen, i, p)
+                            if key in seen and twin(i, sums + delta, below, seen[key]):
+                                mark = tested
+                                continue
                 if descend(i + 1, sums + delta, below):
                     return True
                 continue
@@ -401,11 +502,12 @@ def _search_branch(
                 continue
             graph = Digraph(m * n, [out for row in chosen for out in row_outs(row)])
             if space.require_connected and not is_weakly_connected(graph):
+                orders.append(0)
                 continue
             # the right translations make |Aut| >= |G|, so an order of |G| is
             # exact even when the engine may stop early above it
             order = automorphism_group(graph, stop_order_above=stop).order()
-            histogram[order] = histogram.get(order, 0) + 1
+            orders.append(order)
             if order == n:
                 bound = tried(i)
                 status = "FOUND"
@@ -419,8 +521,10 @@ def _search_branch(
     descend(0, 0, 0)
     # descend refers to itself: unbinding it frees the out-lists now, not at
     # the next run of the cycle collector
-    del descend
-    return status, witness, tested, histogram, bound + tested
+    del descend, twin
+    histogram = Counter(orders)
+    del histogram[0]
+    return status, witness, tested, dict(histogram), bound + tested
 
 
 def _write_checkpoint(
@@ -511,19 +615,21 @@ def exhaustive_search(
     ValueError before any pick is made.
 
     Relabelling blocks maps the subtrees of first rows in one orbit onto
-    each other, so only the first branch of each orbit, its leader, goes to
-    the automorphism engine; a branch finds its leader row (``_leader``)
-    when it is reached.  A twin, a branch whose leader row was merged earlier
-    in the same run, still walks its rows: it counts the same rows tried and
-    candidates completed, against the budget too, and takes the leader's
-    histogram, so counts, histograms, budget stops and checkpoints stay those
-    of the labelled search.  A twin whose candidate count differs from its
-    leader's raises RuntimeError.  A branch whose leader was merged before a
-    resumed checkpoint is evaluated in full.  The run keeps each leader it
-    merges, one entry per orbit, so never more entries than table 0 has rows.
-    Without ``exact_histogram`` the engine may stop once the order passes
-    |G|; a twin's candidates are isomorphic to its leader's, so the leader's
-    lower bounds hold for the twin too.
+    each other, so only the first branch of each orbit key
+    (``_Rows.orbit_key`` at depth 0), its leader, goes to the automorphism
+    engine; a branch works out its key when it is reached.  A twin, a branch
+    whose key a branch merged earlier in the same run had, still walks its
+    rows: it counts the same rows tried and candidates completed, against
+    the budget too, and takes the leader's histogram, so counts, histograms,
+    budget stops and checkpoints stay those of the labelled search.  A twin
+    whose candidate count differs from its leader's raises RuntimeError.  A
+    resumed run takes as leader the first branch of each key that it meets
+    itself.  The run keeps each leader it merges, one entry per orbit, so
+    never more entries than table 0 has rows.  Within a branch the rows
+    below row 0 merge the same way (``_search_branch``).  Without
+    ``exact_histogram`` the engine may stop once the order passes |G|; a
+    twin's candidates are isomorphic to its leader's, so the leader's lower
+    bounds hold for the twin too.
 
     Raises ValueError when ``jobs != 1`` or ``budget < 0``, when the
     checkpoint's directory does not exist, when the checkpoint is
@@ -552,17 +658,16 @@ def exhaustive_search(
             f"checkpoint {checkpoint_path} completed branch {start},"
             f" but the search space has {branches} branches"
         )
-    least: dict[int, int] = {}
-    # each leader row merged in this run: its branch, count and histogram
-    merged: dict[tuple[int, ...], tuple[int, int, dict[int, int]]] = {}
+    # the first branch of each orbit key met in this run, its leader: its
+    # branch, count and histogram
+    merged: dict[tuple, tuple[int, int, dict[int, int]]] = {}
     work = 0
     for branch, first in islice(enumerate(_ones(rows.tables[0])), start + 1, None):
-        row = rows[first][0]
-        leader = _leader(space.group, row, least)
-        twin = leader in merged
+        key = rows.orbit_key([], 0, first)
+        leader = merged.get(key)
         try:
             status, witness, count, found, done = _search_branch(
-                space, rows, exact_histogram, budget - work, first, not twin
+                space, rows, exact_histogram, budget - work, first, leader is None
             )
         except RecursionError:
             limit = sys.getrecursionlimit()
@@ -579,15 +684,15 @@ def exhaustive_search(
                 f" of {budget} in branch {branch}",
                 tested + count,
             )
-        if twin:
-            first, leader_count, found = merged[leader]
+        if leader is None:
+            merged[key] = branch, count, found
+        else:
+            first, leader_count, found = leader
             if count != leader_count:
                 raise RuntimeError(
                     f"branch {branch} completed {count} candidates, but its"
                     f" orbit leader {first} completed {leader_count}"
                 )
-        elif leader == row:
-            merged[row] = branch, count, found
         tested += count
         for order, c in found.items():
             histogram[order] = histogram.get(order, 0) + c
@@ -681,7 +786,9 @@ def search_trivial_aut_digraph(
     one parameter choice settles nothing about the general question.
     Exhaustive mode is :func:`exhaustive_search` over the trivial group, one
     block per vertex: every first row leads to branch 0's, so only its
-    candidates go to the engine.  It ends with BUDGET, and the candidates
+    candidates go to the engine, and of those only the first of each set of
+    twin rows below row 0 (n = 9, k = 3: 143 of the 1,121 candidates before
+    the witness).  It ends with BUDGET, and the candidates
     completed so far, once the work passes ``budget``, ``DEFAULT_BUDGET``
     when it is None.  Randomized mode runs a degree-preserving arc-switch
     chain from a circulant seed and tests every 3nk swaps, at most
